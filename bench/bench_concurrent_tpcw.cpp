@@ -16,13 +16,8 @@
 // SYNERGY_GIT_REV for the JSON trajectory appended to
 // bench-results/BENCH_concurrent_tpcw.json.
 #include <cstdio>
-#include <cstdlib>
-#include <ctime>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <sys/stat.h>
 #include <vector>
 
 #include "concurrent/tpcw_mix.h"
@@ -43,102 +38,23 @@ struct ResultRow {
   concurrent::WorkloadReport report;
 };
 
-std::string JsonRun(const std::vector<ResultRow>& rows,
-                    const tpcw::ScaleConfig& scale, size_t ops_per_thread,
-                    const std::vector<std::pair<std::string, std::string>>&
-                        metrics) {
-  char stamp[32] = "unknown";
-  const std::time_t now = std::time(nullptr);
-  std::tm tm_utc{};
-  if (gmtime_r(&now, &tm_utc) != nullptr) {
-    std::strftime(stamp, sizeof(stamp), "%Y-%m-%dT%H:%M:%S+00:00", &tm_utc);
-  }
-  const char* rev = std::getenv("SYNERGY_GIT_REV");
-  const char* label = std::getenv("SYNERGY_BENCH_LABEL");
-
-  std::ostringstream out;
-  out << "    {\n"
-      << "      \"timestamp\": \"" << stamp << "\",\n"
-      << "      \"git_rev\": \"" << (rev != nullptr ? rev : "unknown")
-      << "\",\n"
-      << "      \"label\": \"" << (label != nullptr ? label : "run") << "\",\n"
-      << "      \"num_customers\": " << scale.num_customers << ",\n"
-      << "      \"ops_per_thread\": " << ops_per_thread << ",\n"
-      << "      \"results\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const ResultRow& r = rows[i];
-    char buf[640];
-    std::snprintf(
-        buf, sizeof(buf),
-        "        {\"system\": \"%s\", \"mix\": \"%s\", \"threads\": %d, "
-        "\"vthroughput_ops_s\": %.1f, \"p50_ms\": %.2f, \"p95_ms\": %.2f, "
-        "\"p99_ms\": %.2f, \"mean_ms\": %.2f, \"errors\": %zu, "
-        "\"retries\": %zu, \"degraded_ops\": %zu, \"deadline_errors\": %zu, "
-        "\"rpcs_per_op\": %.1f}%s\n",
-        r.system.c_str(), r.mix.c_str(), r.threads,
-        r.report.virtual_throughput(), r.report.p50_ms(), r.report.p95_ms(),
-        r.report.p99_ms(), r.report.mean_ms(), r.report.total_errors,
-        r.report.total_retries, r.report.total_degraded_ops,
-        r.report.total_deadline_errors, r.report.rpcs_per_op(),
-        i + 1 < rows.size() ? "," : "");
-    out << buf;
-  }
-  out << "      ],\n      \"metrics\": {\n";
-  for (size_t i = 0; i < metrics.size(); ++i) {
-    out << "        \"" << metrics[i].first << "\": " << metrics[i].second
-        << (i + 1 < metrics.size() ? "," : "") << "\n";
-  }
-  out << "      }\n    }";
-  return out.str();
-}
-
-/// Appends the run object into the trajectory file's `runs` array, creating
-/// the file if needed.
-bool AppendJson(const std::string& path, const std::string& run) {
-  std::string existing;
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      existing = buf.str();
-    }
-  }
-  std::string out;
-  const size_t close = existing.rfind(']');
-  if (close == std::string::npos) {
-    out = "{\n  \"description\": \"Concurrent TPC-W closed-loop trajectory "
-          "(see docs/BENCHMARKS.md)\",\n  \"runs\": [\n" +
-          run + "\n  ]\n}\n";
-  } else {
-    const bool empty_array =
-        existing.find('{', existing.find("\"runs\"")) == std::string::npos ||
-        existing.find('{', existing.find('[')) > close;
-    std::string insert = (empty_array ? "\n" : ",\n") + run + "\n  ";
-    out = existing.substr(0, close);
-    // Trim trailing whitespace before the close bracket.
-    while (!out.empty() && (out.back() == ' ' || out.back() == '\n')) {
-      out.pop_back();
-    }
-    out += insert + existing.substr(close);
-  }
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) return false;
-  f << out;
-  return true;
-}
-
-std::string ResultsDir() {
-  const char* env = std::getenv("SYNERGY_BENCH_RESULTS_DIR");
-  if (env != nullptr) return env;
-  struct stat st{};
-  if (stat("bench-results", &st) == 0 && S_ISDIR(st.st_mode)) {
-    return "bench-results";
-  }
-  if (stat("../bench-results", &st) == 0 && S_ISDIR(st.st_mode)) {
-    return "../bench-results";
-  }
-  return "bench-results";  // will fail to open; reported by caller
+/// One `results` entry of the trajectory row.
+std::string RenderRow(const ResultRow& r) {
+  char buf[640];
+  std::snprintf(
+      buf, sizeof(buf),
+      "{\"system\": \"%s\", \"mix\": \"%s\", \"threads\": %d, "
+      "\"vthroughput_ops_s\": %.1f, \"p50_ms\": %.2f, \"p95_ms\": %.2f, "
+      "\"p99_ms\": %.2f, \"mean_ms\": %.2f, \"errors\": %zu, "
+      "\"retries\": %zu, \"degraded_ops\": %zu, \"deadline_errors\": %zu, "
+      "\"rpcs_per_op\": %.1f}",
+      r.system.c_str(), r.mix.c_str(), r.threads,
+      r.report.virtual_throughput(), r.report.p50_ms(), r.report.p95_ms(),
+      r.report.p99_ms(), r.report.mean_ms(), r.report.total_errors,
+      static_cast<size_t>(r.report.counts[obs::OpCounter::kRetries]),
+      r.report.total_degraded_ops, r.report.total_deadline_errors,
+      r.report.rpcs_per_op());
+  return buf;
 }
 
 }  // namespace
@@ -167,7 +83,7 @@ int main() {
 
   // Synergy gets a worker slave per client pair so distributed writes
   // overlap; Baseline (no views, Phoenix+Tephra MVCC) is the comparator.
-  std::vector<std::unique_ptr<systems::EvaluatedSystem>> evaluated;
+  std::vector<std::unique_ptr<systems::StoreBackedSystem>> evaluated;
   evaluated.push_back(std::make_unique<systems::SynergyWrapper>(
       tpcw::Roots(), "Synergy", std::max(1, max_threads / 2)));
   evaluated.push_back(std::make_unique<systems::MvccSystem>(
@@ -184,8 +100,7 @@ int main() {
   }
 
   std::vector<ResultRow> rows;
-  // Registry snapshots (name -> JSON) embedded into the committed run row.
-  std::vector<std::pair<std::string, std::string>> metrics_json;
+  systems::TrajectoryRun run;
   double synergy_read_t1 = 0.0, synergy_read_t4 = 0.0;
   for (const concurrent::MixConfig& mix : concurrent::StandardMixes()) {
     std::printf("--- mix: %s (read fraction %.0f%%) ---\n", mix.name.c_str(),
@@ -214,7 +129,8 @@ int main() {
                       FormatMs(report.p50_ms()), FormatMs(report.p95_ms()),
                       FormatMs(report.p99_ms()), FormatMs(report.mean_ms()),
                       std::to_string(report.total_errors),
-                      std::to_string(report.total_retries),
+                      std::to_string(
+                          report.counts[obs::OpCounter::kRetries]),
                       std::to_string(report.total_degraded_ops),
                       FormatMs(report.rpcs_per_op())});
       }
@@ -278,38 +194,43 @@ int main() {
     const concurrent::WorkloadReport report = systems::MeasureConcurrent(
         *failover_sys, scale, concurrent::WriteHeavyMix(), max_threads,
         ops_per_thread, /*base_seed=*/scale.seed ^ 0xFA11CAFE);
-    const hbase::FailoverStats fstats =
-        failover_sys->cluster()->failover().stats();
+    const obs::RegistrySnapshot snap =
+        failover_sys->cluster()->metrics().Snapshot();
     std::printf(
         "goodput %.1f ops/vsec, p99 %s ms, errors %zu (deadline %zu), "
-        "retries %zu, degraded reads %zu\n"
-        "cluster: crashes %lld, regions reassigned %lld, WAL edits replayed "
-        "%lld, writes rejected mid-reassignment %lld\n\n",
+        "retries %llu, degraded reads %zu\n"
+        "cluster: crashes %llu, regions reassigned %llu, WAL edits replayed "
+        "%llu, writes rejected mid-reassignment %llu\n\n",
         report.virtual_throughput(), FormatMs(report.p99_ms()).c_str(),
         report.total_errors, report.total_deadline_errors,
-        report.total_retries, report.total_degraded_ops,
-        static_cast<long long>(fstats.crashes),
-        static_cast<long long>(fstats.regions_reassigned),
-        static_cast<long long>(fstats.edits_replayed),
-        static_cast<long long>(fstats.writes_rejected));
+        static_cast<unsigned long long>(
+            report.counts[obs::OpCounter::kRetries]),
+        report.total_degraded_ops,
+        static_cast<unsigned long long>(
+            snap.CounterValue("hbase_failover_crashes_total")),
+        static_cast<unsigned long long>(
+            snap.CounterValue("hbase_failover_regions_reassigned_total")),
+        static_cast<unsigned long long>(
+            snap.CounterValue("hbase_failover_edits_replayed_total")),
+        static_cast<unsigned long long>(
+            snap.CounterValue("hbase_failover_writes_rejected_total")));
     if (report.total_ops == 0) {
       std::fprintf(stderr, "FAIL: no goodput through the server crash: %s\n",
                    report.first_error.ToString().c_str());
       return 1;
     }
     rows.push_back({"Synergy+crash", "failover-write", max_threads, report});
-    metrics_json.emplace_back("Synergy+crash", failover_sys->MetricsJson());
+    run.metrics.emplace_back("Synergy+crash", failover_sys->MetricsJson());
   }
 
   for (const auto& system : evaluated) {
-    metrics_json.emplace_back(system->name(), system->MetricsJson());
+    run.metrics.emplace_back(system->name(), system->MetricsJson());
   }
-
-  const std::string path = ResultsDir() + "/BENCH_concurrent_tpcw.json";
-  if (AppendJson(path, JsonRun(rows, scale, ops_per_thread, metrics_json))) {
-    std::printf("Appended datapoint to %s\n", path.c_str());
-  } else {
-    std::fprintf(stderr, "WARNING: could not write %s\n", path.c_str());
-  }
+  run.fields = {{"num_customers", std::to_string(scale.num_customers)},
+                {"ops_per_thread", std::to_string(ops_per_thread)}};
+  for (const ResultRow& row : rows) run.results.push_back(RenderRow(row));
+  systems::AppendTrajectoryRun(
+      "BENCH_concurrent_tpcw.json",
+      "Concurrent TPC-W closed-loop trajectory (see docs/BENCHMARKS.md)", run);
   return 0;
 }

@@ -38,12 +38,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <sys/stat.h>
 #include <vector>
 
 #include "concurrent/tpcw_mix.h"
@@ -131,8 +128,7 @@ std::unique_ptr<fault::FaultInjector> MakeDrizzle(uint64_t seed) {
 /// Applies one protection config to a system. The retry policy keeps the
 /// same backoff/jitter schedule in both configs — only the protection knobs
 /// (budget, breaker, deadline, admission, abandon) differ.
-void ApplyConfig(systems::EvaluatedSystem& system, hbase::Cluster* cluster,
-                 bool protected_mode) {
+void ApplyConfig(systems::StoreBackedSystem& system, bool protected_mode) {
   hbase::RetryPolicy policy;
   hbase::AdmissionConfig admission;
   if (protected_mode) {
@@ -151,108 +147,31 @@ void ApplyConfig(systems::EvaluatedSystem& system, hbase::Cluster* cluster,
     admission.burst_ops = 80;
   }
   system.SetRetryPolicy(policy);
-  cluster->ConfigureAdmission(admission);
+  system.cluster()->ConfigureAdmission(admission);
 }
 
-std::string JsonRun(const std::vector<ResultRow>& rows,
-                    const tpcw::ScaleConfig& scale, int threads,
-                    double duration_vsec, const char* arrival,
-                    const std::vector<std::pair<std::string, std::string>>&
-                        metrics) {
-  char stamp[32] = "unknown";
-  const std::time_t now = std::time(nullptr);
-  std::tm tm_utc{};
-  if (gmtime_r(&now, &tm_utc) != nullptr) {
-    std::strftime(stamp, sizeof(stamp), "%Y-%m-%dT%H:%M:%S+00:00", &tm_utc);
-  }
-  const char* rev = std::getenv("SYNERGY_GIT_REV");
-  const char* label = std::getenv("SYNERGY_BENCH_LABEL");
-
-  std::ostringstream out;
-  out << "    {\n"
-      << "      \"timestamp\": \"" << stamp << "\",\n"
-      << "      \"git_rev\": \"" << (rev != nullptr ? rev : "unknown")
-      << "\",\n"
-      << "      \"label\": \"" << (label != nullptr ? label : "run") << "\",\n"
-      << "      \"num_customers\": " << scale.num_customers << ",\n"
-      << "      \"threads\": " << threads << ",\n"
-      << "      \"duration_vsec\": " << duration_vsec << ",\n"
-      << "      \"arrival\": \"" << arrival << "\",\n"
-      << "      \"results\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const ResultRow& r = rows[i];
-    char buf[768];
-    std::snprintf(
-        buf, sizeof(buf),
-        "        {\"system\": \"%s\", \"config\": \"%s\", "
-        "\"rate_multiplier\": %.2f, \"offered_rate\": %.1f, "
-        "\"goodput_ops_s\": %.1f, \"p50_ms\": %.2f, \"p95_ms\": %.2f, "
-        "\"p99_ms\": %.2f, \"offered\": %zu, \"completed\": %zu, "
-        "\"errors\": %zu, \"shed\": %zu, \"abandoned\": %zu, "
-        "\"deadline_errors\": %zu, \"retries\": %zu, "
-        "\"scan_errors_dropped\": %zu, \"rpcs_per_op\": %.1f}%s\n",
-        r.system.c_str(), r.config.c_str(), r.rate_multiplier, r.offered_rate,
-        r.report.goodput(), r.report.p50_ms(), r.report.p95_ms(),
-        r.report.p99_ms(), r.report.total_offered, r.report.total_ops,
-        r.report.total_errors, r.report.total_shed_errors,
-        r.report.total_abandoned, r.report.total_deadline_errors,
-        r.report.total_retries, r.report.total_scan_errors_dropped,
-        r.report.rpcs_per_op(), i + 1 < rows.size() ? "," : "");
-    out << buf;
-  }
-  out << "      ],\n      \"metrics\": {\n";
-  for (size_t i = 0; i < metrics.size(); ++i) {
-    out << "        \"" << metrics[i].first << "\": " << metrics[i].second
-        << (i + 1 < metrics.size() ? "," : "") << "\n";
-  }
-  out << "      }\n    }";
-  return out.str();
-}
-
-bool AppendJson(const std::string& path, const std::string& run) {
-  std::string existing;
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      existing = buf.str();
-    }
-  }
-  std::string out;
-  const size_t close = existing.rfind(']');
-  if (close == std::string::npos) {
-    out = "{\n  \"description\": \"Open-loop overload sweep trajectory "
-          "(see docs/BENCHMARKS.md)\",\n  \"runs\": [\n" +
-          run + "\n  ]\n}\n";
-  } else {
-    const bool empty_array =
-        existing.find('{', existing.find("\"runs\"")) == std::string::npos ||
-        existing.find('{', existing.find('[')) > close;
-    std::string insert = (empty_array ? "\n" : ",\n") + run + "\n  ";
-    out = existing.substr(0, close);
-    while (!out.empty() && (out.back() == ' ' || out.back() == '\n')) {
-      out.pop_back();
-    }
-    out += insert + existing.substr(close);
-  }
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) return false;
-  f << out;
-  return true;
-}
-
-std::string ResultsDir() {
-  const char* env = std::getenv("SYNERGY_BENCH_RESULTS_DIR");
-  if (env != nullptr) return env;
-  struct stat st{};
-  if (stat("bench-results", &st) == 0 && S_ISDIR(st.st_mode)) {
-    return "bench-results";
-  }
-  if (stat("../bench-results", &st) == 0 && S_ISDIR(st.st_mode)) {
-    return "../bench-results";
-  }
-  return "bench-results";  // will fail to open; reported by caller
+/// One `results` entry of the trajectory row.
+std::string RenderRow(const ResultRow& r) {
+  char buf[768];
+  std::snprintf(
+      buf, sizeof(buf),
+      "{\"system\": \"%s\", \"config\": \"%s\", "
+      "\"rate_multiplier\": %.2f, \"offered_rate\": %.1f, "
+      "\"goodput_ops_s\": %.1f, \"p50_ms\": %.2f, \"p95_ms\": %.2f, "
+      "\"p99_ms\": %.2f, \"offered\": %zu, \"completed\": %zu, "
+      "\"errors\": %zu, \"shed\": %zu, \"abandoned\": %zu, "
+      "\"deadline_errors\": %zu, \"retries\": %zu, "
+      "\"scan_errors_dropped\": %zu, \"rpcs_per_op\": %.1f}",
+      r.system.c_str(), r.config.c_str(), r.rate_multiplier, r.offered_rate,
+      r.report.goodput(), r.report.p50_ms(), r.report.p95_ms(),
+      r.report.p99_ms(), r.report.total_offered, r.report.total_ops,
+      r.report.total_errors, r.report.total_shed_errors,
+      r.report.total_abandoned, r.report.total_deadline_errors,
+      static_cast<size_t>(r.report.counts[obs::OpCounter::kRetries]),
+      static_cast<size_t>(
+          r.report.counts[obs::OpCounter::kScanErrorsDropped]),
+      r.report.rpcs_per_op());
+  return buf;
 }
 
 }  // namespace
@@ -276,8 +195,7 @@ int main() {
       arrival_name, threads, duration_vsec);
 
   struct SystemUnderTest {
-    std::unique_ptr<systems::EvaluatedSystem> system;
-    hbase::Cluster* cluster = nullptr;
+    std::unique_ptr<systems::StoreBackedSystem> system;
     core::SynergySystem* core = nullptr;  // non-null: faults go via the stack
     double saturation = 0.0;              // closed-loop ops/vsec estimate
   };
@@ -297,8 +215,8 @@ int main() {
                    sut.system->name().c_str(), setup.ToString().c_str());
       return 1;
     }
-    sut.cluster = sut.system->cluster();
-    sut.cluster->ResetMetrics();  // snapshots cover measured work only
+    // Snapshots cover measured work only.
+    sut.system->cluster()->ResetMetrics();
     if (auto* sw = dynamic_cast<systems::SynergyWrapper*>(sut.system.get())) {
       sut.core = sw->system();
     }
@@ -342,13 +260,13 @@ int main() {
         const double max_ops = 6000.0;
         if (rate * horizon > max_ops) horizon = max_ops / rate;
 
-        ApplyConfig(*sut.system, sut.cluster, protected_mode);
+        ApplyConfig(*sut.system, protected_mode);
         std::unique_ptr<fault::FaultInjector> faults =
             MakeDrizzle(static_cast<uint64_t>(scale.seed) ^ 0x0E11);
         if (sut.core != nullptr) {
           sut.core->SetFaultInjector(faults.get());
         } else {
-          sut.cluster->SetFaultInjector(faults.get());
+          sut.system->cluster()->SetFaultInjector(faults.get());
         }
 
         concurrent::OpenLoopConfig config;
@@ -364,7 +282,7 @@ int main() {
         if (sut.core != nullptr) {
           sut.core->SetFaultInjector(nullptr);
         } else {
-          sut.cluster->SetFaultInjector(nullptr);
+          sut.system->cluster()->SetFaultInjector(nullptr);
         }
         if (report.total_offered == 0) {
           std::fprintf(stderr, "%s/%s/%.2fx: no op offered\n",
@@ -383,7 +301,8 @@ int main() {
                       std::to_string(report.total_shed_errors),
                       std::to_string(report.total_abandoned),
                       std::to_string(report.total_errors),
-                      std::to_string(report.total_retries)});
+                      std::to_string(
+                          report.counts[obs::OpCounter::kRetries])});
         if (sut.system->name() == "Synergy" && mult == hot_multiplier) {
           if (protected_mode) {
             synergy_hot_protected = report;
@@ -429,19 +348,21 @@ int main() {
     }
   }
 
+  systems::TrajectoryRun run;
+  char duration[32];
+  std::snprintf(duration, sizeof(duration), "%g", duration_vsec);
+  run.fields = {{"num_customers", std::to_string(scale.num_customers)},
+                {"threads", std::to_string(threads)},
+                {"duration_vsec", duration},
+                {"arrival", std::string("\"") + arrival_name + "\""}};
+  for (const ResultRow& row : rows) run.results.push_back(RenderRow(row));
   // Registry snapshots embedded into the committed run row (cumulative over
   // the whole sweep — calibration plus every rate point).
-  std::vector<std::pair<std::string, std::string>> metrics_json;
   for (const SystemUnderTest& sut : suts) {
-    metrics_json.emplace_back(sut.system->name(), sut.system->MetricsJson());
+    run.metrics.emplace_back(sut.system->name(), sut.system->MetricsJson());
   }
-
-  const std::string path = ResultsDir() + "/BENCH_overload.json";
-  if (AppendJson(path, JsonRun(rows, scale, threads, duration_vsec,
-                               arrival_name, metrics_json))) {
-    std::printf("Appended datapoint to %s\n", path.c_str());
-  } else {
-    std::fprintf(stderr, "WARNING: could not write %s\n", path.c_str());
-  }
+  systems::AppendTrajectoryRun(
+      "BENCH_overload.json",
+      "Open-loop overload sweep trajectory (see docs/BENCHMARKS.md)", run);
   return 0;
 }

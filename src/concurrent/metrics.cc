@@ -15,13 +15,11 @@ WorkloadReport Aggregate(const std::vector<ThreadMetrics>& per_thread,
     report.total_offered += t.offered;
     report.total_ops += t.ops;
     report.total_errors += t.errors;
-    report.total_retries += t.retries;
     report.total_degraded_ops += t.degraded_ops;
     report.total_deadline_errors += t.deadline_errors;
     report.total_shed_errors += t.shed_errors;
     report.total_abandoned += t.abandoned;
-    report.total_scan_errors_dropped += t.scan_errors_dropped;
-    report.total_rpcs += t.rpcs;
+    report.counts += t.counts;
     report.latency_us.Merge(t.latency_us);
     max_busy_us = std::max(max_busy_us, t.busy_virtual_us);
     max_span_us = std::max(max_span_us, t.span_virtual_us);

@@ -19,28 +19,16 @@
 
 #include "common/stats.h"
 #include "common/status.h"
+#include "obs/op_counts.h"
 
 namespace synergy::concurrent {
 
-/// Result of one successful client operation. Constructible from a bare
-/// virtual-µs cost so ops that don't track robustness counters stay terse.
+/// Result of one client operation: its virtual cost plus the per-op
+/// counters it consumed.
 struct OpOutcome {
-  OpOutcome() = default;
-  OpOutcome(double us) : virtual_us(us) {}  // NOLINT: implicit by design
-  OpOutcome(double us, size_t r, size_t d)
-      : virtual_us(us), retries(r), degraded(d) {}
-  OpOutcome(double us, size_t r, size_t d, size_t scan_drops)
-      : virtual_us(us), retries(r), degraded(d),
-        scan_errors_dropped(scan_drops) {}
-  OpOutcome(double us, size_t r, size_t d, size_t scan_drops, size_t rpc_count)
-      : virtual_us(us), retries(r), degraded(d),
-        scan_errors_dropped(scan_drops), rpcs(rpc_count) {}
-
   double virtual_us = 0.0;  // simulated cost of the op
-  size_t retries = 0;       // RPC/txn retries the op consumed
-  size_t degraded = 0;      // reads served at bounded staleness
-  size_t scan_errors_dropped = 0;  // scanners dropped with unchecked errors
-  size_t rpcs = 0;  // store RPCs the op issued (incl. retried attempts)
+  obs::OpCounts counts{};   // RPCs, retries, degraded reads, ... (incl.
+                            // retried attempts)
 };
 
 /// Per-worker-thread counters; exclusively owned by one thread during the
@@ -50,15 +38,13 @@ struct ThreadMetrics {
   size_t offered = 0;           // operations issued (closed) / arrived (open)
   size_t ops = 0;               // completed (successful) operations
   size_t errors = 0;            // failed operations
-  size_t retries = 0;           // retries consumed by successful ops
   size_t degraded_ops = 0;      // ops that read degraded (stale-bounded) data
   size_t deadline_errors = 0;   // errors that were deadline expirations
   size_t shed_errors = 0;       // errors that were overload rejections
   size_t abandoned = 0;         // open loop: ops dropped by the client after
                                 // waiting out max_queue_delay_us unstarted
-  size_t scan_errors_dropped = 0;  // scanners dropped with unchecked errors
-  size_t rpcs = 0;              // store RPCs issued (all outcomes, incl.
-                                // failed attempts — they hit the store too)
+  obs::OpCounts counts;         // per-op counters: closed loop sums the
+                                // successful ops, open loop every attempt
   double busy_virtual_us = 0.0; // sum of per-op virtual time on this thread
   double span_virtual_us = 0.0; // open loop: thread clock when the run ended
                                 // (arrival horizon plus backlog drain)
@@ -71,13 +57,11 @@ struct WorkloadReport {
   size_t total_offered = 0;
   size_t total_ops = 0;
   size_t total_errors = 0;
-  size_t total_retries = 0;        // retries consumed across all threads
   size_t total_degraded_ops = 0;   // ops served from a degraded region
   size_t total_deadline_errors = 0;  // errors that were deadline expirations
   size_t total_shed_errors = 0;      // errors that were overload rejections
   size_t total_abandoned = 0;        // open loop: client-abandoned arrivals
-  size_t total_scan_errors_dropped = 0;  // unchecked scan errors (see Scanner)
-  size_t total_rpcs = 0;             // store RPCs issued across all threads
+  obs::OpCounts counts;              // per-op counters across all threads
   double wall_seconds = 0.0;
   double virtual_seconds = 0.0;  // open loop: max thread span; closed loop:
                                  // max busy virtual time
@@ -105,7 +89,7 @@ struct WorkloadReport {
   /// benches report next to latency (retried attempts included).
   double rpcs_per_op() const {
     return total_ops > 0
-               ? static_cast<double>(total_rpcs) /
+               ? static_cast<double>(counts[obs::OpCounter::kRpcs]) /
                      static_cast<double>(total_ops)
                : 0.0;
   }

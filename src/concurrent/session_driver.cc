@@ -38,10 +38,10 @@ WorkloadReport RunClosedLoop(const DriverConfig& config,
           continue;
         }
         ++m.ops;
-        m.retries += outcome->retries;
-        if (outcome->degraded > 0) ++m.degraded_ops;
-        m.scan_errors_dropped += outcome->scan_errors_dropped;
-        m.rpcs += outcome->rpcs;
+        if (outcome->counts[obs::OpCounter::kDegradedReads] > 0) {
+          ++m.degraded_ops;
+        }
+        m.counts += outcome->counts;
         m.busy_virtual_us += outcome->virtual_us;
         m.latency_us.Add(outcome->virtual_us);
       }
@@ -107,8 +107,7 @@ WorkloadReport RunOpenLoop(const OpenLoopConfig& config,
         // the clock and deepens the backlog behind them.
         clock_us += r.outcome.virtual_us;
         m.busy_virtual_us += r.outcome.virtual_us;
-        m.scan_errors_dropped += r.outcome.scan_errors_dropped;
-        m.rpcs += r.outcome.rpcs;
+        m.counts += r.outcome.counts;
         if (!r.status.ok()) {
           ++m.errors;
           if (r.status.code() == StatusCode::kDeadlineExceeded) {
@@ -121,8 +120,9 @@ WorkloadReport RunOpenLoop(const OpenLoopConfig& config,
           continue;
         }
         ++m.ops;
-        m.retries += r.outcome.retries;
-        if (r.outcome.degraded > 0) ++m.degraded_ops;
+        if (r.outcome.counts[obs::OpCounter::kDegradedReads] > 0) {
+          ++m.degraded_ops;
+        }
         m.latency_us.Add(queue_delay_us + r.outcome.virtual_us);
       }
       // The run spans the arrival horizon plus whatever backlog drained

@@ -10,9 +10,10 @@
 //
 // The driver deliberately knows nothing about SQL, TPC-W, or the systems
 // under test: an operation is just a callback returning the op's virtual
-// cost in microseconds (or an error). tpcw_mix.h builds TPC-W mixes on top;
-// systems/harness.cc adapts EvaluatedSystem. This keeps the module's
-// dependencies to common/ only.
+// cost in microseconds and its per-op counters (or an error). tpcw_mix.h
+// builds TPC-W mixes on top; systems/harness.cc adapts EvaluatedSystem.
+// This keeps the driver's dependencies to common/ and the obs/ counter
+// schema.
 #pragma once
 
 #include <cstddef>
@@ -32,8 +33,8 @@ struct DriverConfig {
   uint64_t base_seed = 7;
 };
 
-/// One client operation; returns the op's outcome (virtual µs cost plus any
-/// retry/degraded counters; ops without them return `OpOutcome(cost_us)`).
+/// One client operation; returns the op's outcome (virtual µs cost plus its
+/// per-op counters; ops without counters return `OpOutcome{cost_us}`).
 /// Runs on a worker thread, `op_index` counts that thread's ops from 0.
 using SessionOp = std::function<StatusOr<OpOutcome>(size_t op_index)>;
 

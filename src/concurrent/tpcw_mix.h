@@ -41,7 +41,7 @@ MixConfig WriteHeavyMix();
 std::vector<MixConfig> StandardMixes();
 
 /// Executes one bound statement for a client thread; returns the op outcome
-/// (virtual µs plus retry/degraded counters).
+/// (virtual µs plus per-op counters).
 using StatementExecFn = std::function<StatusOr<OpOutcome>(
     int thread_id, const std::string& stmt_id,
     const std::vector<Value>& params)>;

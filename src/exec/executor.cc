@@ -653,12 +653,12 @@ StatusOr<AnalyzeResult> Executor::ExplainAnalyze(
     const ExecOptions& options) {
   AnalyzeResult out;
   const double start_us = s.meter().micros();
-  const uint64_t start_rpcs = s.rpc_count();
+  const uint64_t start_rpcs = s.count(obs::OpCounter::kRpcs);
   SYNERGY_ASSIGN_OR_RETURN(result,
                            RunStatement(s, stmt, params, options, &out.nodes));
   out.result = std::move(result);
   out.total_virtual_us = s.meter().Since(start_us);
-  out.total_rpcs = s.rpc_count() - start_rpcs;
+  out.total_rpcs = s.count(obs::OpCounter::kRpcs) - start_rpcs;
   for (const PlanNodeStats& node : out.nodes) {
     out.node_sum_us += node.virtual_us;
   }
@@ -683,7 +683,7 @@ StatusOr<QueryResult> Executor::RunStatement(hbase::Session& s,
   while (true) {
     if (nodes != nullptr) nodes->clear();
     const double attempt_us = s.meter().micros();
-    const uint64_t attempt_rpcs = s.rpc_count();
+    const uint64_t attempt_rpcs = s.count(obs::OpCounter::kRpcs);
     StatusOr<QueryResult> result = ExecuteOnce(s, stmt, params, options, nodes);
     if (result.ok()) {
       result->dirty_restarts = restarts;
@@ -706,7 +706,7 @@ StatusOr<QueryResult> Executor::RunStatement(hbase::Session& s,
       s.meter().Charge(
           adapter_->cluster()->cost_model().rpc_base_us);
       restart_node.virtual_us += s.meter().Since(attempt_us);
-      restart_node.rpcs += s.rpc_count() - attempt_rpcs;
+      restart_node.rpcs += s.count(obs::OpCounter::kRpcs) - attempt_rpcs;
       continue;
     }
     statement_us_->Observe(s.meter().Since(start_us));
@@ -721,7 +721,7 @@ StatusOr<QueryResult> Executor::ExecuteOnce(hbase::Session& s,
                                             std::vector<PlanNodeStats>* nodes) {
   const bool analyze = nodes != nullptr;
   const double exec_start_us = s.meter().micros();
-  const uint64_t exec_start_rpcs = s.rpc_count();
+  const uint64_t exec_start_rpcs = s.count(obs::OpCounter::kRpcs);
   const sql::Catalog& catalog = adapter_->catalog();
   const sim::CostModel& model = adapter_->cluster()->cost_model();
   PlannerOptions popts;
@@ -778,17 +778,17 @@ StatusOr<QueryResult> Executor::ExecuteOnce(hbase::Session& s,
   auto sink_process = [&](const std::vector<Value>& row) -> StatusOr<bool> {
     if (!analyze) return sink->Process(row);
     const double m0 = s.meter().micros();
-    const uint64_t r0 = s.rpc_count();
+    const uint64_t r0 = s.count(obs::OpCounter::kRpcs);
     StatusOr<bool> keep = sink->Process(row);
     sink_us += s.meter().Since(m0);
-    sink_rpcs += s.rpc_count() - r0;
+    sink_rpcs += s.count(obs::OpCounter::kRpcs) - r0;
     return keep;
   };
   if (analyze) {
     PlanNodeStats bind;
     bind.label = "plan+bind";
     bind.virtual_us = s.meter().Since(exec_start_us);
-    bind.rpcs = s.rpc_count() - exec_start_rpcs;
+    bind.rpcs = s.count(obs::OpCounter::kRpcs) - exec_start_rpcs;
     nodes->push_back(bind);
   }
 
@@ -887,7 +887,7 @@ StatusOr<QueryResult> Executor::ExecuteOnce(hbase::Session& s,
     const PlanStep& step = plan.steps[0];
     const std::vector<BoundPredicate>& residual = residuals[0];
     const double stage_us = s.meter().micros();
-    const uint64_t stage_rpcs = s.rpc_count();
+    const uint64_t stage_rpcs = s.count(obs::OpCounter::kRpcs);
     const double stage_sink_us = sink_us;
     const uint64_t stage_sink_rpcs = sink_rpcs;
     size_t stage_rows = 0;
@@ -911,7 +911,8 @@ StatusOr<QueryResult> Executor::ExecuteOnce(hbase::Session& s,
       node.label = StepLabel(step, 0);
       node.rows = stage_rows;
       node.virtual_us = s.meter().Since(stage_us) - (sink_us - stage_sink_us);
-      node.rpcs = s.rpc_count() - stage_rpcs - (sink_rpcs - stage_sink_rpcs);
+      node.rpcs = s.count(obs::OpCounter::kRpcs) - stage_rpcs -
+                  (sink_rpcs - stage_sink_rpcs);
       nodes->push_back(node);
     }
   }
@@ -922,7 +923,7 @@ StatusOr<QueryResult> Executor::ExecuteOnce(hbase::Session& s,
     const RowSchema& outer_schema = *cum_schemas[i - 1];
     const std::vector<BoundPredicate>& residual = residuals[i];
     const double stage_us = s.meter().micros();
-    const uint64_t stage_rpcs = s.rpc_count();
+    const uint64_t stage_rpcs = s.count(obs::OpCounter::kRpcs);
     const double stage_sink_us = sink_us;
     const uint64_t stage_sink_rpcs = sink_rpcs;
     size_t stage_rows = 0;
@@ -1100,7 +1101,8 @@ StatusOr<QueryResult> Executor::ExecuteOnce(hbase::Session& s,
       node.label = StepLabel(step, i);
       node.rows = stage_rows;
       node.virtual_us = s.meter().Since(stage_us) - (sink_us - stage_sink_us);
-      node.rpcs = s.rpc_count() - stage_rpcs - (sink_rpcs - stage_sink_rpcs);
+      node.rpcs = s.count(obs::OpCounter::kRpcs) - stage_rpcs -
+                  (sink_rpcs - stage_sink_rpcs);
       nodes->push_back(node);
     }
     if (!last) {
@@ -1110,11 +1112,11 @@ StatusOr<QueryResult> Executor::ExecuteOnce(hbase::Session& s,
 
   QueryResult result;
   const double finish_us = s.meter().micros();
-  const uint64_t finish_rpcs = s.rpc_count();
+  const uint64_t finish_rpcs = s.count(obs::OpCounter::kRpcs);
   SYNERGY_RETURN_IF_ERROR(sink->Finish(&result));
   if (analyze) {
     sink_us += s.meter().Since(finish_us);
-    sink_rpcs += s.rpc_count() - finish_rpcs;
+    sink_rpcs += s.count(obs::OpCounter::kRpcs) - finish_rpcs;
     PlanNodeStats node;
     node.label = (stmt.HasAggregates() || !stmt.group_by.empty())
                      ? "sink: aggregate"

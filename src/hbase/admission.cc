@@ -7,14 +7,9 @@ namespace synergy::hbase {
 
 AdmissionController::AdmissionController(int num_servers,
                                          AdmissionConfig config,
-                                         obs::MetricsRegistry* registry)
+                                         obs::MetricsRegistry& r)
     : config_(config),
-      own_registry_(registry == nullptr
-                        ? std::make_unique<obs::MetricsRegistry>()
-                        : nullptr),
       servers_(static_cast<size_t>(std::max(num_servers, 1))) {
-  obs::MetricsRegistry& r =
-      registry != nullptr ? *registry : *own_registry_;
   admitted_ = r.GetCounter("hbase_admission_admitted_total",
                            "ops admitted (incl. queued)");
   queued_ = r.GetCounter("hbase_admission_queued_total",
@@ -91,17 +86,6 @@ int AdmissionController::Occupancy(int server_id) const {
   std::lock_guard lock(mutex_);
   const ServerLoad& server = servers_.at(static_cast<size_t>(server_id));
   return server.inflight + server.burst;
-}
-
-AdmissionStats AdmissionController::stats() const {
-  // Reassembled from the registry counters — no second tally to drift.
-  AdmissionStats s;
-  s.admitted = static_cast<int64_t>(admitted_->Value());
-  s.queued = static_cast<int64_t>(queued_->Value());
-  s.shed_queue_full = static_cast<int64_t>(shed_queue_full_->Value());
-  s.shed_deadline = static_cast<int64_t>(shed_deadline_->Value());
-  s.burst_ops_injected = static_cast<int64_t>(burst_ops_injected_->Value());
-  return s;
 }
 
 }  // namespace synergy::hbase

@@ -25,8 +25,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -42,17 +42,6 @@ struct AdmissionConfig {
   int burst_ops = 12;              // phantom ops per overload-burst fire
 };
 
-/// Admission tallies, reassembled from the backing registry counters by
-/// stats() — the registry is the single source of truth (ResetAll on it
-/// resets these too, so a mid-run reset can't desynchronize the views).
-struct AdmissionStats {
-  int64_t admitted = 0;            // total ops admitted (incl. queued)
-  int64_t queued = 0;              // admitted after a virtual queue wait
-  int64_t shed_queue_full = 0;     // rejected: backlog at max_queue_depth
-  int64_t shed_deadline = 0;       // rejected: deadline already hopeless
-  int64_t burst_ops_injected = 0;  // phantom ops from overload-burst fires
-};
-
 /// Verdict for one op: OK (possibly with a virtual queue wait to charge) or
 /// kResourceExhausted when shed.
 struct AdmissionDecision {
@@ -62,11 +51,10 @@ struct AdmissionDecision {
 
 class AdmissionController {
  public:
-  /// `registry` is where the admission counters are published — normally the
-  /// owning Cluster's registry. Null (standalone construction in tests)
-  /// falls back to a private registry so per-instance stats still work.
+  /// Publishes the `hbase_admission_*` counters into `registry` (the owning
+  /// Cluster's), which must outlive the controller.
   AdmissionController(int num_servers, AdmissionConfig config,
-                      obs::MetricsRegistry* registry = nullptr);
+                      obs::MetricsRegistry& registry);
 
   const AdmissionConfig& config() const { return config_; }
 
@@ -87,8 +75,6 @@ class AdmissionController {
   /// Current occupancy (in-flight + phantom burst) of one server.
   int Occupancy(int server_id) const;
 
-  AdmissionStats stats() const;
-
  private:
   struct ServerLoad {
     int inflight = 0;  // real admitted ops not yet released
@@ -96,8 +82,6 @@ class AdmissionController {
   };
 
   AdmissionConfig config_;
-  // Fallback for standalone (cluster-less) construction; unused otherwise.
-  std::unique_ptr<obs::MetricsRegistry> own_registry_;
   obs::Counter* admitted_;
   obs::Counter* queued_;
   obs::Counter* shed_queue_full_;

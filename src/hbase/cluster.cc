@@ -8,26 +8,12 @@ namespace synergy::hbase {
 
 ClusterOpCounters ClusterOpCounters::Resolve(obs::MetricsRegistry& registry) {
   ClusterOpCounters c;
-  c.rpcs = registry.GetCounter(
-      "hbase_rpcs_total", "RPC attempts at the region-server boundary");
+  c.per_op = obs::ResolveOpCounters(registry);
   c.scan_batches = registry.GetCounter(
       "hbase_scan_batches_total", "scan batch RPCs (subset of hbase_rpcs)");
   c.faults_injected = registry.GetCounter(
       "hbase_faults_injected_total",
       "injected RPC faults (request-lost, timeout, ack-lost)");
-  c.retries = registry.GetCounter(
-      "client_retries_total", "retry attempts granted by session policies");
-  c.degraded_reads = registry.GetCounter(
-      "client_degraded_reads_total",
-      "bounded-staleness reads served mid-reassignment");
-  c.deadline_exceeded = registry.GetCounter(
-      "client_deadline_exceeded_total", "ops that exhausted their deadline");
-  c.overload_rejected = registry.GetCounter(
-      "client_overload_rejected_total",
-      "ops shed by admission control or a tripped breaker");
-  c.scan_errors_dropped = registry.GetCounter(
-      "client_scan_errors_dropped_total",
-      "scanners destroyed with an unchecked error status");
   c.breaker_fastfail = registry.GetCounter(
       "client_breaker_fastfail_total",
       "ops failed fast by an open circuit breaker");
@@ -149,7 +135,7 @@ Status Cluster::PutOnce(
     const std::vector<std::pair<std::string, std::string>>& columns,
     std::optional<int64_t> ts) {
   failover_->OnRpc();
-  s.CountRpc();
+  s.Count(obs::OpCounter::kRpcs);
   obs::ScopedSpan rpc_span(s.rpc_trace(), "rpc.put");
   rpc_span.Note("table", table);
   SYNERGY_ASSIGN_OR_RETURN(t, FindTable(table));
@@ -175,7 +161,7 @@ StatusOr<RowResult> Cluster::Get(Session& s, const std::string& table,
 StatusOr<RowResult> Cluster::GetOnce(Session& s, const std::string& table,
                                      const std::string& row_key) {
   failover_->OnRpc();
-  s.CountRpc();
+  s.Count(obs::OpCounter::kRpcs);
   obs::ScopedSpan rpc_span(s.rpc_trace(), "rpc.get");
   rpc_span.Note("table", table);
   SYNERGY_ASSIGN_OR_RETURN(t, FindTable(table));
@@ -185,7 +171,7 @@ StatusOr<RowResult> Cluster::GetOnce(Session& s, const std::string& table,
       failover_->CheckAccess(region, /*is_write=*/false);
   SYNERGY_RETURN_IF_ERROR(access.status);
   if (access.degraded) {
-    s.CountDegradedRead();
+    s.Count(obs::OpCounter::kDegradedReads);
     rpc_span.Note("degraded", "1");
   }
   AdmissionSlot slot;
@@ -209,7 +195,7 @@ Status Cluster::DeleteOnce(Session& s, const std::string& table,
                            const std::string& row_key,
                            std::optional<int64_t> ts) {
   failover_->OnRpc();
-  s.CountRpc();
+  s.Count(obs::OpCounter::kRpcs);
   obs::ScopedSpan rpc_span(s.rpc_trace(), "rpc.delete");
   rpc_span.Note("table", table);
   SYNERGY_ASSIGN_OR_RETURN(t, FindTable(table));
@@ -241,7 +227,7 @@ StatusOr<bool> Cluster::CheckAndPutOnce(
     const std::string& qualifier, const std::optional<std::string>& expected,
     const std::string& new_value) {
   failover_->OnRpc();
-  s.CountRpc();
+  s.Count(obs::OpCounter::kRpcs);
   obs::ScopedSpan rpc_span(s.rpc_trace(), "rpc.check_and_put");
   rpc_span.Note("table", table);
   SYNERGY_ASSIGN_OR_RETURN(t, FindTable(table));
@@ -273,7 +259,7 @@ StatusOr<int64_t> Cluster::IncrementOnce(Session& s, const std::string& table,
                                          const std::string& qualifier,
                                          int64_t delta) {
   failover_->OnRpc();
-  s.CountRpc();
+  s.Count(obs::OpCounter::kRpcs);
   obs::ScopedSpan rpc_span(s.rpc_trace(), "rpc.increment");
   rpc_span.Note("table", table);
   SYNERGY_ASSIGN_OR_RETURN(t, FindTable(table));
@@ -313,7 +299,7 @@ StatusOr<ScanBatchResult> Cluster::ScanBatchRpcOnce(Session& s,
                                                     const std::string& stop,
                                                     size_t limit) {
   failover_->OnRpc();
-  s.CountRpc();
+  s.Count(obs::OpCounter::kRpcs);
   counters_.scan_batches->Inc();
   obs::ScopedSpan rpc_span(s.rpc_trace(), "rpc.scan_batch");
   rpc_span.Note("table", table);
@@ -324,7 +310,7 @@ StatusOr<ScanBatchResult> Cluster::ScanBatchRpcOnce(Session& s,
       failover_->CheckAccess(region, /*is_write=*/false);
   SYNERGY_RETURN_IF_ERROR(access.status);
   if (access.degraded) {
-    s.CountDegradedRead();
+    s.Count(obs::OpCounter::kDegradedReads);
     rpc_span.Note("degraded", "1");
   }
   AdmissionSlot slot;

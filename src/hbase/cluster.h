@@ -6,6 +6,7 @@
 // sessions are not (one per logical client).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
@@ -25,6 +26,7 @@
 #include "hbase/retry_policy.h"
 #include "hbase/table.h"
 #include "obs/metrics.h"
+#include "obs/op_counts.h"
 #include "obs/trace.h"
 #include "sim/cost_model.h"
 
@@ -37,20 +39,13 @@ namespace synergy::hbase {
 class Cluster;
 
 /// Registry handles for the cluster-wide tallies published at the RPC
-/// boundary and by the client retry stack. Resolved once per Cluster so the
-/// hot path pays one relaxed add per event; session-level counters mirror
-/// into these (satellite of PR 10: one registry is the source of truth for
-/// cluster-wide robustness tallies, so ResetMetrics can't desynchronize
-/// them).
+/// boundary and by the client retry stack, resolved once per Cluster so the
+/// hot path pays one relaxed add per event. `per_op` backs the sessions'
+/// per-op counters (Session::Count bumps both).
 struct ClusterOpCounters {
-  obs::Counter* rpcs = nullptr;
+  obs::OpCounterHandles per_op{};
   obs::Counter* scan_batches = nullptr;
   obs::Counter* faults_injected = nullptr;
-  obs::Counter* retries = nullptr;
-  obs::Counter* degraded_reads = nullptr;
-  obs::Counter* deadline_exceeded = nullptr;
-  obs::Counter* overload_rejected = nullptr;
-  obs::Counter* scan_errors_dropped = nullptr;
   obs::Counter* breaker_fastfail = nullptr;
   obs::Counter* retry_budget_exhausted = nullptr;
   obs::Histogram* admission_queue_wait_us = nullptr;
@@ -136,43 +131,24 @@ class Session {
     return trace_ != nullptr && trace_->rpc_spans() ? trace_ : nullptr;
   }
 
-  // Availability counters. Atomic because txn-slave workers execute write
-  // bodies against the client's session from another thread (same contract
-  // as CostMeter: commuting adds, read after the submit future resolves).
-  // Each also mirrors into the cluster's registry counters, so per-session
-  // tallies and cluster-wide metrics can't drift apart (bodies follow the
-  // Cluster definition below).
-  void CountRetry();
-  void CountDegradedRead();
-  void CountDeadlineExceeded();
-  void CountOverloadRejected();
-  void CountScanErrorDropped();
-  /// One completed RPC attempt at the region-server boundary (the paper's
-  /// Table 2 denominator: RPCs per operation).
-  void CountRpc();
-  uint64_t rpc_count() const { return rpcs_.load(std::memory_order_relaxed); }
-  uint64_t retries() const {
-    return retries_.load(std::memory_order_relaxed);
+  /// Bumps one per-op counter (obs/op_counts.h): this session's slot and
+  /// the cluster registry's family of the same index. Atomic because
+  /// txn-slave workers execute write bodies against the client's session
+  /// from another thread (same contract as CostMeter: commuting adds, read
+  /// after the submit future resolves). Body follows the Cluster definition.
+  void Count(obs::OpCounter c);
+  uint64_t count(obs::OpCounter c) const {
+    return counts_[obs::OpCounts::Index(c)].load(std::memory_order_relaxed);
   }
-  uint64_t degraded_reads() const {
-    return degraded_reads_.load(std::memory_order_relaxed);
-  }
-  uint64_t deadline_exceeded() const {
-    return deadline_exceeded_.load(std::memory_order_relaxed);
-  }
-  uint64_t overload_rejections() const {
-    return overload_rejections_.load(std::memory_order_relaxed);
-  }
-  uint64_t scan_errors_dropped() const {
-    return scan_errors_dropped_.load(std::memory_order_relaxed);
-  }
-  void ResetOpStats() {
-    retries_.store(0, std::memory_order_relaxed);
-    degraded_reads_.store(0, std::memory_order_relaxed);
-    deadline_exceeded_.store(0, std::memory_order_relaxed);
-    overload_rejections_.store(0, std::memory_order_relaxed);
-    scan_errors_dropped_.store(0, std::memory_order_relaxed);
-    rpcs_.store(0, std::memory_order_relaxed);
+  /// This session's running totals; one statement's share is the
+  /// difference of the snapshots taken around it.
+  obs::OpCounts counts() const {
+    obs::OpCounts out;
+    for (size_t i = 0; i < obs::kNumOpCounters; ++i) {
+      out[static_cast<obs::OpCounter>(i)] =
+          counts_[i].load(std::memory_order_relaxed);
+    }
+    return out;
   }
 
  private:
@@ -185,12 +161,7 @@ class Session {
   obs::TraceCollector* trace_ = nullptr;
   bool retry_suppressed_ = false;
   double op_deadline_us_ = 0.0;
-  std::atomic<uint64_t> retries_{0};
-  std::atomic<uint64_t> degraded_reads_{0};
-  std::atomic<uint64_t> deadline_exceeded_{0};
-  std::atomic<uint64_t> overload_rejections_{0};
-  std::atomic<uint64_t> scan_errors_dropped_{0};
-  std::atomic<uint64_t> rpcs_{0};
+  std::array<std::atomic<uint64_t>, obs::kNumOpCounters> counts_{};
 };
 
 /// Streaming scanner with per-batch RPC cost accounting. Obtain via
@@ -205,9 +176,8 @@ class Scanner {
   /// region fault) rather than genuine exhaustion. Every consumer must call
   /// this before dropping a scanner: destroying one that hit an error
   /// without looking is the silent-truncation bug PR 6's error channel was
-  /// built to kill. A drop without a check increments the session's
-  /// scan_errors_dropped counter, which the bench reports surface — visible
-  /// in release builds, unlike the debug assert it replaced.
+  /// built to kill. A drop without a check counts one
+  /// OpCounter::kScanErrorsDropped on the session, in every build type.
   const Status& status() const {
     status_checked_ = true;
     return status_;
@@ -236,7 +206,7 @@ class Scanner {
   }
   ~Scanner() {
     if (!status_.ok() && !status_checked_ && session_ != nullptr) {
-      session_->CountScanErrorDropped();
+      session_->Count(obs::OpCounter::kScanErrorsDropped);
     }
   }
 
@@ -318,7 +288,7 @@ class Cluster {
   void ConfigureAdmission(AdmissionConfig config) {
     admission_ = config.enabled
                      ? std::make_unique<AdmissionController>(
-                           num_region_servers_, config, &metrics_)
+                           num_region_servers_, config, metrics_)
                      : nullptr;
   }
   AdmissionController* admission() { return admission_.get(); }
@@ -456,31 +426,11 @@ class Cluster {
   std::map<std::string, std::unique_ptr<Table>> tables_;
 };
 
-// Session counter bodies live below Cluster because each mirrors into the
-// cluster-wide registry handles in addition to its per-session atomic.
-inline void Session::CountRetry() {
-  retries_.fetch_add(1, std::memory_order_relaxed);
-  cluster_->counters().retries->Inc();
-}
-inline void Session::CountDegradedRead() {
-  degraded_reads_.fetch_add(1, std::memory_order_relaxed);
-  cluster_->counters().degraded_reads->Inc();
-}
-inline void Session::CountDeadlineExceeded() {
-  deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-  cluster_->counters().deadline_exceeded->Inc();
-}
-inline void Session::CountOverloadRejected() {
-  overload_rejections_.fetch_add(1, std::memory_order_relaxed);
-  cluster_->counters().overload_rejected->Inc();
-}
-inline void Session::CountScanErrorDropped() {
-  scan_errors_dropped_.fetch_add(1, std::memory_order_relaxed);
-  cluster_->counters().scan_errors_dropped->Inc();
-}
-inline void Session::CountRpc() {
-  rpcs_.fetch_add(1, std::memory_order_relaxed);
-  cluster_->counters().rpcs->Inc();
+// Below Cluster because it mirrors into the cluster-wide registry handles.
+inline void Session::Count(obs::OpCounter c) {
+  const size_t i = obs::OpCounts::Index(c);
+  counts_[i].fetch_add(1, std::memory_order_relaxed);
+  cluster_->counters().per_op[i]->Inc();
 }
 
 namespace detail {
@@ -526,7 +476,7 @@ auto RunWithRetryProtection(Cluster& cluster, Session& s, Fn&& fn,
   if (CircuitBreaker* breaker = s.circuit_breaker()) {
     Status gate = breaker->Admit(s.meter().micros());
     if (!gate.ok()) {
-      s.CountOverloadRejected();
+      s.Count(obs::OpCounter::kOverloadRejected);
       cluster.counters().breaker_fastfail->Inc();
       return Result(std::move(gate));
     }
@@ -546,7 +496,7 @@ auto RunWithRetryProtection(Cluster& cluster, Session& s, Fn&& fn,
       // Overload rejections are terminal here: retrying against a saturated
       // server amplifies the overload (the opposite of what the rejection
       // asked for). The breaker counts the streak and eventually fails fast.
-      s.CountOverloadRejected();
+      s.Count(obs::OpCounter::kOverloadRejected);
       if (CircuitBreaker* breaker = s.circuit_breaker()) {
         breaker->OnOverload(s.meter().micros());
       }
@@ -556,7 +506,7 @@ auto RunWithRetryProtection(Cluster& cluster, Session& s, Fn&& fn,
         retry.OnFailure(st, s.meter().micros());
     if (!d.retry) {
       if (d.final_status.code() == StatusCode::kDeadlineExceeded) {
-        s.CountDeadlineExceeded();
+        s.Count(obs::OpCounter::kDeadlineExceeded);
         return Result(d.final_status);
       }
       return result;
@@ -568,7 +518,7 @@ auto RunWithRetryProtection(Cluster& cluster, Session& s, Fn&& fn,
       cluster.counters().retry_budget_exhausted->Inc();
       return result;
     }
-    s.CountRetry();
+    s.Count(obs::OpCounter::kRetries);
     // The backoff is virtual wait: the client's clock advances, and so does
     // the cluster's — heartbeat rounds keep running while we sleep, which
     // is what lets a lone blocked client ride out failure detection plus

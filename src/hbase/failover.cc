@@ -24,9 +24,6 @@ FailoverManager::FailoverManager(Cluster* cluster, int num_servers,
       "regions moved off dead servers");
   c_edits_replayed_ = r.GetCounter("hbase_failover_edits_replayed_total",
                                    "region-WAL entries replayed");
-  c_degraded_reads_ = r.GetCounter(
-      "hbase_failover_degraded_reads_total",
-      "reads served at bounded staleness during failover");
   c_writes_rejected_ = r.GetCounter("hbase_failover_writes_rejected_total",
                                     "writes refused mid-reassignment");
   g_live_servers_ = r.GetGauge("hbase_live_region_servers",
@@ -208,7 +205,6 @@ RegionAccess FailoverManager::CheckAccess(const Region* region,
                 false};
       }
       if (config_.allow_degraded_reads && !region->store_lost()) {
-        c_degraded_reads_->Inc();
         return {Status::Ok(), /*degraded=*/true};
       }
       return {Status::Unavailable("region store lost with server " +
@@ -227,20 +223,6 @@ int FailoverManager::LiveServerCount() const {
 ServerState FailoverManager::state(int server_id) const {
   std::lock_guard lock(mutex_);
   return servers_[static_cast<size_t>(server_id)].state;
-}
-
-FailoverStats FailoverManager::stats() const {
-  // Reassembled from the registry counters — no second tally to drift.
-  FailoverStats s;
-  s.heartbeat_rounds = static_cast<int64_t>(c_heartbeat_rounds_->Value());
-  s.crashes = static_cast<int64_t>(c_crashes_->Value());
-  s.fenced = static_cast<int64_t>(c_fenced_->Value());
-  s.regions_reassigned =
-      static_cast<int64_t>(c_regions_reassigned_->Value());
-  s.edits_replayed = static_cast<int64_t>(c_edits_replayed_->Value());
-  s.degraded_reads = static_cast<int64_t>(c_degraded_reads_->Value());
-  s.writes_rejected = static_cast<int64_t>(c_writes_rejected_->Value());
-  return s;
 }
 
 }  // namespace synergy::hbase

@@ -63,18 +63,6 @@ struct RegionAccess {
   bool degraded = false;  // OK but served at bounded staleness
 };
 
-/// Failover tallies, reassembled by stats() from the owning Cluster's
-/// metrics registry (the registry is the single source of truth).
-struct FailoverStats {
-  int64_t heartbeat_rounds = 0;
-  int64_t crashes = 0;            // servers that lost their store
-  int64_t fenced = 0;             // servers declared dead with store intact
-  int64_t regions_reassigned = 0;
-  int64_t edits_replayed = 0;     // region-WAL entries replayed
-  int64_t degraded_reads = 0;     // reads served stale during failover
-  int64_t writes_rejected = 0;    // writes refused mid-reassignment
-};
-
 class FailoverManager {
  public:
   FailoverManager(Cluster* cluster, int num_servers,
@@ -109,7 +97,6 @@ class FailoverManager {
   }
   int LiveServerCount() const;
   ServerState state(int server_id) const;
-  FailoverStats stats() const;
   int64_t ticks() const { return ticks_.load(std::memory_order_relaxed); }
 
  private:
@@ -146,7 +133,6 @@ class FailoverManager {
   obs::Counter* c_fenced_;
   obs::Counter* c_regions_reassigned_;
   obs::Counter* c_edits_replayed_;
-  obs::Counter* c_degraded_reads_;
   obs::Counter* c_writes_rejected_;
   obs::Gauge* g_live_servers_;
 };

@@ -6,23 +6,6 @@
 
 namespace synergy::systems {
 
-StatementOutcome EvaluatedSystem::ExecuteOpen(Client*,
-                                              const std::string& stmt_id,
-                                              const std::vector<Value>& params) {
-  StatementOutcome out;
-  StatusOr<StatementResult> r = Execute(stmt_id, params);
-  if (!r.ok()) {
-    out.status = r.status();
-    return out;
-  }
-  out.result = *r;
-  if (!r->supported) {
-    out.status = Status::Unimplemented("statement " + stmt_id +
-                                       " unsupported by " + name());
-  }
-  return out;
-}
-
 const char* SystemKindName(SystemKind kind) {
   switch (kind) {
     case SystemKind::kVoltDb: return "VoltDB";

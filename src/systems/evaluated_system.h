@@ -8,12 +8,8 @@
 
 #include "common/status.h"
 #include "common/value.h"
-#include "hbase/retry_policy.h"
+#include "obs/op_counts.h"
 #include "tpcw/generator.h"
-
-namespace synergy::hbase {
-class Cluster;
-}  // namespace synergy::hbase
 
 namespace synergy::systems {
 
@@ -21,19 +17,8 @@ struct StatementResult {
   double virtual_ms = 0;
   size_t rows = 0;
   bool supported = true;  // false: join not expressible (VoltDB)
-  size_t retries = 0;     // RPC/txn retries the statement consumed
-  size_t degraded = 0;    // reads served from a degraded (failed-over) region
-  size_t scan_errors_dropped = 0;  // scanners dropped with unchecked errors
-  size_t rpcs = 0;  // store RPCs the statement issued (incl. retries)
-};
-
-/// One statement execution with the cost-even-on-error semantics open-loop
-/// accounting needs: `result` (virtual time spent, robustness counters) is
-/// valid whether or not `status` is OK, because a failed statement still
-/// occupied the client while it failed.
-struct StatementOutcome {
-  Status status;
-  StatementResult result;
+  obs::OpCounts counts;   // per-op counters the statement consumed (store-
+                          // backed systems; zero for VoltDB's model)
 };
 
 class EvaluatedSystem {
@@ -59,40 +44,6 @@ class EvaluatedSystem {
 
   /// Names of materialized views the system created (diagnostics).
   virtual std::vector<std::string> ViewNames() const { return {}; }
-
-  /// JSON snapshot of the system's metrics registry (obs::MetricsRegistry),
-  /// embedded into committed bench-result rows. Empty for systems without a
-  /// live cluster (VoltDB's analytical model).
-  virtual std::string MetricsJson() const { return ""; }
-
-  /// The store cluster behind the system, or null without one (VoltDB).
-  /// Benches reset its metrics after Setup so snapshots cover measured work.
-  virtual hbase::Cluster* cluster() { return nullptr; }
-
-  /// Arms client-side RPC retries for subsequent Execute calls. Default is
-  /// a no-op: systems without a retrying client path just run un-retried,
-  /// which is also the correct behaviour for deterministic fault tests.
-  virtual void SetRetryPolicy(const hbase::RetryPolicy&) {}
-
-  /// Opaque persistent per-client state for open-loop runs: a live session
-  /// whose retry budget and circuit breaker survive across statements (a
-  /// breaker that resets every statement could never trip).
-  class Client {
-   public:
-    virtual ~Client() = default;
-  };
-
-  /// Creates a persistent client, or nullptr when the system has none
-  /// (ExecuteOpen then falls back to per-statement Execute).
-  virtual std::unique_ptr<Client> MakeClient() { return nullptr; }
-
-  /// Executes one statement for an open-loop client. Unlike Execute, the
-  /// returned outcome carries the virtual cost even when the statement
-  /// failed. The default adapts Execute (with zero cost on error — systems
-  /// without a persistent client cannot recover the partial cost).
-  virtual StatementOutcome ExecuteOpen(Client* client,
-                                       const std::string& stmt_id,
-                                       const std::vector<Value>& params);
 };
 
 enum class SystemKind { kVoltDb, kSynergy, kMvccA, kMvccUA, kBaseline };

@@ -2,7 +2,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
+#include <fstream>
 #include <sstream>
+#include <sys/stat.h>
 
 namespace synergy::systems {
 
@@ -51,14 +54,12 @@ concurrent::WorkloadReport MeasureConcurrent(EvaluatedSystem& system,
           return Status::Unimplemented("statement " + stmt_id +
                                        " unsupported by " + system.name());
         }
-        // Cost is reported in virtual µs, alongside robustness counters.
-        return concurrent::OpOutcome(r.virtual_ms * 1000.0, r.retries,
-                                     r.degraded, r.scan_errors_dropped,
-                                     r.rpcs);
+        // Cost is reported in virtual µs, alongside the per-op counters.
+        return concurrent::OpOutcome{r.virtual_ms * 1000.0, r.counts};
       });
 }
 
-concurrent::WorkloadReport MeasureOpenLoop(EvaluatedSystem& system,
+concurrent::WorkloadReport MeasureOpenLoop(StoreBackedSystem& system,
                                            const tpcw::ScaleConfig& scale,
                                            const concurrent::MixConfig& mix,
                                            const concurrent::OpenLoopConfig&
@@ -67,26 +68,107 @@ concurrent::WorkloadReport MeasureOpenLoop(EvaluatedSystem& system,
       config, scale, mix,
       [&system](int) -> concurrent::OpenStatementExecFn {
         // One persistent client per worker thread, created on that thread.
-        auto client = std::shared_ptr<EvaluatedSystem::Client>(
-            system.MakeClient());
+        std::shared_ptr<hbase::Session> client = system.MakeClient();
         return [&system, client](const std::string& stmt_id,
                                  const std::vector<Value>& params)
             -> concurrent::OpResult {
-          StatementOutcome out =
-              system.ExecuteOpen(client.get(), stmt_id, params);
-          const StatementResult& r = out.result;
-          concurrent::OpOutcome outcome(r.virtual_ms * 1000.0, r.retries,
-                                        r.degraded, r.scan_errors_dropped,
-                                        r.rpcs);
-          if (out.status.ok() && !r.supported) {
-            return concurrent::OpResult(
-                Status::Unimplemented("statement " + stmt_id +
-                                      " unsupported by " + system.name()),
-                outcome);
-          }
-          return concurrent::OpResult(out.status, outcome);
+          StatementOutcome out = system.ExecuteOpen(*client, stmt_id, params);
+          return concurrent::OpResult(
+              out.status, concurrent::OpOutcome{out.result.virtual_ms * 1000.0,
+                                                out.result.counts});
         };
       });
+}
+
+namespace {
+
+std::string ResultsDir() {
+  const char* env = std::getenv("SYNERGY_BENCH_RESULTS_DIR");
+  if (env != nullptr) return env;
+  struct stat st{};
+  if (stat("bench-results", &st) == 0 && S_ISDIR(st.st_mode)) {
+    return "bench-results";
+  }
+  if (stat("../bench-results", &st) == 0 && S_ISDIR(st.st_mode)) {
+    return "../bench-results";
+  }
+  return "bench-results";  // fails to open; AppendTrajectoryRun warns
+}
+
+std::string RenderRun(const TrajectoryRun& run) {
+  char stamp[32] = "unknown";
+  const std::time_t now = std::time(nullptr);
+  std::tm tm_utc{};
+  if (gmtime_r(&now, &tm_utc) != nullptr) {
+    std::strftime(stamp, sizeof(stamp), "%Y-%m-%dT%H:%M:%S+00:00", &tm_utc);
+  }
+  const char* rev = std::getenv("SYNERGY_GIT_REV");
+  const char* label = std::getenv("SYNERGY_BENCH_LABEL");
+
+  std::ostringstream out;
+  out << "    {\n"
+      << "      \"timestamp\": \"" << stamp << "\",\n"
+      << "      \"git_rev\": \"" << (rev != nullptr ? rev : "unknown")
+      << "\",\n"
+      << "      \"label\": \"" << (label != nullptr ? label : "run")
+      << "\",\n";
+  for (const auto& [key, value] : run.fields) {
+    out << "      \"" << key << "\": " << value << ",\n";
+  }
+  out << "      \"results\": [\n";
+  for (size_t i = 0; i < run.results.size(); ++i) {
+    out << "        " << run.results[i]
+        << (i + 1 < run.results.size() ? "," : "") << "\n";
+  }
+  out << "      ],\n      \"metrics\": {\n";
+  for (size_t i = 0; i < run.metrics.size(); ++i) {
+    out << "        \"" << run.metrics[i].first
+        << "\": " << run.metrics[i].second
+        << (i + 1 < run.metrics.size() ? "," : "") << "\n";
+  }
+  out << "      }\n    }";
+  return out.str();
+}
+
+}  // namespace
+
+void AppendTrajectoryRun(const std::string& file,
+                         const std::string& description,
+                         const TrajectoryRun& run) {
+  const std::string path = ResultsDir() + "/" + file;
+  std::string existing;
+  {
+    std::ifstream in(path);
+    if (in) {
+      std::ostringstream buf;
+      buf << in.rdbuf();
+      existing = buf.str();
+    }
+  }
+  const std::string rendered = RenderRun(run);
+  std::string out;
+  const size_t close = existing.rfind(']');
+  if (close == std::string::npos) {
+    out = "{\n  \"description\": \"" + description +
+          "\",\n  \"runs\": [\n" + rendered + "\n  ]\n}\n";
+  } else {
+    const bool empty_array =
+        existing.find('{', existing.find("\"runs\"")) == std::string::npos ||
+        existing.find('{', existing.find('[')) > close;
+    out = existing.substr(0, close);
+    // Trim trailing whitespace before the close bracket.
+    while (!out.empty() && (out.back() == ' ' || out.back() == '\n')) {
+      out.pop_back();
+    }
+    out += (empty_array ? "\n" : ",\n") + rendered + "\n  " +
+           existing.substr(close);
+  }
+  std::ofstream f(path, std::ios::trunc);
+  if (f << out) {
+    std::printf("Appended datapoint to %s\n", path.c_str());
+  } else {
+    std::fprintf(stderr, "WARNING: could not write %s\n", path.c_str());
+  }
 }
 
 std::string FormatMs(double ms) {

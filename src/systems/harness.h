@@ -5,11 +5,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stats.h"
 #include "concurrent/tpcw_mix.h"
 #include "systems/evaluated_system.h"
+#include "systems/store_backed_system.h"
 #include "tpcw/generator.h"
 
 namespace synergy::systems {
@@ -40,13 +42,32 @@ concurrent::WorkloadReport MeasureConcurrent(EvaluatedSystem& system,
 
 /// Runs `mix` through the open-loop (offered-rate) driver. Each worker
 /// thread gets one persistent client from system.MakeClient(), so retry
-/// budgets and circuit breakers accumulate state across statements; systems
-/// without persistent clients fall back to per-statement Execute.
-concurrent::WorkloadReport MeasureOpenLoop(EvaluatedSystem& system,
+/// budgets and circuit breakers accumulate state across statements.
+concurrent::WorkloadReport MeasureOpenLoop(StoreBackedSystem& system,
                                            const tpcw::ScaleConfig& scale,
                                            const concurrent::MixConfig& mix,
                                            const concurrent::OpenLoopConfig&
                                                config);
+
+/// One run object of a committed bench trajectory
+/// (bench-results/BENCH_<name>.json).
+struct TrajectoryRun {
+  /// Run-level fields after timestamp/git_rev/label, as rendered JSON
+  /// values (numbers bare, strings quoted).
+  std::vector<std::pair<std::string, std::string>> fields;
+  std::vector<std::string> results;  // one rendered JSON object per row
+  /// Registry snapshot (rendered JSON) per system name.
+  std::vector<std::pair<std::string, std::string>> metrics;
+};
+
+/// Appends `run`, stamped with the UTC time, SYNERGY_GIT_REV and
+/// SYNERGY_BENCH_LABEL, to the `runs` array of `file` in the results
+/// directory (SYNERGY_BENCH_RESULTS_DIR, else bench-results/ or
+/// ../bench-results/). A missing file is created with `description`.
+/// Prints where the datapoint went, or a warning if it could not be written.
+void AppendTrajectoryRun(const std::string& file,
+                         const std::string& description,
+                         const TrajectoryRun& run);
 
 /// "123.4" / "1.2e+04"-style compact ms formatting for table cells.
 std::string FormatMs(double ms);

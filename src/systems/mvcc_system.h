@@ -4,20 +4,19 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "exec/executor.h"
 #include "exec/write_binding.h"
 #include "synergy/synergy_system.h"
 #include "synergy/unaware_selector.h"
-#include "systems/evaluated_system.h"
+#include "systems/store_backed_system.h"
 #include "tpcw/schema.h"
 #include "tpcw/workload.h"
 #include "txn/mvcc.h"
 
 namespace synergy::systems {
 
-class MvccSystem : public EvaluatedSystem {
+class MvccSystem : public StoreBackedSystem {
  public:
   enum class ViewMode { kNone, kAware, kUnaware };
 
@@ -26,45 +25,26 @@ class MvccSystem : public EvaluatedSystem {
 
   const std::string& name() const override { return name_; }
   Status Setup(const tpcw::ScaleConfig& scale) override;
-  StatusOr<StatementResult> Execute(
-      const std::string& stmt_id, const std::vector<Value>& params) override;
-  double DbSizeBytes() const override;
   std::string Description() const override;
   std::vector<std::string> ViewNames() const override;
-  std::string MetricsJson() const override {
-    return cluster_ != nullptr ? cluster_->metrics().Snapshot().ToJson() : "";
-  }
-
-  /// Installed on every statement session (fresh or persistent), so the
-  /// MVCC systems see the same RPC retry / budget / breaker machinery as
-  /// Synergy in overload benches.
-  void SetRetryPolicy(const hbase::RetryPolicy& policy) override {
-    retry_policy_ = policy;
-  }
-
-  /// Open-loop clients hold a persistent Session (see SynergyWrapper):
-  /// retry-budget tokens and breaker state must survive across statements.
-  std::unique_ptr<Client> MakeClient() override;
-  StatementOutcome ExecuteOpen(Client* client, const std::string& stmt_id,
-                               const std::vector<Value>& params) override;
 
   const sql::Workload& workload() const { return workload_; }
   const sql::Catalog& catalog() const { return catalog_; }
-  hbase::Cluster* cluster() override { return cluster_.get(); }
+
+ protected:
+  /// One Tephra-style transaction (start, read-or-write, commit/abort)
+  /// charged to `s`.
+  Status RunStatement(hbase::Session& s, const std::string& stmt_id,
+                      const std::vector<Value>& params,
+                      size_t* rows) override;
 
  private:
   Status ExecuteWriteBody(hbase::Session& s, const exec::BoundWrite& write);
-  /// Statement body shared by Execute and ExecuteOpen: one Tephra-style
-  /// transaction (start, read-or-write, commit/abort) charged to `s`.
-  Status RunStatement(hbase::Session& s, const std::string& stmt_id,
-                      const std::vector<Value>& params, size_t* rows);
 
   std::string name_;
   ViewMode mode_;
-  std::optional<hbase::RetryPolicy> retry_policy_;
   sql::Catalog catalog_;
   sql::Workload workload_;
-  std::unique_ptr<hbase::Cluster> cluster_;
   std::unique_ptr<exec::TableAdapter> adapter_;
   std::unique_ptr<exec::Executor> executor_;
   std::unique_ptr<core::ViewMaintainer> maintainer_;

@@ -50,74 +50,6 @@ Status SynergyWrapper::RunStatement(hbase::Session& s,
   return Status::Ok();
 }
 
-StatusOr<StatementResult> SynergyWrapper::Execute(
-    const std::string& stmt_id, const std::vector<Value>& params) {
-  hbase::Session s(cluster_.get());
-  if (retry_policy_.has_value()) s.SetRetryPolicy(*retry_policy_);
-  StatementResult result;
-  SYNERGY_RETURN_IF_ERROR(RunStatement(s, stmt_id, params, &result.rows));
-  result.virtual_ms = s.meter().millis();
-  result.retries = s.retries();
-  result.degraded = s.degraded_reads();
-  result.scan_errors_dropped = s.scan_errors_dropped();
-  result.rpcs = s.rpc_count();
-  return result;
-}
-
-namespace {
-
-/// Persistent open-loop client: one Session for the client's lifetime, so
-/// retry-budget tokens and breaker state carry across statements. The
-/// session's counters and meter only ever grow; per-statement figures are
-/// deltas against the previous statement's snapshot.
-struct SynergyClient : public EvaluatedSystem::Client {
-  explicit SynergyClient(hbase::Cluster* cluster) : session(cluster) {}
-  hbase::Session session;
-  double last_ms = 0.0;
-  uint64_t last_retries = 0;
-  uint64_t last_degraded = 0;
-  uint64_t last_scan_drops = 0;
-  uint64_t last_rpcs = 0;
-};
-
-}  // namespace
-
-std::unique_ptr<EvaluatedSystem::Client> SynergyWrapper::MakeClient() {
-  auto client = std::make_unique<SynergyClient>(cluster_.get());
-  if (retry_policy_.has_value()) {
-    client->session.SetRetryPolicy(*retry_policy_);
-  }
-  return client;
-}
-
-StatementOutcome SynergyWrapper::ExecuteOpen(Client* client,
-                                             const std::string& stmt_id,
-                                             const std::vector<Value>& params) {
-  if (client == nullptr) {
-    return EvaluatedSystem::ExecuteOpen(client, stmt_id, params);
-  }
-  auto* c = static_cast<SynergyClient*>(client);
-  hbase::Session& s = c->session;
-  StatementOutcome out;
-  out.status = RunStatement(s, stmt_id, params, &out.result.rows);
-  const double ms = s.meter().millis();
-  out.result.virtual_ms = ms - c->last_ms;
-  c->last_ms = ms;
-  out.result.retries = s.retries() - c->last_retries;
-  c->last_retries = s.retries();
-  out.result.degraded = s.degraded_reads() - c->last_degraded;
-  c->last_degraded = s.degraded_reads();
-  out.result.scan_errors_dropped = s.scan_errors_dropped() - c->last_scan_drops;
-  c->last_scan_drops = s.scan_errors_dropped();
-  out.result.rpcs = s.rpc_count() - c->last_rpcs;
-  c->last_rpcs = s.rpc_count();
-  return out;
-}
-
-double SynergyWrapper::DbSizeBytes() const {
-  return static_cast<double>(cluster_->TotalBytes());
-}
-
 std::vector<std::string> SynergyWrapper::ViewNames() const {
   std::vector<std::string> names;
   for (const sql::ViewDef* v : system_->catalog().Views()) {

@@ -2,16 +2,15 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "synergy/synergy_system.h"
-#include "systems/evaluated_system.h"
+#include "systems/store_backed_system.h"
 #include "tpcw/schema.h"
 #include "tpcw/workload.h"
 
 namespace synergy::systems {
 
-class SynergyWrapper : public EvaluatedSystem {
+class SynergyWrapper : public StoreBackedSystem {
  public:
   /// `roots` defaults to the paper's Q_TPC-W; ablation benches pass
   /// alternative root sets to probe the sensitivity of root selection.
@@ -24,43 +23,22 @@ class SynergyWrapper : public EvaluatedSystem {
 
   const std::string& name() const override { return name_; }
   Status Setup(const tpcw::ScaleConfig& scale) override;
-  StatusOr<StatementResult> Execute(
-      const std::string& stmt_id, const std::vector<Value>& params) override;
-  double DbSizeBytes() const override;
   std::string Description() const override {
     return "schema-based workload-driven views; hierarchical locking";
   }
   std::vector<std::string> ViewNames() const override;
-  std::string MetricsJson() const override {
-    return cluster_ != nullptr ? cluster_->metrics().Snapshot().ToJson() : "";
-  }
-
-  /// Every Execute builds a fresh Session; an armed policy is installed on
-  /// each of them, so RPC and root-txn retries engage for all statements.
-  void SetRetryPolicy(const hbase::RetryPolicy& policy) override {
-    retry_policy_ = policy;
-  }
-
-  /// Open-loop clients hold a persistent Session, so the policy's retry
-  /// budget and circuit breaker accumulate state across statements.
-  std::unique_ptr<Client> MakeClient() override;
-  StatementOutcome ExecuteOpen(Client* client, const std::string& stmt_id,
-                               const std::vector<Value>& params) override;
 
   core::SynergySystem* system() { return system_.get(); }
-  hbase::Cluster* cluster() override { return cluster_.get(); }
+
+ protected:
+  Status RunStatement(hbase::Session& s, const std::string& stmt_id,
+                      const std::vector<Value>& params,
+                      size_t* rows) override;
 
  private:
-  /// Statement body shared by Execute (fresh session) and ExecuteOpen
-  /// (persistent session): costs/counters accrue on `s` either way.
-  Status RunStatement(hbase::Session& s, const std::string& stmt_id,
-                      const std::vector<Value>& params, size_t* rows);
-
   std::string name_;
   std::vector<std::string> roots_;
   int txn_slaves_ = 1;
-  std::optional<hbase::RetryPolicy> retry_policy_;
-  std::unique_ptr<hbase::Cluster> cluster_;
   std::unique_ptr<core::SynergySystem> system_;
 };
 

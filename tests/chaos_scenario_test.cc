@@ -461,7 +461,9 @@ TEST_F(ChaosScenarioTest, HeartbeatLossFencingStorm) {
     faults_->AddRule(rule);
     Storm(40);
     RecoverAndAudit();
-    EXPECT_EQ(cluster_.failover().stats().crashes, 0)
+    EXPECT_EQ(cluster_.metrics().Snapshot().CounterValue(
+                  "hbase_failover_crashes_total"),
+              0u)
         << "heartbeat loss must fence, not crash\n" << ReplayHint();
   }
 }
@@ -538,9 +540,13 @@ TEST_F(ChaosScenarioTest, OverloadBurstSheddingStorm) {
     Storm(30);
     RecoverAndAudit();
   }
-  const hbase::AdmissionStats stats = cluster_.admission()->stats();
-  EXPECT_GT(stats.burst_ops_injected, 0) << ReplayHint();
-  EXPECT_GT(stats.queued + stats.shed_queue_full + stats.shed_deadline, 0)
+  const obs::RegistrySnapshot snap = cluster_.metrics().Snapshot();
+  EXPECT_GT(snap.CounterValue("hbase_admission_burst_ops_total"), 0u)
+      << ReplayHint();
+  EXPECT_GT(snap.CounterValue("hbase_admission_queued_total") +
+                snap.CounterValue("hbase_admission_shed_queue_full_total") +
+                snap.CounterValue("hbase_admission_shed_deadline_total"),
+            0u)
       << "the bursts must actually have displaced real traffic\n"
       << ReplayHint();
 }

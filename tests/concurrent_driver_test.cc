@@ -23,7 +23,7 @@ TEST(SessionDriverTest, AggregatesAcrossThreads) {
     // Thread t charges (t+1)*100 µs per op: the run's virtual duration is
     // the slowest thread's busy time.
     return [tid](size_t) -> StatusOr<OpOutcome> {
-      return OpOutcome((tid + 1) * 100.0);
+      return OpOutcome{(tid + 1) * 100.0};
     };
   });
   EXPECT_EQ(report.threads, 4);
@@ -56,7 +56,7 @@ TEST(SessionDriverTest, SeedsArePerThreadAndDeterministic) {
         const uint64_t draw = rng->Next();
         std::lock_guard lock(mu);
         draws[tid].push_back(draw);
-        return OpOutcome(1.0);
+        return OpOutcome{1.0};
       };
     });
     return std::make_pair(seeds, draws);
@@ -78,7 +78,7 @@ TEST(SessionDriverTest, ErrorsAreCountedNotFatal) {
   WorkloadReport report = RunClosedLoop(cfg, [](int, uint64_t) {
     return [](size_t i) -> StatusOr<OpOutcome> {
       if (i % 3 == 2) return Status::Aborted("every third op");
-      return OpOutcome(5.0);
+      return OpOutcome{5.0};
     };
   });
   EXPECT_EQ(report.total_ops, 40U);
@@ -96,14 +96,19 @@ TEST(SessionDriverTest, RobustnessCountersAggregate) {
       if (tid == 0 && i == 0) return Status::DeadlineExceeded("budget spent");
       if (tid == 0 && i == 1) return Status::Aborted("conflict");
       // Thread 1's ops each consumed one retry and a degraded read.
-      if (tid == 1) return OpOutcome(100.0, /*r=*/1, /*d=*/1);
-      return OpOutcome(100.0);
+      OpOutcome out{100.0};
+      if (tid == 1) {
+        out.counts[obs::OpCounter::kRetries] = 1;
+        out.counts[obs::OpCounter::kDegradedReads] = 1;
+      }
+      return out;
     };
   });
   EXPECT_EQ(report.total_ops, 18U);
   EXPECT_EQ(report.total_errors, 2U);
   EXPECT_EQ(report.total_deadline_errors, 1U);
-  EXPECT_EQ(report.total_retries, 10U);
+  EXPECT_EQ(report.counts[obs::OpCounter::kRetries], 10U);
+  EXPECT_EQ(report.counts[obs::OpCounter::kDegradedReads], 10U);
   EXPECT_EQ(report.total_degraded_ops, 10U);
   EXPECT_EQ(report.first_error.code(), StatusCode::kDeadlineExceeded);
 }
@@ -127,7 +132,7 @@ TEST(TpcwMixTest, ReadOnlyMixDrawsOnlyReadStatements) {
         EXPECT_TRUE(allowed.count(stmt_id)) << stmt_id;
         EXPECT_FALSE(params.empty());
         seen.insert(stmt_id);
-        return OpOutcome(10.0);
+        return OpOutcome{10.0};
       });
   EXPECT_EQ(report.total_ops, 100U);
   EXPECT_GT(seen.size(), 1U) << "mix should draw from multiple statements";
@@ -155,7 +160,7 @@ TEST(TpcwMixTest, FreshInsertIdsNeverCollideAcrossThreads) {
           const std::vector<Value>& params) -> StatusOr<OpOutcome> {
         std::lock_guard lock(mu);
         ids.push_back(params[0].as_int());
-        return OpOutcome(1.0);
+        return OpOutcome{1.0};
       });
   EXPECT_EQ(report.total_ops, 800U);
   std::set<int64_t> unique(ids.begin(), ids.end());

@@ -25,7 +25,7 @@ OpenLoopConfig UniformConfig(double rate, double horizon_sec) {
 /// Factory for an op with a fixed virtual cost and optional failure status.
 OpenLoopFactory FixedCostOp(double cost_us) {
   return [cost_us](int, uint64_t) -> OpenLoopOp {
-    return [cost_us](size_t) { return OpResult(OpOutcome(cost_us)); };
+    return [cost_us](size_t) { return OpResult(OpOutcome{cost_us}); };
   };
 }
 
@@ -90,12 +90,12 @@ TEST(OpenLoopDriverTest, FailedOpsStillAdvanceTheClockAndClassify) {
       const size_t i = (*n)++;
       if (i % 3 == 1) {
         return OpResult(Status::DeadlineExceeded("too slow"),
-                        OpOutcome(1000.0));
+                        OpOutcome{1000.0});
       }
       if (i % 3 == 2) {
-        return OpResult(Status::ResourceExhausted("shed"), OpOutcome(50.0));
+        return OpResult(Status::ResourceExhausted("shed"), OpOutcome{50.0});
       }
-      return OpResult(OpOutcome(1000.0));
+      return OpResult(OpOutcome{1000.0});
     };
   };
   const WorkloadReport report =
@@ -107,6 +107,28 @@ TEST(OpenLoopDriverTest, FailedOpsStillAdvanceTheClockAndClassify) {
   EXPECT_EQ(report.total_shed_errors, 100u);
   EXPECT_EQ(report.latency_us.count(), report.total_ops)
       << "only successful ops contribute latency samples";
+}
+
+TEST(OpenLoopDriverTest, FailedOpsReportTheirCounters) {
+  // A retry storm's retries are spent by the ops that end up failing: every
+  // attempt's counters reach the report, whatever its status. Odd ops fail
+  // after 2 retries over 3 RPCs; even ops succeed after 1 retry over 2.
+  OpenLoopFactory factory = [](int, uint64_t) -> OpenLoopOp {
+    return [](size_t i) -> OpResult {
+      OpOutcome out{100.0};
+      const bool fails = i % 2 == 1;
+      out.counts[obs::OpCounter::kRpcs] = fails ? 3 : 2;
+      out.counts[obs::OpCounter::kRetries] = fails ? 2 : 1;
+      if (fails) return OpResult(Status::Unavailable("retries spent"), out);
+      return OpResult(out);
+    };
+  };
+  const WorkloadReport report =
+      RunOpenLoop(UniformConfig(1000.0, 0.1), factory);
+  EXPECT_EQ(report.total_ops, 50u);
+  EXPECT_EQ(report.total_errors, 50u);
+  EXPECT_EQ(report.counts[obs::OpCounter::kRetries], 50u * 2 + 50u * 1);
+  EXPECT_EQ(report.counts[obs::OpCounter::kRpcs], 50u * 3 + 50u * 2);
 }
 
 TEST(OpenLoopDriverTest, PoissonArrivalsApproximateTheTargetRate) {

@@ -431,7 +431,7 @@ TEST_F(ExecutorTest, DirtyRestartBoundHoldsMidReassignment) {
                                     {}, opts);
   EXPECT_EQ(r.status().code(), StatusCode::kAborted) << r.status();
   EXPECT_EQ(faults.FireCount(fault::FaultPoint::kDirtyReadRestart), 3);
-  EXPECT_GT(s.degraded_reads(), 0u)
+  EXPECT_GT(s.count(obs::OpCounter::kDegradedReads), 0u)
       << "the scan must actually have run inside the reassignment window";
   cluster_.SetFaultInjector(nullptr);
 }

@@ -27,8 +27,18 @@ AdmissionConfig SmallConfig() {
 
 constexpr double kNoDeadline = 1e18;
 
-TEST(AdmissionControllerTest, AdmitsUnderBudgetWithoutQueueing) {
-  AdmissionController admission(/*num_servers=*/1, SmallConfig());
+/// Standalone controllers publish into the fixture's registry.
+class AdmissionControllerTest : public ::testing::Test {
+ protected:
+  uint64_t Count(const char* family) const {
+    return registry_.Snapshot().CounterValue(family);
+  }
+
+  obs::MetricsRegistry registry_;
+};
+
+TEST_F(AdmissionControllerTest, AdmitsUnderBudgetWithoutQueueing) {
+  AdmissionController admission(/*num_servers=*/1, SmallConfig(), registry_);
   const AdmissionDecision a = admission.Admit(0, kNoDeadline);
   const AdmissionDecision b = admission.Admit(0, kNoDeadline);
   EXPECT_TRUE(a.status.ok());
@@ -36,12 +46,12 @@ TEST(AdmissionControllerTest, AdmitsUnderBudgetWithoutQueueing) {
   EXPECT_EQ(a.queue_wait_us, 0.0);
   EXPECT_EQ(b.queue_wait_us, 0.0);
   EXPECT_EQ(admission.Occupancy(0), 2);
-  EXPECT_EQ(admission.stats().admitted, 2);
-  EXPECT_EQ(admission.stats().queued, 0);
+  EXPECT_EQ(Count("hbase_admission_admitted_total"), 2u);
+  EXPECT_EQ(Count("hbase_admission_queued_total"), 0u);
 }
 
-TEST(AdmissionControllerTest, QueueWaitGrowsWithBacklogDepth) {
-  AdmissionController admission(1, SmallConfig());
+TEST_F(AdmissionControllerTest, QueueWaitGrowsWithBacklogDepth) {
+  AdmissionController admission(1, SmallConfig(), registry_);
   admission.Admit(0, kNoDeadline);  // inflight 1
   admission.Admit(0, kNoDeadline);  // inflight 2 = budget full
   // Next two ops join the virtual queue at positions 1 and 2.
@@ -51,37 +61,37 @@ TEST(AdmissionControllerTest, QueueWaitGrowsWithBacklogDepth) {
   ASSERT_TRUE(q2.status.ok());
   EXPECT_EQ(q1.queue_wait_us, 1 * 1000.0);
   EXPECT_EQ(q2.queue_wait_us, 2 * 1000.0);
-  EXPECT_EQ(admission.stats().queued, 2);
+  EXPECT_EQ(Count("hbase_admission_queued_total"), 2u);
 }
 
-TEST(AdmissionControllerTest, QueueFullSheds) {
-  AdmissionController admission(1, SmallConfig());
+TEST_F(AdmissionControllerTest, QueueFullSheds) {
+  AdmissionController admission(1, SmallConfig(), registry_);
   for (int i = 0; i < 2 + 3; ++i) {  // fill budget + queue
     ASSERT_TRUE(admission.Admit(0, kNoDeadline).status.ok());
   }
   const AdmissionDecision shed = admission.Admit(0, kNoDeadline);
   EXPECT_EQ(shed.status.code(), StatusCode::kResourceExhausted) << shed.status;
-  EXPECT_EQ(admission.stats().shed_queue_full, 1);
+  EXPECT_EQ(Count("hbase_admission_shed_queue_full_total"), 1u);
   // Releasing one slot reopens the queue.
   admission.Release(0);
   EXPECT_TRUE(admission.Admit(0, kNoDeadline).status.ok());
 }
 
-TEST(AdmissionControllerTest, DeadlineAwareShedRejectsHopelessOps) {
-  AdmissionController admission(1, SmallConfig());
+TEST_F(AdmissionControllerTest, DeadlineAwareShedRejectsHopelessOps) {
+  AdmissionController admission(1, SmallConfig(), registry_);
   admission.Admit(0, kNoDeadline);
   admission.Admit(0, kNoDeadline);
   // Estimated wait at queue position 1 is 1000us; an op with only 400us of
   // deadline left is rejected now instead of timing out in the queue.
   const AdmissionDecision shed = admission.Admit(0, /*deadline=*/400.0);
   EXPECT_EQ(shed.status.code(), StatusCode::kResourceExhausted) << shed.status;
-  EXPECT_EQ(admission.stats().shed_deadline, 1);
+  EXPECT_EQ(Count("hbase_admission_shed_deadline_total"), 1u);
   // The same op with budget to spare is queued, not shed.
   EXPECT_TRUE(admission.Admit(0, /*deadline=*/5000.0).status.ok());
 }
 
-TEST(AdmissionControllerTest, ServersAreIndependent) {
-  AdmissionController admission(/*num_servers=*/2, SmallConfig());
+TEST_F(AdmissionControllerTest, ServersAreIndependent) {
+  AdmissionController admission(/*num_servers=*/2, SmallConfig(), registry_);
   for (int i = 0; i < 5; ++i) admission.Admit(0, kNoDeadline);
   EXPECT_EQ(admission.Admit(0, kNoDeadline).status.code(),
             StatusCode::kResourceExhausted);
@@ -90,11 +100,11 @@ TEST(AdmissionControllerTest, ServersAreIndependent) {
   EXPECT_EQ(other.queue_wait_us, 0.0);
 }
 
-TEST(AdmissionControllerTest, BurstPhantomsDrainOnePerRelease) {
-  AdmissionController admission(1, SmallConfig());
+TEST_F(AdmissionControllerTest, BurstPhantomsDrainOnePerRelease) {
+  AdmissionController admission(1, SmallConfig(), registry_);
   admission.InjectBurst(0, 2);
   EXPECT_EQ(admission.Occupancy(0), 2);
-  EXPECT_EQ(admission.stats().burst_ops_injected, 2);
+  EXPECT_EQ(Count("hbase_admission_burst_ops_total"), 2u);
   // Budget is full of phantoms: a real op queues behind them.
   const AdmissionDecision q = admission.Admit(0, kNoDeadline);
   ASSERT_TRUE(q.status.ok());
@@ -107,11 +117,11 @@ TEST(AdmissionControllerTest, BurstPhantomsDrainOnePerRelease) {
   EXPECT_EQ(direct.queue_wait_us, 0.0);
 }
 
-TEST(AdmissionControllerTest, OversizedBurstDrainsViaShedsInsteadOfWedging) {
+TEST_F(AdmissionControllerTest, OversizedBurstDrainsViaShedsInsteadOfWedging) {
   // Regression: a burst wider than inflight+queue once wedged the server
   // forever — nothing could be admitted, so nothing ever Released a phantom.
   // Shed decisions must also drain the burst.
-  AdmissionController admission(1, SmallConfig());
+  AdmissionController admission(1, SmallConfig(), registry_);
   admission.InjectBurst(0, 100);  // far beyond 2 + 3
   int sheds = 0;
   AdmissionDecision d = admission.Admit(0, kNoDeadline);
@@ -125,8 +135,8 @@ TEST(AdmissionControllerTest, OversizedBurstDrainsViaShedsInsteadOfWedging) {
   EXPECT_LE(admission.Occupancy(0), 2 + 3 + 1);
 }
 
-TEST(AdmissionControllerTest, SlotReleasesOnDestructionAndMove) {
-  AdmissionController admission(1, SmallConfig());
+TEST_F(AdmissionControllerTest, SlotReleasesOnDestructionAndMove) {
+  AdmissionController admission(1, SmallConfig(), registry_);
   ASSERT_TRUE(admission.Admit(0, kNoDeadline).status.ok());
   {
     AdmissionSlot slot(&admission, 0);
@@ -149,6 +159,10 @@ class ClusterAdmissionTest : public ::testing::Test {
     StatusOr<int> server = cluster_.RegionServerOf("t");
     ASSERT_TRUE(server.ok());
     server_ = *server;
+  }
+
+  uint64_t Count(const char* family) const {
+    return cluster_.metrics().Snapshot().CounterValue(family);
   }
 
   Cluster cluster_;
@@ -174,7 +188,7 @@ TEST_F(ClusterAdmissionTest, QueueWaitIsChargedAsVirtualTime) {
   ASSERT_TRUE(cluster_.Get(s, "t", "r").ok());
   EXPECT_GE(s.meter().micros() - before_us, config.est_service_us)
       << "the modeled queue wait must land on the client's meter";
-  EXPECT_EQ(cluster_.admission()->stats().queued, 1);
+  EXPECT_EQ(Count("hbase_admission_queued_total"), 1u);
 }
 
 TEST_F(ClusterAdmissionTest, QueueFullShedSurfacesToUnprotectedSession) {
@@ -187,7 +201,7 @@ TEST_F(ClusterAdmissionTest, QueueFullShedSurfacesToUnprotectedSession) {
   Session s(&cluster_);  // no retry policy: the rejection surfaces raw
   const Status status = cluster_.Get(s, "t", "r").status();
   EXPECT_EQ(status.code(), StatusCode::kResourceExhausted) << status;
-  EXPECT_GT(cluster_.admission()->stats().shed_queue_full, 0);
+  EXPECT_GT(Count("hbase_admission_shed_queue_full_total"), 0u);
 }
 
 TEST_F(ClusterAdmissionTest, OverloadBurstFaultInjectsPhantoms) {
@@ -204,7 +218,7 @@ TEST_F(ClusterAdmissionTest, OverloadBurstFaultInjectsPhantoms) {
   // The burst lands before the triggering op's own admission decision, so
   // that op already queues behind the phantoms (and still completes).
   ASSERT_TRUE(cluster_.Get(s, "t", "r").ok());
-  EXPECT_EQ(cluster_.admission()->stats().burst_ops_injected, 3);
+  EXPECT_EQ(Count("hbase_admission_burst_ops_total"), 3u);
   const double before_us = s.meter().micros();
   ASSERT_TRUE(cluster_.Get(s, "t", "r").ok());
   EXPECT_GE(s.meter().micros() - before_us, config.est_service_us);
@@ -223,9 +237,10 @@ TEST_F(ClusterAdmissionTest, DeadlineAwareShedUsesTheSessionOpDeadline) {
   s.SetRetryPolicy(policy);
   const Status status = cluster_.Get(s, "t", "r").status();
   EXPECT_EQ(status.code(), StatusCode::kResourceExhausted) << status;
-  EXPECT_EQ(cluster_.admission()->stats().shed_deadline, 1);
-  EXPECT_EQ(s.overload_rejections(), 1u);
-  EXPECT_EQ(s.retries(), 0u) << "overload must not be retried";
+  EXPECT_EQ(Count("hbase_admission_shed_deadline_total"), 1u);
+  EXPECT_EQ(s.count(obs::OpCounter::kOverloadRejected), 1u);
+  EXPECT_EQ(s.count(obs::OpCounter::kRetries), 0u)
+      << "overload must not be retried";
 }
 
 }  // namespace

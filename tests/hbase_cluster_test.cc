@@ -217,35 +217,42 @@ TEST_F(ClusterTest, ScannerErrorIsSurfacedViaStatus) {
   cluster_.SetFaultInjector(nullptr);
 }
 
-TEST_F(ClusterTest, ScannerDroppedWithUncheckedErrorAssertsInDebug) {
+TEST_F(ClusterTest, ScannerDroppedWithUncheckedErrorIsCountedOnce) {
   Session s(&cluster_);
   ASSERT_TRUE(cluster_.Put(s, "t", "r", {{"a", "1"}}).ok());
   fault::FaultInjector faults(7);
   cluster_.SetFaultInjector(&faults);
+  auto dropped = [&] {
+    return std::pair(s.count(obs::OpCounter::kScanErrorsDropped),
+                     cluster_.metrics().Snapshot().CounterValue(
+                         "client_scan_errors_dropped_total"));
+  };
 
   // Dropping a scanner that hit an error without ever calling status() is
-  // the silent-truncation bug; debug builds die in the destructor. (In
-  // release builds the statement simply runs, per EXPECT_DEBUG_DEATH.)
-  EXPECT_DEBUG_DEATH(
-      {
-        faults.Arm(fault::FaultPoint::kRegionRpcFailure, 0, 1);
-        auto scanner = cluster_.OpenScanner(s, "t");
-        if (scanner.ok()) {
-          RowResult row;
-          scanner->Next(&row);
-        }
-      },
-      "unchecked");
+  // the silent-truncation bug: the drop is counted once, on the session and
+  // in the registry, in every build type.
+  {
+    faults.Arm(fault::FaultPoint::kRegionRpcFailure, 0, 1);
+    auto scanner = cluster_.OpenScanner(s, "t");
+    ASSERT_TRUE(scanner.ok());
+    RowResult row;
+    EXPECT_FALSE(scanner->Next(&row));
+  }
+  EXPECT_EQ(dropped(), std::pair(uint64_t{1}, uint64_t{1}));
 
   // Moving a scanner transfers the checking responsibility: the moved-from
-  // shell must destruct quietly, the destination still reports the error.
-  faults.Arm(fault::FaultPoint::kRegionRpcFailure, 0, 1);
-  auto scanner = cluster_.OpenScanner(s, "t");
-  ASSERT_TRUE(scanner.ok());
-  RowResult row;
-  scanner->Next(&row);
-  Scanner moved = std::move(*scanner);
-  EXPECT_EQ(moved.status().code(), StatusCode::kUnavailable);
+  // shell destructs without counting, and the destination still reports
+  // the error.
+  {
+    faults.Arm(fault::FaultPoint::kRegionRpcFailure, 0, 1);
+    auto scanner = cluster_.OpenScanner(s, "t");
+    ASSERT_TRUE(scanner.ok());
+    RowResult row;
+    EXPECT_FALSE(scanner->Next(&row));
+    Scanner moved = std::move(*scanner);
+    EXPECT_EQ(moved.status().code(), StatusCode::kUnavailable);
+  }
+  EXPECT_EQ(dropped(), std::pair(uint64_t{1}, uint64_t{1}));
   cluster_.SetFaultInjector(nullptr);
 }
 

@@ -48,6 +48,11 @@ class FailoverTest : public ::testing::Test {
     }
   }
 
+  /// Current value of a registry counter family.
+  uint64_t Count(const char* family) const {
+    return cluster_.metrics().Snapshot().CounterValue(family);
+  }
+
   FailoverConfig config_;
   Cluster cluster_;
 };
@@ -85,10 +90,10 @@ TEST_F(FailoverTest, CrashReassignsAndReplaysWithoutLosingWrites) {
     ASSERT_TRUE(got.ok()) << row << ": " << got.status();
     EXPECT_EQ(got->columns.at("v"), row);
   }
-  const FailoverStats stats = cluster_.failover().stats();
-  EXPECT_EQ(stats.crashes, 1);
-  EXPECT_GE(stats.regions_reassigned, 1);
-  EXPECT_GE(stats.edits_replayed, 1);  // crash lost the memstore -> replay
+  EXPECT_EQ(Count("hbase_failover_crashes_total"), 1u);
+  EXPECT_GE(Count("hbase_failover_regions_reassigned_total"), 1u);
+  // The crash lost the memstore, so the region's edits were replayed.
+  EXPECT_GE(Count("hbase_failover_edits_replayed_total"), 1u);
   EXPECT_GT(cluster_.RegionServerOf("t").value(), 0);  // moved off server 0
 }
 
@@ -101,12 +106,11 @@ TEST_F(FailoverTest, FencedServerMovesRegionsWithoutReplay) {
   StatusOr<RowResult> got = cluster_.Get(s, "t", "e1");  // was on server 1
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_EQ(got->columns.at("v"), "e1");
-  const FailoverStats stats = cluster_.failover().stats();
-  EXPECT_EQ(stats.fenced, 1);
-  EXPECT_EQ(stats.crashes, 0);
-  EXPECT_GE(stats.regions_reassigned, 1);
+  EXPECT_EQ(Count("hbase_failover_fenced_total"), 1u);
+  EXPECT_EQ(Count("hbase_failover_crashes_total"), 0u);
+  EXPECT_GE(Count("hbase_failover_regions_reassigned_total"), 1u);
   // The store was intact: replaying would duplicate versions, so none ran.
-  EXPECT_EQ(stats.edits_replayed, 0);
+  EXPECT_EQ(Count("hbase_failover_edits_replayed_total"), 0u);
 }
 
 TEST_F(FailoverTest, DegradedReadsDuringReassignmentWindow) {
@@ -124,13 +128,13 @@ TEST_F(FailoverTest, DegradedReadsDuringReassignmentWindow) {
   StatusOr<RowResult> got = cluster_.Get(s, "t", "i1");  // server 2's region
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_EQ(got->columns.at("v"), "i1");
-  EXPECT_EQ(s.degraded_reads(), 1u);
-  EXPECT_GE(cluster_.failover().stats().degraded_reads, 1);
+  EXPECT_EQ(s.count(obs::OpCounter::kDegradedReads), 1u);
+  EXPECT_EQ(Count("client_degraded_reads_total"), 1u);
 
   // Writes cannot be accepted mid-reassignment.
   EXPECT_EQ(cluster_.Put(s, "t", "i2", {{"v", "x"}}).code(),
             StatusCode::kUnavailable);
-  EXPECT_GE(cluster_.failover().stats().writes_rejected, 1);
+  EXPECT_GE(Count("hbase_failover_writes_rejected_total"), 1u);
 }
 
 TEST_F(FailoverTest, CrashedStoreRefusesDegradedReads) {
@@ -146,7 +150,7 @@ TEST_F(FailoverTest, CrashedStoreRefusesDegradedReads) {
   Session s(&cluster_);
   EXPECT_EQ(cluster_.Get(s, "t", "n1").status().code(),
             StatusCode::kUnavailable);
-  EXPECT_EQ(s.degraded_reads(), 0u);
+  EXPECT_EQ(s.count(obs::OpCounter::kDegradedReads), 0u);
 }
 
 TEST_F(FailoverTest, RetryingClientRidesThroughCrash) {
@@ -159,9 +163,9 @@ TEST_F(FailoverTest, RetryingClientRidesThroughCrash) {
   StatusOr<RowResult> got = cluster_.Get(s, "t", "a1");
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_EQ(got->columns.at("v"), "a1");
-  EXPECT_GT(s.retries(), 0u);
+  EXPECT_GT(s.count(obs::OpCounter::kRetries), 0u);
   EXPECT_EQ(cluster_.failover().state(0), ServerState::kDead);
-  EXPECT_GE(cluster_.failover().stats().edits_replayed, 1);
+  EXPECT_GE(Count("hbase_failover_edits_replayed_total"), 1u);
 }
 
 TEST_F(FailoverTest, LastLiveServerCannotBeTakenDown) {
@@ -200,7 +204,7 @@ TEST_F(FailoverTest, InjectedServerCrashFiresOnHeartbeatRound) {
     ASSERT_TRUE(cluster_.Get(s, "t", "a1").ok());
   }
   EXPECT_EQ(cluster_.failover().state(1), ServerState::kDead);
-  EXPECT_EQ(cluster_.failover().stats().crashes, 1);
+  EXPECT_EQ(Count("hbase_failover_crashes_total"), 1u);
   StatusOr<RowResult> got = cluster_.Get(s, "t", "e1");
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_EQ(got->columns.at("v"), "e1");
@@ -314,7 +318,7 @@ TEST_F(FailoverTest, CrashAfterFlushReplaysOnlyLaterEdits) {
   ASSERT_TRUE(cluster_.failover().CrashServer(0));
   Rounds(config_.lease_missed_rounds + 2);
 
-  EXPECT_EQ(cluster_.failover().stats().edits_replayed, 1);
+  EXPECT_EQ(Count("hbase_failover_edits_replayed_total"), 1u);
   for (const char* row : {"a1", "a2", "e1", "i1", "n1", "s1"}) {
     StatusOr<RowResult> got = cluster_.Get(s, "t", row);
     ASSERT_TRUE(got.ok()) << row << ": " << got.status();

@@ -104,8 +104,8 @@ TEST_F(SessionProtectionTest, EmptyBudgetSurfacesTheErrorInsteadOfRetrying) {
   // The budget is what ends the storm, so the caller sees the real error,
   // not a deadline artifact.
   EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status;
-  EXPECT_EQ(s.retries(), 3u);
-  EXPECT_EQ(s.deadline_exceeded(), 0u);
+  EXPECT_EQ(s.count(obs::OpCounter::kRetries), 3u);
+  EXPECT_EQ(s.count(obs::OpCounter::kDeadlineExceeded), 0u);
 }
 
 TEST_F(SessionProtectionTest, SuccessRefillsTheBudget) {
@@ -123,7 +123,7 @@ TEST_F(SessionProtectionTest, SuccessRefillsTheBudget) {
   EXPECT_TRUE(cluster_.Get(s, "t", "r").ok());
   faults_.Arm(fault::FaultPoint::kRpcTimeout, 0, 1);
   EXPECT_TRUE(cluster_.Get(s, "t", "r").ok());
-  EXPECT_EQ(s.retries(), 2u);
+  EXPECT_EQ(s.count(obs::OpCounter::kRetries), 2u);
 }
 
 TEST_F(SessionProtectionTest, OverloadTripsBreakerAndFailsFast) {
@@ -150,19 +150,21 @@ TEST_F(SessionProtectionTest, OverloadTripsBreakerAndFailsFast) {
   EXPECT_EQ(cluster_.Get(s, "t", "r").status().code(),
             StatusCode::kResourceExhausted);
   EXPECT_EQ(s.circuit_breaker()->state(), CircuitBreaker::State::kOpen);
-  EXPECT_EQ(s.retries(), 0u) << "overload rejections are never retried";
+  EXPECT_EQ(s.count(obs::OpCounter::kRetries), 0u)
+      << "overload rejections are never retried";
 
-  const int64_t sheds_before =
-      cluster_.admission()->stats().shed_queue_full +
-      cluster_.admission()->stats().shed_deadline;
+  auto sheds = [this] {
+    const obs::RegistrySnapshot snap = cluster_.metrics().Snapshot();
+    return snap.CounterValue("hbase_admission_shed_queue_full_total") +
+           snap.CounterValue("hbase_admission_shed_deadline_total");
+  };
+  const uint64_t sheds_before = sheds();
   EXPECT_EQ(cluster_.Get(s, "t", "r").status().code(),
             StatusCode::kResourceExhausted);
-  EXPECT_EQ(cluster_.admission()->stats().shed_queue_full +
-                cluster_.admission()->stats().shed_deadline,
-            sheds_before)
+  EXPECT_EQ(sheds(), sheds_before)
       << "an open breaker must fail fast without reaching the server";
   EXPECT_EQ(s.circuit_breaker()->fast_failures(), 1);
-  EXPECT_EQ(s.overload_rejections(), 3u);
+  EXPECT_EQ(s.count(obs::OpCounter::kOverloadRejected), 3u);
 }
 
 TEST_F(SessionProtectionTest, BreakerRecoversThroughHalfOpenProbe) {

@@ -155,7 +155,7 @@ TEST_F(SessionRetryTest, TransientRpcTimeoutsAreAbsorbed) {
   StatusOr<RowResult> got = cluster_.Get(s, "t", "r");
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_EQ(got->columns.at("a"), "1");
-  EXPECT_EQ(s.retries(), 2u);
+  EXPECT_EQ(s.count(obs::OpCounter::kRetries), 2u);
   // Backoff was charged as virtual time, not hidden in a host sleep.
   EXPECT_GT(s.meter().micros() - before_us,
             2 * RetryPolicy{}.initial_backoff_us);
@@ -167,7 +167,7 @@ TEST_F(SessionRetryTest, WithoutPolicyTheFirstErrorSurfaces) {
   const Status status = cluster_.Get(s, "t", "r").status();
   EXPECT_EQ(status.code(), StatusCode::kUnavailable);
   EXPECT_TRUE(fault::IsInjectedFault(status)) << status;
-  EXPECT_EQ(s.retries(), 0u);
+  EXPECT_EQ(s.count(obs::OpCounter::kRetries), 0u);
 }
 
 TEST_F(SessionRetryTest, PersistentOutageHitsTheDeadline) {
@@ -183,8 +183,8 @@ TEST_F(SessionRetryTest, PersistentOutageHitsTheDeadline) {
   s.SetRetryPolicy(policy);
   const Status status = cluster_.Get(s, "t", "r").status();
   EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded) << status;
-  EXPECT_EQ(s.deadline_exceeded(), 1u);
-  EXPECT_GT(s.retries(), 0u);
+  EXPECT_EQ(s.count(obs::OpCounter::kDeadlineExceeded), 1u);
+  EXPECT_GT(s.count(obs::OpCounter::kRetries), 0u);
 }
 
 TEST_F(SessionRetryTest, NonRetryableErrorsSkipTheLoop) {
@@ -192,7 +192,7 @@ TEST_F(SessionRetryTest, NonRetryableErrorsSkipTheLoop) {
   s.SetRetryPolicy(RetryPolicy{});
   EXPECT_EQ(cluster_.Get(s, "t", "missing").status().code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(s.retries(), 0u);
+  EXPECT_EQ(s.count(obs::OpCounter::kRetries), 0u);
 }
 
 TEST_F(SessionRetryTest, SuppressionDisablesRetriesMidSession) {

@@ -7,6 +7,7 @@
 
 #include "systems/harness.h"
 #include "systems/mvcc_system.h"
+#include "systems/store_backed_system.h"
 #include "tpcw/workload.h"
 
 namespace synergy::systems {
@@ -173,6 +174,35 @@ TEST_F(SystemsTest, QueryResultsAgreeAcrossSystems) {
     ASSERT_TRUE(a.ok() && b.ok() && c.ok()) << id;
     EXPECT_EQ(a->rows, b->rows) << id;
     EXPECT_EQ(a->rows, c->rows) << id;
+  }
+}
+
+TEST_F(SystemsTest, PersistentClientMatchesFreshSessionExecute) {
+  // One fixed read sequence, run through a persistent open-loop client and
+  // through fresh-session Execute: the shared client path must attribute
+  // the same per-op counters and virtual time to every statement.
+  tpcw::ParamProvider provider(*scale_, /*seed=*/321);
+  std::vector<std::pair<std::string, std::vector<Value>>> reads;
+  for (const char* id : {"Q1", "Q4", "Q6", "Q8", "S1", "S7", "Q1"}) {
+    StatusOr<std::vector<Value>> params = provider.ParamsFor(id);
+    ASSERT_TRUE(params.ok()) << id;
+    reads.emplace_back(id, *params);
+  }
+  for (const SystemKind kind : {SystemKind::kSynergy, SystemKind::kBaseline}) {
+    auto& system = static_cast<StoreBackedSystem&>(System(kind));
+    std::unique_ptr<hbase::Session> client = system.MakeClient();
+    for (const auto& [id, params] : reads) {
+      SCOPED_TRACE(std::string(SystemKindName(kind)) + " " + id);
+      const StatementOutcome open = system.ExecuteOpen(*client, id, params);
+      ASSERT_TRUE(open.status.ok()) << open.status;
+      StatusOr<StatementResult> fresh = system.Execute(id, params);
+      ASSERT_TRUE(fresh.ok()) << fresh.status();
+      EXPECT_GT(fresh->counts[obs::OpCounter::kRpcs], 0u);
+      EXPECT_EQ(open.result.counts, fresh->counts);
+      EXPECT_EQ(open.result.rows, fresh->rows);
+      EXPECT_NEAR(open.result.virtual_ms, fresh->virtual_ms,
+                  1e-9 * fresh->virtual_ms);
+    }
   }
 }
 
