@@ -5,8 +5,10 @@
 // benches reproduce lock overhead as an isolated cost, here concurrent
 // sessions race for the same root locks (lock retries charge virtual time,
 // so contention shows up in p95/p99 and in lost throughput). Throughput is
-// reported in *virtual* time — run duration is the slowest thread's virtual
-// busy time — which keeps the scaling curves host-independent. Host-time
+// reported in *virtual* time — run duration is the slowest client's virtual
+// clock, failed ops included — which keeps the scaling curves
+// host-independent. Each client thread keeps one session for its whole run,
+// so the session's meter is the client's clock. Host-time
 // throughput is not reported: runs this short measure only timer noise
 // (perfbench/ measures the simulator's own speed).
 //
@@ -49,10 +51,10 @@ std::string RenderRow(const ResultRow& r) {
       "\"retries\": %zu, \"degraded_ops\": %zu, \"deadline_errors\": %zu, "
       "\"rpcs_per_op\": %.1f}",
       r.system.c_str(), r.mix.c_str(), r.threads,
-      r.report.virtual_throughput(), r.report.p50_ms(), r.report.p95_ms(),
-      r.report.p99_ms(), r.report.mean_ms(), r.report.total_errors,
-      static_cast<size_t>(r.report.counts[obs::OpCounter::kRetries]),
-      r.report.total_degraded_ops, r.report.total_deadline_errors,
+      r.report.goodput(), r.report.p50_ms(), r.report.p95_ms(),
+      r.report.p99_ms(), r.report.mean_ms(), r.report.tally.errors,
+      static_cast<size_t>(r.report.tally.counts[obs::OpCounter::kRetries]),
+      r.report.tally.degraded_ops, r.report.tally.deadline_errors,
       r.report.rpcs_per_op());
   return buf;
 }
@@ -111,27 +113,29 @@ int main() {
     for (const auto& system : evaluated) {
       for (const int threads : sweep) {
         const concurrent::WorkloadReport report = systems::MeasureConcurrent(
-            *system, scale, mix, threads, ops_per_thread,
-            /*base_seed=*/scale.seed ^ 0xC0FFEE);
-        if (report.total_ops == 0) {
+            *system, scale, mix,
+            {.threads = threads,
+             .base_seed = scale.seed ^ 0xC0FFEE,
+             .ops_per_thread = ops_per_thread});
+        if (report.tally.ops == 0) {
           std::fprintf(stderr, "%s/%s/%d: no op completed: %s\n",
                        system->name().c_str(), mix.name.c_str(), threads,
-                       report.first_error.ToString().c_str());
+                       report.tally.first_error.ToString().c_str());
           return 1;
         }
         rows.push_back({system->name(), mix.name, threads, report});
         if (system->name() == "Synergy" && mix.name == "read") {
-          if (threads == 1) synergy_read_t1 = report.virtual_throughput();
-          if (threads == 4) synergy_read_t4 = report.virtual_throughput();
+          if (threads == 1) synergy_read_t1 = report.goodput();
+          if (threads == 4) synergy_read_t4 = report.goodput();
         }
         table.AddRow({system->name(), std::to_string(threads),
-                      FormatMs(report.virtual_throughput()),
-                      FormatMs(report.p50_ms()), FormatMs(report.p95_ms()),
-                      FormatMs(report.p99_ms()), FormatMs(report.mean_ms()),
-                      std::to_string(report.total_errors),
+                      FormatMs(report.goodput()), FormatMs(report.p50_ms()),
+                      FormatMs(report.p95_ms()), FormatMs(report.p99_ms()),
+                      FormatMs(report.mean_ms()),
+                      std::to_string(report.tally.errors),
                       std::to_string(
-                          report.counts[obs::OpCounter::kRetries]),
-                      std::to_string(report.total_degraded_ops),
+                          report.tally.counts[obs::OpCounter::kRetries]),
+                      std::to_string(report.tally.degraded_ops),
                       FormatMs(report.rpcs_per_op())});
       }
     }
@@ -188,12 +192,14 @@ int main() {
                     .max_fires = 1,
                     .table_prefix = "",
                     .server_id = victim});
-    failover_sys->system()->SetFaultInjector(&faults);
+    failover_sys->cluster()->SetFaultInjector(&faults);
     failover_sys->SetRetryPolicy(hbase::RetryPolicy{});
 
     const concurrent::WorkloadReport report = systems::MeasureConcurrent(
-        *failover_sys, scale, concurrent::WriteHeavyMix(), max_threads,
-        ops_per_thread, /*base_seed=*/scale.seed ^ 0xFA11CAFE);
+        *failover_sys, scale, concurrent::WriteHeavyMix(),
+        {.threads = max_threads,
+         .base_seed = scale.seed ^ 0xFA11CAFE,
+         .ops_per_thread = ops_per_thread});
     const obs::RegistrySnapshot snap =
         failover_sys->cluster()->metrics().Snapshot();
     std::printf(
@@ -201,11 +207,11 @@ int main() {
         "retries %llu, degraded reads %zu\n"
         "cluster: crashes %llu, regions reassigned %llu, WAL edits replayed "
         "%llu, writes rejected mid-reassignment %llu\n\n",
-        report.virtual_throughput(), FormatMs(report.p99_ms()).c_str(),
-        report.total_errors, report.total_deadline_errors,
+        report.goodput(), FormatMs(report.p99_ms()).c_str(),
+        report.tally.errors, report.tally.deadline_errors,
         static_cast<unsigned long long>(
-            report.counts[obs::OpCounter::kRetries]),
-        report.total_degraded_ops,
+            report.tally.counts[obs::OpCounter::kRetries]),
+        report.tally.degraded_ops,
         static_cast<unsigned long long>(
             snap.CounterValue("hbase_failover_crashes_total")),
         static_cast<unsigned long long>(
@@ -214,9 +220,9 @@ int main() {
             snap.CounterValue("hbase_failover_edits_replayed_total")),
         static_cast<unsigned long long>(
             snap.CounterValue("hbase_failover_writes_rejected_total")));
-    if (report.total_ops == 0) {
+    if (report.tally.ops == 0) {
       std::fprintf(stderr, "FAIL: no goodput through the server crash: %s\n",
-                   report.first_error.ToString().c_str());
+                   report.tally.first_error.ToString().c_str());
       return 1;
     }
     rows.push_back({"Synergy+crash", "failover-write", max_threads, report});

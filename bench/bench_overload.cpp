@@ -9,8 +9,9 @@
 // latency is accounted from the scheduled arrival (queued-start), so queue
 // delay past saturation shows up instead of being coordinated-omitted away.
 //
-// Each system is first calibrated with a short closed-loop run to estimate
-// its saturation throughput; the sweep offers multiples of that estimate.
+// Each system is first calibrated with a short closed-loop run of the same
+// driver to estimate its saturation throughput; the sweep offers multiples
+// of that estimate.
 // Every point runs under a light rpc-timeout drizzle plus overload-burst
 // fires (same fault seed in both configs), so the unprotected config can
 // amplify transient faults into retry storms while the protected config
@@ -164,12 +165,12 @@ std::string RenderRow(const ResultRow& r) {
       "\"scan_errors_dropped\": %zu, \"rpcs_per_op\": %.1f}",
       r.system.c_str(), r.config.c_str(), r.rate_multiplier, r.offered_rate,
       r.report.goodput(), r.report.p50_ms(), r.report.p95_ms(),
-      r.report.p99_ms(), r.report.total_offered, r.report.total_ops,
-      r.report.total_errors, r.report.total_shed_errors,
-      r.report.total_abandoned, r.report.total_deadline_errors,
-      static_cast<size_t>(r.report.counts[obs::OpCounter::kRetries]),
+      r.report.p99_ms(), r.report.tally.offered, r.report.tally.ops,
+      r.report.tally.errors, r.report.tally.shed_errors,
+      r.report.tally.abandoned, r.report.tally.deadline_errors,
+      static_cast<size_t>(r.report.tally.counts[obs::OpCounter::kRetries]),
       static_cast<size_t>(
-          r.report.counts[obs::OpCounter::kScanErrorsDropped]),
+          r.report.tally.counts[obs::OpCounter::kScanErrorsDropped]),
       r.report.rpcs_per_op());
   return buf;
 }
@@ -196,8 +197,7 @@ int main() {
 
   struct SystemUnderTest {
     std::unique_ptr<systems::StoreBackedSystem> system;
-    core::SynergySystem* core = nullptr;  // non-null: faults go via the stack
-    double saturation = 0.0;              // closed-loop ops/vsec estimate
+    double saturation = 0.0;  // closed-loop ops/vsec estimate
   };
   std::vector<SystemUnderTest> suts;
   {
@@ -217,20 +217,19 @@ int main() {
     }
     // Snapshots cover measured work only.
     sut.system->cluster()->ResetMetrics();
-    if (auto* sw = dynamic_cast<systems::SynergyWrapper*>(sut.system.get())) {
-      sut.core = sw->system();
-    }
     // Calibrate: a fault-free closed loop at the same concurrency saturates
     // the system by construction; its virtual throughput is the saturation
     // estimate the sweep's offered rates are multiples of.
     const concurrent::WorkloadReport cal = systems::MeasureConcurrent(
-        *sut.system, scale, mix, threads, /*ops_per_thread=*/120,
-        /*base_seed=*/scale.seed ^ 0xCA11B);
-    sut.saturation = cal.virtual_throughput();
+        *sut.system, scale, mix,
+        {.threads = threads,
+         .base_seed = scale.seed ^ 0xCA11B,
+         .ops_per_thread = 120});
+    sut.saturation = cal.goodput();
     if (sut.saturation <= 0.0) {
       std::fprintf(stderr, "%s calibration produced no throughput: %s\n",
                    sut.system->name().c_str(),
-                   cal.first_error.ToString().c_str());
+                   cal.tally.first_error.ToString().c_str());
       return 1;
     }
     std::printf("%-10s saturation estimate: %.1f ops/vsec\n",
@@ -263,28 +262,17 @@ int main() {
         ApplyConfig(*sut.system, protected_mode);
         std::unique_ptr<fault::FaultInjector> faults =
             MakeDrizzle(static_cast<uint64_t>(scale.seed) ^ 0x0E11);
-        if (sut.core != nullptr) {
-          sut.core->SetFaultInjector(faults.get());
-        } else {
-          sut.system->cluster()->SetFaultInjector(faults.get());
-        }
-
-        concurrent::OpenLoopConfig config;
-        config.threads = threads;
-        config.offered_rate_per_sec = rate;
-        config.duration_virtual_sec = horizon;
-        config.arrival = arrival;
-        config.base_seed = scale.seed ^ 0x0FFE12ED;
-        config.max_queue_delay_us = protected_mode ? 2000000.0 : 0.0;
-
-        const concurrent::WorkloadReport report =
-            systems::MeasureOpenLoop(*sut.system, scale, mix, config);
-        if (sut.core != nullptr) {
-          sut.core->SetFaultInjector(nullptr);
-        } else {
-          sut.system->cluster()->SetFaultInjector(nullptr);
-        }
-        if (report.total_offered == 0) {
+        sut.system->cluster()->SetFaultInjector(faults.get());
+        const concurrent::WorkloadReport report = systems::MeasureConcurrent(
+            *sut.system, scale, mix,
+            {.threads = threads,
+             .base_seed = scale.seed ^ 0x0FFE12ED,
+             .arrival = arrival,
+             .offered_rate_per_sec = rate,
+             .duration_virtual_sec = horizon,
+             .max_queue_delay_us = protected_mode ? 2000000.0 : 0.0});
+        sut.system->cluster()->SetFaultInjector(nullptr);
+        if (report.tally.offered == 0) {
           std::fprintf(stderr, "%s/%s/%.2fx: no op offered\n",
                        sut.system->name().c_str(),
                        protected_mode ? "protected" : "unprotected", mult);
@@ -298,11 +286,11 @@ int main() {
         table.AddRow({row.config, FormatMs(mult), FormatMs(rate),
                       FormatMs(report.goodput()), FormatMs(report.p50_ms()),
                       FormatMs(report.p99_ms()),
-                      std::to_string(report.total_shed_errors),
-                      std::to_string(report.total_abandoned),
-                      std::to_string(report.total_errors),
+                      std::to_string(report.tally.shed_errors),
+                      std::to_string(report.tally.abandoned),
+                      std::to_string(report.tally.errors),
                       std::to_string(
-                          report.counts[obs::OpCounter::kRetries])});
+                          report.tally.counts[obs::OpCounter::kRetries])});
         if (sut.system->name() == "Synergy" && mult == hot_multiplier) {
           if (protected_mode) {
             synergy_hot_protected = report;

@@ -97,7 +97,7 @@ int main() {
   // --- 3. Failure + WAL replay ----------------------------------------
   std::printf("3) Slave crash and WAL failover\n");
   fault::FaultInjector faults(1);
-  system.SetFaultInjector(&faults);
+  cluster.SetFaultInjector(&faults);
   faults.Arm(fault::FaultPoint::kCrashBeforeExecute);
   hbase::Session ws(&cluster);
   auto stmt = sql::MustParse(
@@ -107,7 +107,7 @@ int main() {
   std::printf("   write during crash: %s\n",
               crashed.ok() ? "committed (unexpected)"
                            : crashed.status().ToString().c_str());
-  system.SetFaultInjector(nullptr);
+  cluster.SetFaultInjector(nullptr);
   Must(system.txn_layer()->DetectAndRecover(
       ws, [&](hbase::Session& rs, const std::string& payload) {
         return system.ReplayPayload(rs, payload);

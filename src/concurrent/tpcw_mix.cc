@@ -1,7 +1,5 @@
 #include "concurrent/tpcw_mix.h"
 
-#include <memory>
-
 #include "common/rng.h"
 
 namespace synergy::concurrent {
@@ -37,72 +35,30 @@ std::vector<MixConfig> StandardMixes() {
   return {ReadOnlyMix(), MixedMix(), WriteHeavyMix()};
 }
 
-namespace {
-
-/// Thread-local statement chooser shared by both loop shapes: draws
-/// read/write per the mix and binds fresh parameters deterministically.
-struct StatementDraw {
-  const std::string* stmt_id = nullptr;
-  StatusOr<std::vector<Value>> params = Status::Internal("unset");
-};
-
-StatementDraw DrawStatement(const MixConfig& mix, Rng& rng,
-                            tpcw::ParamProvider& params) {
-  const bool is_read =
-      mix.writes.empty() ||
-      (!mix.reads.empty() && rng.UniformReal(0.0, 1.0) < mix.read_fraction);
-  const std::vector<std::string>& pool = is_read ? mix.reads : mix.writes;
-  StatementDraw draw;
-  draw.stmt_id = &pool[static_cast<size_t>(
-      rng.Uniform(0, static_cast<int64_t>(pool.size()) - 1))];
-  draw.params = params.ParamsFor(*draw.stmt_id);
-  return draw;
-}
-
-}  // namespace
-
-WorkloadReport RunTpcwMix(const DriverConfig& driver,
+WorkloadReport RunTpcwMix(const DriverConfig& config,
                           const tpcw::ScaleConfig& scale, const MixConfig& mix,
-                          const StatementExecFn& exec) {
-  return RunClosedLoop(
-      driver, [&](int thread_id, uint64_t seed) -> SessionOp {
-        // All thread-local state lives in shared_ptrs captured by the op
-        // closure; the factory runs on the worker thread itself.
-        auto params = std::make_shared<tpcw::ParamProvider>(scale, seed);
-        params->PartitionFreshIds(thread_id, driver.threads);
-        // Decorrelate the mix RNG from the parameter RNG (same base seed
-        // would replay the same stream).
-        auto rng = std::make_shared<Rng>(seed * 0x9E3779B97F4A7C15ULL + 1);
-        return [&exec, &mix, thread_id, params,
-                rng](size_t) -> StatusOr<OpOutcome> {
-          StatementDraw draw = DrawStatement(mix, *rng, *params);
-          if (!draw.params.ok()) return draw.params.status();
-          return exec(thread_id, *draw.stmt_id, *draw.params);
-        };
-      });
-}
-
-WorkloadReport RunTpcwMixOpenLoop(const OpenLoopConfig& config,
-                                  const tpcw::ScaleConfig& scale,
-                                  const MixConfig& mix,
-                                  const OpenExecFactory& make_exec) {
-  return RunOpenLoop(
-      config, [&](int thread_id, uint64_t seed) -> OpenLoopOp {
-        // Same thread-local seeding discipline as the closed loop, so a
-        // given (seed, thread count) replays the same statement stream in
-        // either loop shape.
-        auto params = std::make_shared<tpcw::ParamProvider>(scale, seed);
-        params->PartitionFreshIds(thread_id, config.threads);
-        auto rng = std::make_shared<Rng>(seed * 0x9E3779B97F4A7C15ULL + 1);
-        auto exec = std::make_shared<OpenStatementExecFn>(make_exec(thread_id));
-        return [&mix, params, rng, exec](size_t) -> OpResult {
-          StatementDraw draw = DrawStatement(mix, *rng, *params);
-          if (!draw.params.ok()) {
-            return OpResult(draw.params.status(), OpOutcome());
-          }
-          return (*exec)(*draw.stmt_id, *draw.params);
-        };
-      });
+                          const StatementFnFactory& make_exec) {
+  return RunClients(config, [&](int thread_id, uint64_t seed) -> ClientOp {
+    // All thread-local state lives in the op closure; the factory runs on
+    // the worker thread itself.
+    tpcw::ParamProvider params(scale, seed);
+    params.PartitionFreshIds(thread_id, config.threads);
+    // Decorrelate the mix RNG from the parameter RNG (same base seed would
+    // replay the same stream).
+    Rng rng(seed * 0x9E3779B97F4A7C15ULL + 1);
+    return [&mix, params, rng,
+            exec = make_exec(thread_id)](size_t) mutable -> OpOutcome {
+      const bool is_read =
+          mix.writes.empty() ||
+          (!mix.reads.empty() && rng.UniformReal(0.0, 1.0) < mix.read_fraction);
+      const std::vector<std::string>& pool = is_read ? mix.reads : mix.writes;
+      const std::string& stmt_id = pool[static_cast<size_t>(
+          rng.Uniform(0, static_cast<int64_t>(pool.size()) - 1))];
+      StatusOr<std::vector<Value>> bound = params.ParamsFor(stmt_id);
+      if (!bound.ok()) return OpOutcome{.status = bound.status()};
+      return exec(stmt_id, *bound);
+    };
+  });
 }
 
 }  // namespace synergy::concurrent

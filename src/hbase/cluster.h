@@ -296,11 +296,14 @@ class Cluster {
   /// Stable pointers to every region of every table (failover sweeps).
   std::vector<Region*> AllRegions() const;
 
-  /// Installs (or clears, with nullptr) the fault injector consulted at the
-  /// RPC boundary of every store operation. Injected request-lost faults
-  /// fail the RPC before it reaches the region; ack-lost faults apply the
-  /// mutation and fail the acknowledgement. The injector must outlive its
-  /// installation; injection sites are read-only for the cluster state.
+  /// Installs (or clears, with nullptr) the one fault injector every
+  /// injection site on this cluster consults: the RPC boundary of every
+  /// store operation, failover, and the txn layer's lock releases, WAL
+  /// appends and slave crash points. Injected request-lost faults fail the
+  /// RPC before it reaches the region; ack-lost faults apply the mutation
+  /// and fail the acknowledgement. The injector must outlive its
+  /// installation, and installing must not race in-flight work; injection
+  /// sites are read-only for the cluster state.
   void SetFaultInjector(fault::FaultInjector* faults) { faults_ = faults; }
   fault::FaultInjector* fault_injector() const { return faults_; }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sql/parser.h"
-#include "testing/fault_injector.h"
 
 namespace synergy::core {
 
@@ -94,16 +93,8 @@ Status SynergySystem::Build(const sql::Catalog& base_catalog,
                                  const std::string& payload) {
     return ReplayPayload(s, payload);
   });
-  if (faults_ != nullptr) SetFaultInjector(faults_);
   built_ = true;
   return Status::Ok();
-}
-
-void SynergySystem::SetFaultInjector(fault::FaultInjector* faults) {
-  faults_ = faults;
-  cluster_->SetFaultInjector(faults);
-  if (locks_ != nullptr) locks_->SetFaultInjector(faults);
-  if (txn_layer_ != nullptr) txn_layer_->SetFaultInjector(faults);
 }
 
 Status SynergySystem::CreateStorage() {

@@ -24,10 +24,6 @@
 #include "synergy/view_maintenance.h"
 #include "txn/txn_layer.h"
 
-namespace synergy::fault {
-class FaultInjector;
-}  // namespace synergy::fault
-
 namespace synergy::core {
 
 struct SynergyConfig {
@@ -80,11 +76,6 @@ class SynergySystem {
   exec::TableAdapter* adapter() { return adapter_.get(); }
   txn::TxnLayer* txn_layer() { return txn_layer_.get(); }
 
-  /// Installs (or clears, with nullptr) one fault injector across the whole
-  /// stack: cluster RPC boundary, lock manager, txn layer + WALs. May be
-  /// called before or after Build.
-  void SetFaultInjector(fault::FaultInjector* faults);
-
   /// Bulk load one base tuple: inserts base row, index rows, view rows and
   /// the lock entry (for roots) — no WAL/locking (offline load path).
   Status Load(hbase::Session& s, const std::string& relation,
@@ -126,7 +117,6 @@ class SynergySystem {
 
   hbase::Cluster* cluster_;
   SynergyConfig config_;
-  fault::FaultInjector* faults_ = nullptr;
   sql::Catalog catalog_;
   sql::Workload workload_;
   std::vector<RootedTree> trees_;

@@ -34,48 +34,18 @@ Measurement MeasureStatement(EvaluatedSystem& system,
   return m;
 }
 
-concurrent::WorkloadReport MeasureConcurrent(EvaluatedSystem& system,
-                                             const tpcw::ScaleConfig& scale,
-                                             const concurrent::MixConfig& mix,
-                                             int threads,
-                                             size_t ops_per_thread,
-                                             uint64_t base_seed) {
-  concurrent::DriverConfig driver;
-  driver.threads = threads;
-  driver.ops_per_thread = ops_per_thread;
-  driver.base_seed = base_seed;
+concurrent::WorkloadReport MeasureConcurrent(
+    StoreBackedSystem& system, const tpcw::ScaleConfig& scale,
+    const concurrent::MixConfig& mix, const concurrent::DriverConfig& config) {
   return concurrent::RunTpcwMix(
-      driver, scale, mix,
-      [&system](int, const std::string& stmt_id,
-                const std::vector<Value>& params)
-          -> StatusOr<concurrent::OpOutcome> {
-        SYNERGY_ASSIGN_OR_RETURN(r, system.Execute(stmt_id, params));
-        if (!r.supported) {
-          return Status::Unimplemented("statement " + stmt_id +
-                                       " unsupported by " + system.name());
-        }
-        // Cost is reported in virtual µs, alongside the per-op counters.
-        return concurrent::OpOutcome{r.virtual_ms * 1000.0, r.counts};
-      });
-}
-
-concurrent::WorkloadReport MeasureOpenLoop(StoreBackedSystem& system,
-                                           const tpcw::ScaleConfig& scale,
-                                           const concurrent::MixConfig& mix,
-                                           const concurrent::OpenLoopConfig&
-                                               config) {
-  return concurrent::RunTpcwMixOpenLoop(
-      config, scale, mix,
-      [&system](int) -> concurrent::OpenStatementExecFn {
+      config, scale, mix, [&system](int) -> concurrent::StatementFn {
         // One persistent client per worker thread, created on that thread.
         std::shared_ptr<hbase::Session> client = system.MakeClient();
         return [&system, client](const std::string& stmt_id,
-                                 const std::vector<Value>& params)
-            -> concurrent::OpResult {
+                                 const std::vector<Value>& params) {
           StatementOutcome out = system.ExecuteOpen(*client, stmt_id, params);
-          return concurrent::OpResult(
-              out.status, concurrent::OpOutcome{out.result.virtual_ms * 1000.0,
-                                                out.result.counts});
+          return concurrent::OpOutcome{out.result.virtual_ms * 1000.0,
+                                       out.result.counts, out.status};
         };
       });
 }

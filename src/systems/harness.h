@@ -29,25 +29,13 @@ Measurement MeasureStatement(EvaluatedSystem& system,
                              tpcw::ParamProvider& params,
                              const std::string& stmt_id, int reps);
 
-/// Runs `mix` with `threads` concurrent closed-loop clients against the
-/// system (each thread gets its own deterministically seeded ParamProvider
-/// and a fresh Session per statement). Statements a system cannot execute
-/// surface as per-op errors in the report rather than aborting the run.
-concurrent::WorkloadReport MeasureConcurrent(EvaluatedSystem& system,
-                                             const tpcw::ScaleConfig& scale,
-                                             const concurrent::MixConfig& mix,
-                                             int threads,
-                                             size_t ops_per_thread,
-                                             uint64_t base_seed = 7);
-
-/// Runs `mix` through the open-loop (offered-rate) driver. Each worker
-/// thread gets one persistent client from system.MakeClient(), so retry
-/// budgets and circuit breakers accumulate state across statements.
-concurrent::WorkloadReport MeasureOpenLoop(StoreBackedSystem& system,
-                                           const tpcw::ScaleConfig& scale,
-                                           const concurrent::MixConfig& mix,
-                                           const concurrent::OpenLoopConfig&
-                                               config);
+/// Runs `mix` on the driver's schedule (closed or open loop). Each worker
+/// thread gets one persistent client from system.MakeClient(), so its
+/// meter is the client's virtual clock and its retry budget and circuit
+/// breaker accumulate state across statements.
+concurrent::WorkloadReport MeasureConcurrent(
+    StoreBackedSystem& system, const tpcw::ScaleConfig& scale,
+    const concurrent::MixConfig& mix, const concurrent::DriverConfig& config);
 
 /// One run object of a committed bench trajectory
 /// (bench-results/BENCH_<name>.json).

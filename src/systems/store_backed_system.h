@@ -15,10 +15,10 @@
 
 namespace synergy::systems {
 
-/// One statement execution with the cost-even-on-error semantics open-loop
-/// accounting needs: `result` (virtual time spent, per-op counters) is valid
-/// whether or not `status` is OK, because a failed statement still occupied
-/// the client while it failed.
+/// One statement execution with the cost-even-on-error semantics the
+/// concurrent driver's accounting needs: `result` (virtual time spent,
+/// per-op counters) is valid whether or not `status` is OK, because a failed
+/// statement still occupied the client while it failed.
 struct StatementOutcome {
   Status status;
   StatementResult result;
@@ -26,7 +26,7 @@ struct StatementOutcome {
 
 class StoreBackedSystem : public EvaluatedSystem {
  public:
-  /// Runs the statement on a fresh session (the closed-loop client).
+  /// Runs the statement on a fresh session (single-statement measurement).
   StatusOr<StatementResult> Execute(
       const std::string& stmt_id, const std::vector<Value>& params) override;
   double DbSizeBytes() const override;
@@ -46,9 +46,9 @@ class StoreBackedSystem : public EvaluatedSystem {
     retry_policy_ = policy;
   }
 
-  /// A persistent open-loop client: one Session whose retry budget and
-  /// circuit breaker survive across statements (a breaker that resets
-  /// every statement could never trip).
+  /// A persistent client: one Session whose meter, retry budget and
+  /// circuit breaker survive across statements (a breaker that resets every
+  /// statement could never trip).
   std::unique_ptr<hbase::Session> MakeClient();
 
   /// Runs one statement on `client`. The session's meter and counters only

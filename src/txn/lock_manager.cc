@@ -93,13 +93,14 @@ Status LockManager::Acquire(hbase::Session& s,
 Status LockManager::Release(hbase::Session& s,
                             const std::string& root_relation,
                             const std::string& root_key) {
-  if (faults_ != nullptr) {
+  if (fault::FaultInjector* faults = cluster_->fault_injector();
+      faults != nullptr) {
     const std::string lock_table = LockTableName(root_relation);
     const fault::FaultSite site{lock_table, -1};
-    if (faults_->ShouldFire(fault::FaultPoint::kDropLockRelease, site)) {
+    if (faults->ShouldFire(fault::FaultPoint::kDropLockRelease, site)) {
       // Release RPC lost in flight: the lock stays held in the store.
       release_drops_->Inc();
-      return faults_->InjectedFault(fault::FaultPoint::kDropLockRelease);
+      return faults->InjectedFault(fault::FaultPoint::kDropLockRelease);
     }
   }
   SYNERGY_ASSIGN_OR_RETURN(

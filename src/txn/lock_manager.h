@@ -13,10 +13,6 @@
 #include "common/status.h"
 #include "hbase/cluster.h"
 
-namespace synergy::fault {
-class FaultInjector;
-}  // namespace synergy::fault
-
 namespace synergy::txn {
 
 /// Names the single hierarchical lock a write transaction holds: the row of
@@ -35,11 +31,6 @@ class LockManager {
   static std::string LockTableName(const std::string& root_relation) {
     return "__lock_" + root_relation;
   }
-
-  /// Installs (or clears) the fault injector consulted on Release: a fired
-  /// drop-lock-release fault loses the release RPC, leaving the lock held
-  /// (the caller is expected to treat this as its own crash).
-  void SetFaultInjector(fault::FaultInjector* faults) { faults_ = faults; }
 
   /// Creates the lock table for a root relation.
   Status CreateLockTable(const std::string& root_relation);
@@ -62,7 +53,10 @@ class LockManager {
                  const std::string& root_key, int max_attempts = 1000,
                  int* attempts_out = nullptr);
 
-  /// Releases a held lock; fails if the lock was not held.
+  /// Releases a held lock; fails if the lock was not held. A fired
+  /// drop-lock-release fault (the cluster's injector) loses the release
+  /// RPC, leaving the lock held: the caller is expected to treat this as
+  /// its own crash.
   Status Release(hbase::Session& s, const std::string& root_relation,
                  const std::string& root_key);
 
@@ -72,7 +66,6 @@ class LockManager {
 
  private:
   hbase::Cluster* cluster_;
-  fault::FaultInjector* faults_ = nullptr;
   // Registry handles (cluster->metrics()), resolved at construction.
   obs::Counter* acquire_attempts_;
   obs::Counter* acquires_;

@@ -8,8 +8,7 @@ namespace synergy::txn {
 
 SlaveNode::SlaveNode(hbase::Cluster* cluster, LockManager* locks, int id)
     : cluster_(cluster), locks_(locks), id_(id),
-      wal_(std::make_shared<Wal>(&cluster->cost_model(),
-                                 &cluster->metrics())) {
+      wal_(std::make_shared<Wal>(cluster)) {
   obs::MetricsRegistry& r = cluster_->metrics();
   c_commits_ = r.GetCounter("txn_slave_commits_total",
                             "write transactions committed by slaves");
@@ -35,11 +34,6 @@ SlaveNode::~SlaveNode() {
   for (WriteTask& task : queue_) {
     task.done.set_value(Status::Unavailable("slave shut down"));
   }
-}
-
-void SlaveNode::SetFaultInjector(fault::FaultInjector* faults) {
-  faults_ = faults;
-  wal_->SetFaultInjector(faults);
 }
 
 void SlaveNode::WorkerLoop() {
@@ -104,7 +98,8 @@ Status SlaveNode::Crash(const std::string& reason) {
 }
 
 bool SlaveNode::Fire(fault::FaultPoint point) {
-  return faults_ != nullptr && faults_->ShouldFire(point);
+  fault::FaultInjector* faults = cluster_->fault_injector();
+  return faults != nullptr && faults->ShouldFire(point);
 }
 
 namespace {
@@ -225,12 +220,6 @@ TxnLayer::TxnLayer(hbase::Cluster* cluster, LockManager* locks, int num_slaves)
   }
 }
 
-void TxnLayer::SetFaultInjector(fault::FaultInjector* faults) {
-  std::shared_lock lock(slaves_mutex_);
-  faults_ = faults;
-  for (auto& slave : slaves_) slave->SetFaultInjector(faults);
-}
-
 StatusOr<int64_t> TxnLayer::SubmitWrite(hbase::Session& s,
                                         const std::string& payload,
                                         const std::optional<LockSpec>& lock,
@@ -290,7 +279,6 @@ Status TxnLayer::DetectAndRecover(hbase::Session& s, const ReplayFn& replay) {
     // after replay.
     auto replacement =
         std::make_unique<SlaveNode>(cluster_, locks_, next_slave_id_++);
-    replacement->SetFaultInjector(faults_);
     for (const WalEntry& entry : slave->wal()->UncommittedEntries()) {
       const Status replayed = replay(s, entry.payload);
       if (!replayed.ok()) {

@@ -44,7 +44,6 @@
 #include "txn/wal.h"
 
 namespace synergy::fault {
-class FaultInjector;
 enum class FaultPoint : int;
 }  // namespace synergy::fault
 
@@ -70,11 +69,6 @@ class SlaveNode {
   int id() const { return id_; }
   bool failed() const { return failed_.load(); }
   std::shared_ptr<Wal> wal() const { return wal_; }
-
-  /// Installs (or clears) the fault injector consulted at the slave's
-  /// crash points and by its WAL. Must not race in-flight writes (install
-  /// before submitting work, as the harness and tests do).
-  void SetFaultInjector(fault::FaultInjector* faults);
 
   /// Enqueues the write for the worker thread and blocks until it commits
   /// or fails. The caller's stack (payload/lock/body) stays valid for the
@@ -119,13 +113,13 @@ class SlaveNode {
 
   /// Marks the slave dead and returns the Unavailable status the client sees.
   Status Crash(const std::string& reason);
+  /// Whether the cluster's fault injector fires `point` (a crash point).
   bool Fire(fault::FaultPoint point);
 
   hbase::Cluster* cluster_;
   LockManager* locks_;
   int id_;
   std::shared_ptr<Wal> wal_;
-  fault::FaultInjector* faults_ = nullptr;
   std::atomic<bool> failed_{false};
   // Registry handles (cluster->metrics()), resolved at construction.
   obs::Counter* c_commits_;
@@ -147,10 +141,6 @@ class TxnLayer {
   TxnLayer(hbase::Cluster* cluster, LockManager* locks, int num_slaves = 1);
 
   LockManager* lock_manager() const { return locks_; }
-
-  /// Installs (or clears) the fault injector on every slave, including
-  /// replacements spawned by later failovers.
-  void SetFaultInjector(fault::FaultInjector* faults);
 
   /// Client entry point: forwards to a live slave (round robin). When the
   /// session carries a RetryPolicy, root-level retries run *here* — one
@@ -196,7 +186,6 @@ class TxnLayer {
 
   hbase::Cluster* cluster_;
   LockManager* locks_;
-  fault::FaultInjector* faults_ = nullptr;
   ReplayFn replay_fn_;
   // Guards the pool: SubmitWrite routes under a shared lock (held across the
   // write so a slave is never destroyed under an in-flight client);

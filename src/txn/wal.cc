@@ -6,13 +6,14 @@ namespace synergy::txn {
 
 StatusOr<int64_t> Wal::Append(hbase::Session& s, const std::string& payload,
                               std::optional<LockSpec> lock_spec) {
-  if (faults_ != nullptr &&
-      faults_->ShouldFire(fault::FaultPoint::kWalAppendFailure)) {
-    if (append_failures_ != nullptr) append_failures_->Inc();
-    return faults_->InjectedFault(fault::FaultPoint::kWalAppendFailure);
+  fault::FaultInjector* faults = cluster_->fault_injector();
+  if (faults != nullptr &&
+      faults->ShouldFire(fault::FaultPoint::kWalAppendFailure)) {
+    append_failures_->Inc();
+    return faults->InjectedFault(fault::FaultPoint::kWalAppendFailure);
   }
-  s.meter().Charge(model_->wal_append_us);
-  if (appends_ != nullptr) appends_->Inc();
+  s.meter().Charge(cluster_->cost_model().wal_append_us);
+  appends_->Inc();
   std::lock_guard lock(mutex_);
   const int64_t id = next_id_++;
   entries_.push_back(

@@ -16,10 +16,6 @@
 #include "hbase/cluster.h"
 #include "txn/lock_manager.h"
 
-namespace synergy::fault {
-class FaultInjector;
-}  // namespace synergy::fault
-
 namespace synergy::txn {
 
 struct WalEntry {
@@ -34,25 +30,19 @@ struct WalEntry {
 
 class Wal {
  public:
-  /// `registry` (normally the owning cluster's) receives the append/failure
-  /// counters; null skips publication (standalone construction in tests).
-  explicit Wal(const sim::CostModel* model,
-               obs::MetricsRegistry* registry = nullptr)
-      : model_(model) {
-    if (registry != nullptr) {
-      appends_ = registry->GetCounter("txn_wal_appends_total",
-                                      "WAL entries appended (synced)");
-      append_failures_ = registry->GetCounter(
-          "txn_wal_append_failures_total",
-          "WAL appends failed by the wal-append-failure fault");
-    }
-  }
+  /// Charges the cluster's cost model and publishes the append/failure
+  /// counters into its registry.
+  explicit Wal(hbase::Cluster* cluster)
+      : cluster_(cluster),
+        appends_(cluster->metrics().GetCounter(
+            "txn_wal_appends_total", "WAL entries appended (synced)")),
+        append_failures_(cluster->metrics().GetCounter(
+            "txn_wal_append_failures_total",
+            "WAL appends failed by the wal-append-failure fault")) {}
 
-  /// Installs (or clears) the fault injector consulted on Append: a fired
-  /// wal-append-failure fault fails the append before anything is logged.
-  void SetFaultInjector(fault::FaultInjector* faults) { faults_ = faults; }
-
-  /// Appends an entry (charging the WAL sync cost) and returns its id.
+  /// Appends an entry (charging the WAL sync cost) and returns its id. A
+  /// fired wal-append-failure fault (the cluster's injector) fails the
+  /// append before anything is logged.
   StatusOr<int64_t> Append(hbase::Session& s, const std::string& payload,
                            std::optional<LockSpec> lock = std::nullopt);
 
@@ -66,10 +56,9 @@ class Wal {
   std::vector<WalEntry> AllEntries() const;
 
  private:
-  const sim::CostModel* model_;
-  fault::FaultInjector* faults_ = nullptr;
-  obs::Counter* appends_ = nullptr;
-  obs::Counter* append_failures_ = nullptr;
+  hbase::Cluster* cluster_;
+  obs::Counter* appends_;
+  obs::Counter* append_failures_;
   mutable std::mutex mutex_;
   std::vector<WalEntry> entries_;
   int64_t next_id_ = 1;

@@ -83,7 +83,7 @@ class ChaosScenarioTest : public ::testing::Test {
   void InstallInjector(uint64_t default_seed) {
     seed_ = fault::TestSeedFromEnv(default_seed);
     faults_ = std::make_unique<fault::FaultInjector>(seed_);
-    system_->SetFaultInjector(faults_.get());
+    cluster_.SetFaultInjector(faults_.get());
     rng_ = std::make_unique<Rng>(seed_);
     rounds_ = 3 * fault::ChaosScaleFromEnv();
   }
@@ -561,7 +561,7 @@ TEST(ChaosTpcwTest, MixedFaultWriteStorm) {
 
   const uint64_t seed = fault::TestSeedFromEnv(20170904);
   fault::FaultInjector faults(seed);
-  wrapper.system()->SetFaultInjector(&faults);
+  wrapper.cluster()->SetFaultInjector(&faults);
   tpcw::ParamProvider params(scale, seed);
   const std::vector<std::string> writes = tpcw::WriteStatementIds();
   hbase::Session s(wrapper.system()->adapter()->cluster());

@@ -129,7 +129,7 @@ TEST_F(ExplainAnalyzeTest, RegistryCountersTrackStatements) {
 
 TEST_F(ExplainAnalyzeTest, DirtyRestartFoldsAbortedAttemptIntoPseudoNode) {
   fault::FaultInjector faults(/*seed=*/7);
-  system_->SetFaultInjector(&faults);
+  cluster_.SetFaultInjector(&faults);
   // First clean-row scan hit aborts the statement once; the restart runs
   // clean. ExplainAnalyzeRead enables dirty-read detection.
   faults.Arm(fault::FaultPoint::kDirtyReadRestart, /*skip_hits=*/0,

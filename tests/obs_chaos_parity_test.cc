@@ -26,7 +26,7 @@ class ObsChaosParityTest : public ::testing::Test {
         fault::TestSeedFromEnv(/*default_seed=*/20260808));
     system_ = std::make_unique<SynergySystem>(
         &cluster_, SynergyConfig{.roots = testing::CompanyRoots()});
-    system_->SetFaultInjector(faults_.get());
+    cluster_.SetFaultInjector(faults_.get());
     ASSERT_TRUE(
         system_->Build(testing::CompanyCatalog(), testing::CompanyWorkload())
             .ok());

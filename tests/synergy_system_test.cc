@@ -259,7 +259,7 @@ TEST_F(SynergySystemTest, MultiRowWriteRejected) {
 TEST_F(SynergySystemTest, WalReplayAfterCrashRestoresWrite) {
   hbase::Session s(&cluster_);
   fault::FaultInjector faults(7);
-  system_->SetFaultInjector(&faults);
+  cluster_.SetFaultInjector(&faults);
   faults.Arm(fault::FaultPoint::kCrashBeforeExecute);
   auto stmt = sql::MustParse(
       "INSERT INTO Works_On (WO_EID, WO_PNo, Hours) VALUES (?, ?, ?)");
@@ -273,7 +273,7 @@ TEST_F(SynergySystemTest, WalReplayAfterCrashRestoresWrite) {
                         return system_->ReplayPayload(rs, payload);
                       })
                   .ok());
-  system_->SetFaultInjector(nullptr);
+  cluster_.SetFaultInjector(nullptr);
   EXPECT_EQ(ViewRowCount("Employee-Works_On"), 6u);
   EXPECT_EQ(RunWorkloadQuery("W3", {Value(1)}).row_count, 1u);
 }

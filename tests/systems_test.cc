@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include "hbase/retry_policy.h"
 #include "systems/harness.h"
 #include "systems/mvcc_system.h"
 #include "systems/store_backed_system.h"
+#include "testing/fault_injector.h"
 #include "tpcw/workload.h"
 
 namespace synergy::systems {
@@ -204,6 +206,40 @@ TEST_F(SystemsTest, PersistentClientMatchesFreshSessionExecute) {
                   1e-9 * fresh->virtual_ms);
     }
   }
+}
+
+TEST_F(SystemsTest, ClosedLoopReportCountsEveryAttemptOfAFailedOp) {
+  // One client with the default RetryPolicy meets a region-RPC outage that
+  // lasts exactly one op's attempts. Baseline's MVCC manager issues no RPCs
+  // of its own, so every RPC and retry the registry saw over the run was
+  // spent by an op in the report — the failed op's included.
+  MvccSystem baseline("Baseline", MvccSystem::ViewMode::kNone);
+  ASSERT_TRUE(baseline.Setup(*scale_).ok());
+  baseline.cluster()->ResetMetrics();
+  const hbase::RetryPolicy policy;
+  baseline.SetRetryPolicy(policy);
+  fault::FaultInjector faults(/*seed=*/5);
+  faults.Arm(fault::FaultPoint::kRegionRpcFailure, /*skip_hits=*/20,
+             /*max_fires=*/policy.max_attempts);
+  baseline.cluster()->SetFaultInjector(&faults);
+  const concurrent::WorkloadReport report =
+      MeasureConcurrent(baseline, *scale_, concurrent::ReadOnlyMix(),
+                        {.threads = 1, .ops_per_thread = 20});
+  baseline.cluster()->SetFaultInjector(nullptr);
+
+  ASSERT_EQ(faults.FireCount(fault::FaultPoint::kRegionRpcFailure),
+            policy.max_attempts);
+  EXPECT_EQ(report.tally.errors, 1u);
+  EXPECT_EQ(report.tally.first_error.code(), StatusCode::kUnavailable)
+      << report.tally.first_error;
+  EXPECT_EQ(report.tally.ops, 19u);
+  const obs::RegistrySnapshot snap = baseline.cluster()->metrics().Snapshot();
+  EXPECT_EQ(report.tally.counts[obs::OpCounter::kRpcs],
+            snap.CounterValue("hbase_rpcs_total"));
+  EXPECT_EQ(report.tally.counts[obs::OpCounter::kRetries],
+            snap.CounterValue("client_retries_total"));
+  EXPECT_GE(report.tally.counts[obs::OpCounter::kRetries],
+            static_cast<uint64_t>(policy.max_attempts - 1));
 }
 
 }  // namespace

@@ -22,7 +22,7 @@ class TxnLayerTest : public ::testing::Test {
     locks_ = std::make_unique<LockManager>(&cluster_);
     ASSERT_TRUE(locks_->CreateLockTable("Root").ok());
     layer_ = std::make_unique<TxnLayer>(&cluster_, locks_.get(), 2);
-    layer_->SetFaultInjector(&faults_);
+    cluster_.SetFaultInjector(&faults_);
   }
 
   /// Arms a crash-before-execute on the next `count` writes (one per slave).

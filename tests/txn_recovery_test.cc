@@ -34,7 +34,7 @@ TEST(OrphanedLockRecoveryTest, RecoveryFreesLockAndUnblocksSecondClient) {
   ASSERT_TRUE(locks.CreateLockTable("Root").ok());
   txn::TxnLayer layer(&cluster, &locks, 2);
   fault::FaultInjector faults(17);
-  layer.SetFaultInjector(&faults);
+  cluster.SetFaultInjector(&faults);
   hbase::Session s(&cluster);
 
   // Client A crashes holding the root lock, before its body runs.
@@ -186,7 +186,7 @@ TEST_F(WalDoubleReplayTest, ReplayingTheLogTwiceChangesNothing) {
   // Two more writes whose lock-release RPC is lost: the bodies applied, the
   // slaves died with the entries uncommitted.
   fault::FaultInjector faults(99);
-  system_->SetFaultInjector(&faults);
+  cluster_.SetFaultInjector(&faults);
   faults.Arm(fault::FaultPoint::kDropLockRelease, /*skip_hits=*/0,
              /*max_fires=*/2);
   // The two writes hit disjoint root rows so the second is not blocked on

@@ -183,7 +183,7 @@ TEST_P(ViewConsistencyFaultPropertyTest, ViewsEqualBaseJoinsUnderFaults) {
   SCOPED_TRACE("replay with SYNERGY_TEST_SEED=" + std::to_string(seed));
   Rng rng(seed);
   fault::FaultInjector faults(seed);
-  system_->SetFaultInjector(&faults);
+  cluster_.SetFaultInjector(&faults);
   hbase::Session s(&cluster_);
 
   const int rounds = 3 * fault::ChaosScaleFromEnv();
