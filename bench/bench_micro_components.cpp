@@ -6,6 +6,7 @@
 
 #include "common/codec.h"
 #include "exec/executor.h"
+#include "hbase/cluster.h"
 #include "sql/parser.h"
 
 namespace {
@@ -33,12 +34,23 @@ void BM_CodecDecodeKey(benchmark::State& state) {
 }
 BENCHMARK(BM_CodecDecodeKey);
 
+// Every Put adds a cell version and a WAL record, so without a flush a Put
+// costs more the more Puts ran before it. Both Put rungs flush (compact)
+// once per pass over their keys, untimed, so the store stays the same size
+// however many iterations run.
+constexpr int64_t kPutKeys = 10000;
+
 void BM_RegionPut(benchmark::State& state) {
   std::atomic<int64_t> clock{0};
   hbase::Region region("", "", &clock);
   int64_t i = 0;
   for (auto _ : state) {
-    region.Put("key" + std::to_string(i++ % 10000), {{"d", "payload"}});
+    region.Put("key" + std::to_string(i % kPutKeys), {{"d", "payload"}});
+    if (++i % kPutKeys == 0) {
+      state.PauseTiming();
+      region.MajorCompact(hbase::TableDescriptor{}.max_versions);
+      state.ResumeTiming();
+    }
   }
 }
 BENCHMARK(BM_RegionPut);
@@ -57,6 +69,56 @@ void BM_RegionGet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RegionGet);
+
+// The Cluster rungs over the two Region rungs above: the same keys and
+// payload, sent as one RPC attempt each through Cluster::Put/Get on a
+// one-region table named like a view. A Cluster rung minus its Region rung
+// is the RPC boundary's own host cost.
+const std::string kViewTable = "Orders-Order_line";
+
+void BM_ClusterPut(benchmark::State& state) {
+  hbase::Cluster cluster;
+  if (!cluster.CreateTable({.name = kViewTable}).ok()) {
+    state.SkipWithError("table");
+    return;
+  }
+  hbase::Session s(&cluster);
+  int64_t i = 0;
+  for (auto _ : state) {
+    Status st = cluster.Put(s, kViewTable, "key" + std::to_string(i % kPutKeys),
+                            {{"d", "payload"}});
+    benchmark::DoNotOptimize(st);
+    if (++i % kPutKeys == 0) {
+      state.PauseTiming();
+      cluster.MajorCompactAll();
+      state.ResumeTiming();
+    }
+  }
+}
+BENCHMARK(BM_ClusterPut);
+
+void BM_ClusterGet(benchmark::State& state) {
+  hbase::Cluster cluster;
+  if (!cluster.CreateTable({.name = kViewTable}).ok()) {
+    state.SkipWithError("table");
+    return;
+  }
+  hbase::Session s(&cluster);
+  for (int i = 0; i < 10000; ++i) {
+    if (!cluster.Put(s, kViewTable, "key" + std::to_string(i),
+                     {{"d", "payload"}})
+             .ok()) {
+      state.SkipWithError("load");
+      return;
+    }
+  }
+  int64_t i = 0;
+  for (auto _ : state) {
+    auto row = cluster.Get(s, kViewTable, "key" + std::to_string(i++ % 10000));
+    benchmark::DoNotOptimize(row);
+  }
+}
+BENCHMARK(BM_ClusterGet);
 
 void BM_RegionScan1k(benchmark::State& state) {
   std::atomic<int64_t> clock{0};

@@ -43,30 +43,14 @@ Status Cluster::CreateTable(const TableDescriptor& desc,
   return Status::Ok();
 }
 
-Status Cluster::InjectRequestFault(const std::string& table,
-                                   const Region* region) {
-  if (faults_ == nullptr) return Status::Ok();
-  const fault::FaultSite site{table, region->server_id()};
-  if (faults_->ShouldFire(fault::FaultPoint::kRegionRpcFailure, site)) {
-    counters_.faults_injected->Inc();
-    return faults_->InjectedFault(fault::FaultPoint::kRegionRpcFailure);
+Status Cluster::InjectFault(fault::FaultPoint point, const std::string& table,
+                            const Region* region) {
+  if (faults_ == nullptr ||
+      !faults_->ShouldFire(point, {table, region->server_id()})) {
+    return Status::Ok();
   }
-  if (faults_->ShouldFire(fault::FaultPoint::kRpcTimeout, site)) {
-    counters_.faults_injected->Inc();
-    return faults_->InjectedFault(fault::FaultPoint::kRpcTimeout);
-  }
-  return Status::Ok();
-}
-
-Status Cluster::InjectAckFault(const std::string& table,
-                               const Region* region) {
-  if (faults_ == nullptr) return Status::Ok();
-  const fault::FaultSite site{table, region->server_id()};
-  if (faults_->ShouldFire(fault::FaultPoint::kRegionRpcAckLost, site)) {
-    counters_.faults_injected->Inc();
-    return faults_->InjectedFault(fault::FaultPoint::kRegionRpcAckLost);
-  }
-  return Status::Ok();
+  counters_.faults_injected->Inc();
+  return faults_->InjectedFault(point);
 }
 
 Status Cluster::AdmitOp(Session& s, const std::string& table,
@@ -107,14 +91,6 @@ bool Cluster::HasTable(const std::string& name) const {
   return tables_.contains(name);
 }
 
-std::vector<std::string> Cluster::TableNames() const {
-  std::shared_lock lock(tables_mutex_);
-  std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [name, table] : tables_) names.push_back(name);
-  return names;
-}
-
 StatusOr<Table*> Cluster::FindTable(const std::string& name) const {
   std::shared_lock lock(tables_mutex_);
   auto it = tables_.find(name);
@@ -122,53 +98,25 @@ StatusOr<Table*> Cluster::FindTable(const std::string& name) const {
   return it->second.get();
 }
 
-Status Cluster::Put(
-    Session& s, const std::string& table, const std::string& row_key,
-    const std::vector<std::pair<std::string, std::string>>& columns,
-    std::optional<int64_t> ts) {
-  return RunWithRetries(
-      s, [&] { return PutOnce(s, table, row_key, columns, ts); });
-}
-
-Status Cluster::PutOnce(
-    Session& s, const std::string& table, const std::string& row_key,
-    const std::vector<std::pair<std::string, std::string>>& columns,
-    std::optional<int64_t> ts) {
+template <typename Body>
+auto Cluster::RpcAttempt(Session& s, const char* span_name,
+                         const std::string& table, const std::string& key,
+                         bool is_write, double request_us, Body&& body)
+    -> std::invoke_result_t<Body&, Region*> {
   failover_->OnRpc();
   s.Count(obs::OpCounter::kRpcs);
-  obs::ScopedSpan rpc_span(s.rpc_trace(), "rpc.put");
-  rpc_span.Note("table", table);
+  obs::TraceCollector* trace = s.rpc_trace();
+  obs::ScopedSpan rpc_span(trace, span_name);
+  if (trace != nullptr) rpc_span.Note("table", table);
   SYNERGY_ASSIGN_OR_RETURN(t, FindTable(table));
-  size_t payload = row_key.size();
-  for (const auto& [qual, value] : columns) payload += qual.size() + value.size();
-  s.meter().Charge(sim::RpcCost(model_, payload) + model_.server_seek_us);
-  Region* region = t->RouteKey(row_key);
-  rpc_span.Note("server", std::to_string(region->server_id()));
-  const RegionAccess access = failover_->CheckAccess(region, /*is_write=*/true);
-  SYNERGY_RETURN_IF_ERROR(access.status);
-  AdmissionSlot slot;
-  SYNERGY_RETURN_IF_ERROR(AdmitOp(s, table, region, &slot));
-  SYNERGY_RETURN_IF_ERROR(InjectRequestFault(table, region));
-  region->Put(row_key, columns, ts);
-  return InjectAckFault(table, region);
-}
-
-StatusOr<RowResult> Cluster::Get(Session& s, const std::string& table,
-                                 const std::string& row_key) {
-  return RunWithRetries(s, [&] { return GetOnce(s, table, row_key); });
-}
-
-StatusOr<RowResult> Cluster::GetOnce(Session& s, const std::string& table,
-                                     const std::string& row_key) {
-  failover_->OnRpc();
-  s.Count(obs::OpCounter::kRpcs);
-  obs::ScopedSpan rpc_span(s.rpc_trace(), "rpc.get");
-  rpc_span.Note("table", table);
-  SYNERGY_ASSIGN_OR_RETURN(t, FindTable(table));
-  Region* region = t->RouteKey(row_key);
-  rpc_span.Note("server", std::to_string(region->server_id()));
-  const RegionAccess access =
-      failover_->CheckAccess(region, /*is_write=*/false);
+  // Writes pay for their request before routing, so a refused write still
+  // costs its round trip; reads pay a response-sized cost in their body.
+  if (request_us > 0.0) s.meter().Charge(request_us);
+  Region* region = t->RouteKey(key);
+  if (trace != nullptr) {
+    rpc_span.Note("server", std::to_string(region->server_id()));
+  }
+  const RegionAccess access = failover_->CheckAccess(region, is_write);
   SYNERGY_RETURN_IF_ERROR(access.status);
   if (access.degraded) {
     s.Count(obs::OpCounter::kDegradedReads);
@@ -176,40 +124,61 @@ StatusOr<RowResult> Cluster::GetOnce(Session& s, const std::string& table,
   }
   AdmissionSlot slot;
   SYNERGY_RETURN_IF_ERROR(AdmitOp(s, table, region, &slot));
-  SYNERGY_RETURN_IF_ERROR(InjectRequestFault(table, region));
-  std::optional<RowResult> row = region->Get(row_key, s.read_view());
-  const size_t payload = row.has_value() ? row->PayloadBytes() : 0;
-  s.meter().Charge(sim::RpcCost(model_, payload) + model_.server_seek_us);
-  if (!row.has_value()) {
-    return Status::NotFound("row in " + table);
-  }
-  return std::move(*row);
+  // A lost or timed-out request never reached the region, so it applied
+  // nothing and is safe to retry.
+  SYNERGY_RETURN_IF_ERROR(
+      InjectFault(fault::FaultPoint::kRegionRpcFailure, table, region));
+  SYNERGY_RETURN_IF_ERROR(
+      InjectFault(fault::FaultPoint::kRpcTimeout, table, region));
+  return body(region);
+}
+
+Status Cluster::Put(
+    Session& s, const std::string& table, const std::string& row_key,
+    const std::vector<std::pair<std::string, std::string>>& columns,
+    std::optional<int64_t> ts) {
+  size_t payload = row_key.size();
+  for (const auto& [qual, value] : columns) payload += qual.size() + value.size();
+  const double request_us =
+      sim::RpcCost(model_, payload) + model_.server_seek_us;
+  return RunWithRetries(s, [&] {
+    return RpcAttempt(s, "rpc.put", table, row_key, /*is_write=*/true,
+                      request_us, [&](Region* region) {
+                        region->Put(row_key, columns, ts);
+                        return InjectFault(fault::FaultPoint::kRegionRpcAckLost,
+                                           table, region);
+                      });
+  });
+}
+
+StatusOr<RowResult> Cluster::Get(Session& s, const std::string& table,
+                                 const std::string& row_key) {
+  return RunWithRetries(s, [&] {
+    return RpcAttempt(
+        s, "rpc.get", table, row_key, /*is_write=*/false, 0.0,
+        [&](Region* region) -> StatusOr<RowResult> {
+          std::optional<RowResult> row = region->Get(row_key, s.read_view());
+          const size_t payload = row.has_value() ? row->PayloadBytes() : 0;
+          s.meter().Charge(sim::RpcCost(model_, payload) +
+                           model_.server_seek_us);
+          if (!row.has_value()) return Status::NotFound("row in " + table);
+          return std::move(*row);
+        });
+  });
 }
 
 Status Cluster::Delete(Session& s, const std::string& table,
                        const std::string& row_key, std::optional<int64_t> ts) {
-  return RunWithRetries(s, [&] { return DeleteOnce(s, table, row_key, ts); });
-}
-
-Status Cluster::DeleteOnce(Session& s, const std::string& table,
-                           const std::string& row_key,
-                           std::optional<int64_t> ts) {
-  failover_->OnRpc();
-  s.Count(obs::OpCounter::kRpcs);
-  obs::ScopedSpan rpc_span(s.rpc_trace(), "rpc.delete");
-  rpc_span.Note("table", table);
-  SYNERGY_ASSIGN_OR_RETURN(t, FindTable(table));
-  s.meter().Charge(sim::RpcCost(model_, row_key.size()) +
-                   model_.server_seek_us);
-  Region* region = t->RouteKey(row_key);
-  rpc_span.Note("server", std::to_string(region->server_id()));
-  const RegionAccess access = failover_->CheckAccess(region, /*is_write=*/true);
-  SYNERGY_RETURN_IF_ERROR(access.status);
-  AdmissionSlot slot;
-  SYNERGY_RETURN_IF_ERROR(AdmitOp(s, table, region, &slot));
-  SYNERGY_RETURN_IF_ERROR(InjectRequestFault(table, region));
-  region->Delete(row_key, ts);
-  return InjectAckFault(table, region);
+  const double request_us =
+      sim::RpcCost(model_, row_key.size()) + model_.server_seek_us;
+  return RunWithRetries(s, [&] {
+    return RpcAttempt(s, "rpc.delete", table, row_key, /*is_write=*/true,
+                      request_us, [&](Region* region) {
+                        region->Delete(row_key, ts);
+                        return InjectFault(fault::FaultPoint::kRegionRpcAckLost,
+                                           table, region);
+                      });
+  });
 }
 
 StatusOr<bool> Cluster::CheckAndPut(Session& s, const std::string& table,
@@ -217,62 +186,31 @@ StatusOr<bool> Cluster::CheckAndPut(Session& s, const std::string& table,
                                     const std::string& qualifier,
                                     const std::optional<std::string>& expected,
                                     const std::string& new_value) {
+  // No ack-lost fault here: a CAS that applies but reports failure leaves
+  // its caller an ambiguity it cannot resolve. Every refusal before the
+  // body applies nothing, so retrying stays safe.
   return RunWithRetries(s, [&] {
-    return CheckAndPutOnce(s, table, row_key, qualifier, expected, new_value);
+    return RpcAttempt(s, "rpc.check_and_put", table, row_key,
+                      /*is_write=*/true, model_.lock_rpc_us,
+                      [&](Region* region) -> StatusOr<bool> {
+                        return region->CheckAndPut(row_key, qualifier,
+                                                   expected, new_value);
+                      });
   });
-}
-
-StatusOr<bool> Cluster::CheckAndPutOnce(
-    Session& s, const std::string& table, const std::string& row_key,
-    const std::string& qualifier, const std::optional<std::string>& expected,
-    const std::string& new_value) {
-  failover_->OnRpc();
-  s.Count(obs::OpCounter::kRpcs);
-  obs::ScopedSpan rpc_span(s.rpc_trace(), "rpc.check_and_put");
-  rpc_span.Note("table", table);
-  SYNERGY_ASSIGN_OR_RETURN(t, FindTable(table));
-  s.meter().Charge(model_.lock_rpc_us);
-  // No ack-lost injection here: a CheckAndPut that applies but reports
-  // failure is unresolvable ambiguity for the caller (non-idempotent CAS).
-  // Request-lost/timeout/failover refusals happen before the CAS applies,
-  // so the client retry loop stays safe.
-  Region* region = t->RouteKey(row_key);
-  rpc_span.Note("server", std::to_string(region->server_id()));
-  const RegionAccess access = failover_->CheckAccess(region, /*is_write=*/true);
-  SYNERGY_RETURN_IF_ERROR(access.status);
-  AdmissionSlot slot;
-  SYNERGY_RETURN_IF_ERROR(AdmitOp(s, table, region, &slot));
-  SYNERGY_RETURN_IF_ERROR(InjectRequestFault(table, region));
-  return region->CheckAndPut(row_key, qualifier, expected, new_value);
 }
 
 StatusOr<int64_t> Cluster::Increment(Session& s, const std::string& table,
                                      const std::string& row_key,
                                      const std::string& qualifier,
                                      int64_t delta) {
-  return RunWithRetries(
-      s, [&] { return IncrementOnce(s, table, row_key, qualifier, delta); });
-}
-
-StatusOr<int64_t> Cluster::IncrementOnce(Session& s, const std::string& table,
-                                         const std::string& row_key,
-                                         const std::string& qualifier,
-                                         int64_t delta) {
-  failover_->OnRpc();
-  s.Count(obs::OpCounter::kRpcs);
-  obs::ScopedSpan rpc_span(s.rpc_trace(), "rpc.increment");
-  rpc_span.Note("table", table);
-  SYNERGY_ASSIGN_OR_RETURN(t, FindTable(table));
-  s.meter().Charge(sim::RpcCost(model_, row_key.size() + 16) +
-                   model_.server_seek_us);
-  Region* region = t->RouteKey(row_key);
-  rpc_span.Note("server", std::to_string(region->server_id()));
-  const RegionAccess access = failover_->CheckAccess(region, /*is_write=*/true);
-  SYNERGY_RETURN_IF_ERROR(access.status);
-  AdmissionSlot slot;
-  SYNERGY_RETURN_IF_ERROR(AdmitOp(s, table, region, &slot));
-  SYNERGY_RETURN_IF_ERROR(InjectRequestFault(table, region));
-  return region->Increment(row_key, qualifier, delta);
+  const double request_us =
+      sim::RpcCost(model_, row_key.size() + 16) + model_.server_seek_us;
+  return RunWithRetries(s, [&] {
+    return RpcAttempt(s, "rpc.increment", table, row_key, /*is_write=*/true,
+                      request_us, [&](Region* region) {
+                        return region->Increment(row_key, qualifier, delta);
+                      });
+  });
 }
 
 StatusOr<Scanner> Cluster::OpenScanner(Session& s, const std::string& table,
@@ -289,54 +227,36 @@ StatusOr<ScanBatchResult> Cluster::ScanBatchRpc(Session& s,
                                                 const std::string& from,
                                                 const std::string& stop,
                                                 size_t limit) {
-  return RunWithRetries(
-      s, [&] { return ScanBatchRpcOnce(s, table, from, stop, limit); });
-}
-
-StatusOr<ScanBatchResult> Cluster::ScanBatchRpcOnce(Session& s,
-                                                    const std::string& table,
-                                                    const std::string& from,
-                                                    const std::string& stop,
-                                                    size_t limit) {
-  failover_->OnRpc();
-  s.Count(obs::OpCounter::kRpcs);
-  counters_.scan_batches->Inc();
-  obs::ScopedSpan rpc_span(s.rpc_trace(), "rpc.scan_batch");
-  rpc_span.Note("table", table);
-  SYNERGY_ASSIGN_OR_RETURN(t, FindTable(table));
-  Region* region = t->RouteScanStart(from);
-  rpc_span.Note("server", std::to_string(region->server_id()));
-  const RegionAccess access =
-      failover_->CheckAccess(region, /*is_write=*/false);
-  SYNERGY_RETURN_IF_ERROR(access.status);
-  if (access.degraded) {
-    s.Count(obs::OpCounter::kDegradedReads);
-    rpc_span.Note("degraded", "1");
-  }
-  AdmissionSlot slot;
-  SYNERGY_RETURN_IF_ERROR(AdmitOp(s, table, region, &slot));
-  SYNERGY_RETURN_IF_ERROR(InjectRequestFault(table, region));
-  ScanBatchResult batch = region->ScanBatch(from, stop, limit, s.read_view());
-  // If the region was exhausted but the table continues, resume from the
-  // region's end key on the next RPC.
-  if (batch.exhausted && !region->end_key().empty() &&
-      (stop.empty() || region->end_key() < stop)) {
-    batch.exhausted = false;
-    batch.next_start_key = region->end_key();
-  }
-  size_t payload = 0;
-  for (const RowResult& row : batch.rows) payload += row.PayloadBytes();
-  double cost = sim::RpcCost(model_, payload) +
-                model_.server_scan_row_us *
-                    static_cast<double>(batch.rows_examined) +
-                model_.client_row_us * static_cast<double>(batch.rows.size());
-  if (s.read_view().exclude != nullptr) {
-    // MVCC visibility filtering work per examined row.
-    cost += model_.mvcc_read_filter_row_us *
-            static_cast<double>(batch.rows_examined);
-  }
-  s.meter().Charge(cost);
-  return batch;
+  return RunWithRetries(s, [&] {
+    counters_.scan_batches->Inc();  // every attempt, refused ones included
+    return RpcAttempt(
+        s, "rpc.scan_batch", table, from, /*is_write=*/false, 0.0,
+        [&](Region* region) -> StatusOr<ScanBatchResult> {
+          ScanBatchResult batch =
+              region->ScanBatch(from, stop, limit, s.read_view());
+          // If the region was exhausted but the table continues, resume
+          // from the region's end key on the next RPC.
+          if (batch.exhausted && !region->end_key().empty() &&
+              (stop.empty() || region->end_key() < stop)) {
+            batch.exhausted = false;
+            batch.next_start_key = region->end_key();
+          }
+          size_t payload = 0;
+          for (const RowResult& row : batch.rows) payload += row.PayloadBytes();
+          double cost = sim::RpcCost(model_, payload) +
+                        model_.server_scan_row_us *
+                            static_cast<double>(batch.rows_examined) +
+                        model_.client_row_us *
+                            static_cast<double>(batch.rows.size());
+          if (s.read_view().exclude != nullptr) {
+            // MVCC visibility filtering work per examined row.
+            cost += model_.mvcc_read_filter_row_us *
+                    static_cast<double>(batch.rows_examined);
+          }
+          s.meter().Charge(cost);
+          return batch;
+        });
+  });
 }
 
 bool Scanner::FetchBatch() {

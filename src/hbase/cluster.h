@@ -17,6 +17,7 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -32,6 +33,7 @@
 
 namespace synergy::fault {
 class FaultInjector;
+enum class FaultPoint : int;
 }  // namespace synergy::fault
 
 namespace synergy::hbase {
@@ -81,11 +83,6 @@ class Session {
     breaker_ = policy.breaker_trip_overloads > 0
                    ? std::make_unique<CircuitBreaker>(policy)
                    : nullptr;
-  }
-  void ClearRetryPolicy() {
-    retry_policy_.reset();
-    retry_budget_.reset();
-    breaker_.reset();
   }
   const std::optional<RetryPolicy>& retry_policy() const {
     return retry_policy_;
@@ -315,7 +312,6 @@ class Cluster {
                      const std::vector<std::string>& split_keys = {});
   Status DropTable(const std::string& name);
   bool HasTable(const std::string& name) const;
-  std::vector<std::string> TableNames() const;
 
   // --- DML (all charge virtual time to the session) ---
   Status Put(Session& s, const std::string& table, const std::string& row_key,
@@ -360,12 +356,10 @@ class Cluster {
 
   StatusOr<Table*> FindTable(const std::string& name) const;
 
-  /// Fault hook before an RPC touches `region`: non-OK = request lost
-  /// (region-rpc-failure) or timed out in flight (rpc-timeout). Either way
-  /// nothing was applied, so the error is retry-safe.
-  Status InjectRequestFault(const std::string& table, const Region* region);
-  /// Fault hook after a mutation applied: non-OK = acknowledgement lost.
-  Status InjectAckFault(const std::string& table, const Region* region);
+  /// Consults fault `point` for an RPC to `region`: when it fires, counts
+  /// it in hbase_faults_injected_total and returns the injected error.
+  Status InjectFault(fault::FaultPoint point, const std::string& table,
+                     const Region* region);
 
   /// Admission gate for one RPC against `region`'s server. No-op without a
   /// configured controller. May shed (kResourceExhausted), charge a virtual
@@ -380,24 +374,18 @@ class Cluster {
   template <typename Fn>
   auto RunWithRetries(Session& s, Fn&& fn) -> decltype(fn());
 
-  // Single-attempt bodies of the public entry points.
-  Status PutOnce(Session& s, const std::string& table,
-                 const std::string& row_key,
-                 const std::vector<std::pair<std::string, std::string>>&
-                     columns,
-                 std::optional<int64_t> ts);
-  StatusOr<RowResult> GetOnce(Session& s, const std::string& table,
-                              const std::string& row_key);
-  Status DeleteOnce(Session& s, const std::string& table,
-                    const std::string& row_key, std::optional<int64_t> ts);
-  StatusOr<bool> CheckAndPutOnce(Session& s, const std::string& table,
-                                 const std::string& row_key,
-                                 const std::string& qualifier,
-                                 const std::optional<std::string>& expected,
-                                 const std::string& new_value);
-  StatusOr<int64_t> IncrementOnce(Session& s, const std::string& table,
-                                  const std::string& row_key,
-                                  const std::string& qualifier, int64_t delta);
+  /// One RPC attempt against the region serving `key` of `table`, every
+  /// store op's single attempt. Its steps run in this fixed order: failover
+  /// tick, RPC count, the `span_name` span (noting table and server only
+  /// when RPC spans are on), table lookup, the `request_us` charge (reads
+  /// pass 0 and charge their response in `body`), routing, failover access
+  /// check (counting degraded reads), admission, then the region-rpc-failure
+  /// and rpc-timeout faults. Only then does `body(region)` run, while the
+  /// admission slot is held.
+  template <typename Body>
+  auto RpcAttempt(Session& s, const char* span_name, const std::string& table,
+                  const std::string& key, bool is_write, double request_us,
+                  Body&& body) -> std::invoke_result_t<Body&, Region*>;
 
   /// One scan RPC: fetch up to `limit` visible rows starting at `from`.
   /// Retries per batch under the session policy (a failed batch applied
@@ -406,11 +394,6 @@ class Cluster {
                                          const std::string& from,
                                          const std::string& stop,
                                          size_t limit);
-  StatusOr<ScanBatchResult> ScanBatchRpcOnce(Session& s,
-                                             const std::string& table,
-                                             const std::string& from,
-                                             const std::string& stop,
-                                             size_t limit);
 
   sim::CostModel model_;
   int num_region_servers_;

@@ -36,12 +36,6 @@ Region* Table::RouteKey(const std::string& key) {
   return std::prev(it)->get();
 }
 
-const Region* Table::RouteKey(const std::string& key) const {
-  return const_cast<Table*>(this)->RouteKey(key);
-}
-
-Region* Table::RouteScanStart(const std::string& key) { return RouteKey(key); }
-
 size_t Table::RegionCount() const {
   std::shared_lock lock(mutex_);
   return regions_.size();

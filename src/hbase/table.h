@@ -31,10 +31,6 @@ class Table {
   /// Region responsible for `key`. The returned pointer remains valid for the
   /// table's lifetime (regions are never destroyed, only split).
   Region* RouteKey(const std::string& key);
-  const Region* RouteKey(const std::string& key) const;
-
-  /// First region whose range intersects keys >= `key`.
-  Region* RouteScanStart(const std::string& key);
 
   size_t RegionCount() const;
   size_t RowCount() const;

@@ -89,7 +89,8 @@ class TraceCollector {
 /// RAII span: opens on construction, closes on destruction (or explicit
 /// Close() when the instrumented region ends before scope exit). A null
 /// collector makes every operation a no-op, so instrumented code pays only
-/// a pointer test when tracing is off.
+/// a pointer test when tracing is off, as long as it builds note strings
+/// only when the collector is non-null.
 class ScopedSpan {
  public:
   ScopedSpan(TraceCollector* trace, const char* name)

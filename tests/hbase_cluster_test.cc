@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "testing/fault_injector.h"
 
@@ -264,6 +267,195 @@ TEST_F(ClusterTest, MajorCompactionShrinksMultiVersionData) {
   const size_t before = cluster_.TotalBytes();
   cluster_.MajorCompactAll();
   EXPECT_LT(cluster_.TotalBytes(), before);
+}
+
+// --- the per-op RPC attempt contract ---------------------------------------
+
+// One store op against row "r" of `table`, as the contract test drives it.
+struct RpcOpCase {
+  const char* span;
+  // Virtual cost charged before routing, so a refused attempt still pays
+  // it. Reads charge their response-sized cost only once served.
+  double (*request_us)(const sim::CostModel& m);
+  bool ack_can_be_lost;  // applied by the region before the ack fault
+  bool scan;
+  Status (*run)(Cluster& c, Session& s, const std::string& table);
+};
+
+Status ScanAll(Cluster& c, Session& s, const std::string& table) {
+  SYNERGY_ASSIGN_OR_RETURN(scanner, c.OpenScanner(s, table));
+  RowResult row;
+  while (scanner.Next(&row)) {
+  }
+  return scanner.status();
+}
+
+const RpcOpCase kRpcOps[] = {
+    {"rpc.put",
+     [](const sim::CostModel& m) {
+       return sim::RpcCost(m, 3) + m.server_seek_us;  // "r" + "a" + "2"
+     },
+     true, false,
+     [](Cluster& c, Session& s, const std::string& table) {
+       return c.Put(s, table, "r", {{"a", "2"}});
+     }},
+    {"rpc.get", [](const sim::CostModel&) { return 0.0; }, false, false,
+     [](Cluster& c, Session& s, const std::string& table) {
+       return c.Get(s, table, "r").status();
+     }},
+    {"rpc.delete",
+     [](const sim::CostModel& m) {
+       return sim::RpcCost(m, 1) + m.server_seek_us;
+     },
+     true, false,
+     [](Cluster& c, Session& s, const std::string& table) {
+       return c.Delete(s, table, "r");
+     }},
+    {"rpc.check_and_put",
+     [](const sim::CostModel& m) { return m.lock_rpc_us; }, false, false,
+     [](Cluster& c, Session& s, const std::string& table) {
+       return c.CheckAndPut(s, table, "r", "lock", std::nullopt, "1").status();
+     }},
+    {"rpc.increment",
+     [](const sim::CostModel& m) {
+       return sim::RpcCost(m, 1 + 16) + m.server_seek_us;
+     },
+     false, false,
+     [](Cluster& c, Session& s, const std::string& table) {
+       return c.Increment(s, table, "r", "n", 5).status();
+     }},
+    {"rpc.scan_batch", [](const sim::CostModel&) { return 0.0; }, false, true,
+     ScanAll},
+};
+
+// A fresh cluster whose table "t" holds one row, "r" = {a: 1}.
+std::unique_ptr<Cluster> SeededCluster() {
+  auto c = std::make_unique<Cluster>();
+  EXPECT_TRUE(c->CreateTable({.name = "t"}).ok());
+  Session seed(c.get());
+  EXPECT_TRUE(c->Put(seed, "t", "r", {{"a", "1"}}).ok());
+  return c;
+}
+
+// Row "r" as "qualifier=value;" pairs, read with fault injection detached.
+std::string RowR(Cluster& c) {
+  fault::FaultInjector* faults = c.fault_injector();
+  c.SetFaultInjector(nullptr);
+  Session s(&c);
+  StatusOr<RowResult> row = c.Get(s, "t", "r");
+  c.SetFaultInjector(faults);
+  if (!row.ok()) return "<none>";
+  std::string out;
+  for (const auto& [qualifier, value] : row->columns) {
+    out += qualifier + "=" + value + ";";
+  }
+  return out;
+}
+
+struct AttemptTallies {
+  uint64_t rpcs = 0;
+  uint64_t scan_batches = 0;
+  uint64_t faults = 0;
+  int64_t ticks = 0;
+};
+
+AttemptTallies TalliesOf(const Cluster& c) {
+  const obs::RegistrySnapshot snap = c.metrics().Snapshot();
+  return {snap.CounterValue("hbase_rpcs_total"),
+          snap.CounterValue("hbase_scan_batches_total"),
+          snap.CounterValue("hbase_faults_injected_total"),
+          c.failover().ticks()};
+}
+
+TEST(ClusterRpcContractTest, EveryOpKeepsTheAttemptContract) {
+  using fault::FaultPoint;
+  for (const RpcOpCase& op : kRpcOps) {
+    SCOPED_TRACE(op.span);
+
+    // A lost or timed-out request fails the attempt before the region sees
+    // it, after the attempt was counted and its request cost charged.
+    for (FaultPoint point :
+         {FaultPoint::kRegionRpcFailure, FaultPoint::kRpcTimeout}) {
+      SCOPED_TRACE(fault::FaultPointName(point));
+      auto c = SeededCluster();
+      fault::FaultInjector faults(1);
+      faults.Arm(point);
+      c->SetFaultInjector(&faults);
+      const AttemptTallies before = TalliesOf(*c);
+      Session s(c.get());
+      EXPECT_EQ(op.run(*c, s, "t").code(), StatusCode::kUnavailable);
+      const AttemptTallies after = TalliesOf(*c);
+      EXPECT_EQ(after.rpcs - before.rpcs, 1u);
+      EXPECT_EQ(after.ticks - before.ticks, 1);
+      EXPECT_EQ(after.scan_batches - before.scan_batches, op.scan ? 1u : 0u);
+      EXPECT_EQ(after.faults - before.faults, 1u);
+      EXPECT_DOUBLE_EQ(s.meter().micros(), op.request_us(c->cost_model()));
+      // region-rpc-failure is consulted first, rpc-timeout only when the
+      // request got past it, and ack-lost never.
+      EXPECT_EQ(faults.HitCount(FaultPoint::kRegionRpcFailure), 1);
+      EXPECT_EQ(faults.HitCount(FaultPoint::kRpcTimeout),
+                point == FaultPoint::kRpcTimeout ? 1 : 0);
+      EXPECT_EQ(faults.HitCount(FaultPoint::kRegionRpcAckLost), 0);
+      EXPECT_EQ(RowR(*c), "a=1;");
+    }
+
+    // Ack-lost is consulted only after Put and Delete applied.
+    {
+      auto c = SeededCluster();
+      fault::FaultInjector faults(1);
+      faults.Arm(FaultPoint::kRegionRpcAckLost);
+      c->SetFaultInjector(&faults);
+      Session s(c.get());
+      const Status st = op.run(*c, s, "t");
+      if (op.ack_can_be_lost) {
+        EXPECT_EQ(st.code(), StatusCode::kUnavailable);
+        EXPECT_EQ(faults.FireCount(FaultPoint::kRegionRpcAckLost), 1);
+        EXPECT_NE(RowR(*c), "a=1;") << "the mutation applied before its ack";
+      } else {
+        EXPECT_TRUE(st.ok()) << st;
+        EXPECT_EQ(faults.HitCount(FaultPoint::kRegionRpcAckLost), 0);
+      }
+      EXPECT_EQ(faults.HitCount(FaultPoint::kRegionRpcFailure), 1);
+      EXPECT_EQ(faults.HitCount(FaultPoint::kRpcTimeout), 1);
+    }
+
+    // A missing table fails after the attempt was counted, before any
+    // charge. A scan resolves its table when the scanner opens, so it never
+    // sends a batch.
+    {
+      auto c = SeededCluster();
+      const AttemptTallies before = TalliesOf(*c);
+      Session s(c.get());
+      EXPECT_EQ(op.run(*c, s, "missing").code(), StatusCode::kNotFound);
+      const AttemptTallies after = TalliesOf(*c);
+      const uint64_t attempts = op.scan ? 0 : 1;
+      EXPECT_EQ(after.rpcs - before.rpcs, attempts);
+      EXPECT_EQ(after.ticks - before.ticks, static_cast<int64_t>(attempts));
+      EXPECT_EQ(s.meter().micros(), 0.0);
+    }
+
+    // With RPC spans on, each attempt is one span noting its table, then
+    // its server, and covering the whole charge.
+    {
+      auto c = SeededCluster();
+      Session s(c.get());
+      obs::TraceCollector trace(&s.meter());
+      trace.set_rpc_spans(true);
+      s.SetTrace(&trace);
+      const Status st = op.run(*c, s, "t");
+      EXPECT_TRUE(st.ok()) << st;
+      ASSERT_EQ(trace.spans().size(), 1u);
+      const obs::TraceSpan& span = trace.spans()[0];
+      EXPECT_EQ(span.name, op.span);
+      const StatusOr<int> server = c->RegionServerOf("t");
+      ASSERT_TRUE(server.ok());
+      EXPECT_EQ(span.notes,
+                (std::vector<std::pair<std::string, std::string>>{
+                    {"table", "t"}, {"server", std::to_string(*server)}}));
+      EXPECT_GT(s.meter().micros(), 0.0);
+      EXPECT_DOUBLE_EQ(span.duration_us(), s.meter().micros());
+    }
+  }
 }
 
 }  // namespace
