@@ -83,7 +83,7 @@ int main() {
   }
   std::printf("}.\n\n");
 
-  // Synergy gets a worker slave per client pair so distributed writes
+  // Synergy gets a txn slave per client pair so distributed writes
   // overlap; Baseline (no views, Phoenix+Tephra MVCC) is the comparator.
   std::vector<std::unique_ptr<systems::StoreBackedSystem>> evaluated;
   evaluated.push_back(std::make_unique<systems::SynergyWrapper>(

@@ -8,6 +8,7 @@
 #include "exec/executor.h"
 #include "hbase/cluster.h"
 #include "sql/parser.h"
+#include "txn/txn_layer.h"
 
 namespace {
 
@@ -119,6 +120,41 @@ void BM_ClusterGet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClusterGet);
+
+// The txn rung over the Cluster rungs: one root write through a one-slave
+// TxnLayer with an empty body, so WAL append, root-lock acquire and
+// release. Each write adds two versions to the lock row, so the rung flushes
+// (compacts) once every kTxnFlushEvery writes, untimed, to keep that row
+// short.
+constexpr int64_t kTxnFlushEvery = 1000;
+
+void BM_TxnSubmitNoop(benchmark::State& state) {
+  hbase::Cluster cluster;
+  txn::LockManager locks(&cluster);
+  if (!locks.CreateLockTable("Customer").ok()) {
+    state.SkipWithError("lock table");
+    return;
+  }
+  txn::TxnLayer layer(&cluster, &locks, /*num_slaves=*/1);
+  hbase::Session s(&cluster);
+  const txn::LockSpec lock{"Customer", "root"};
+  const txn::WriteBody noop = [](hbase::Session&) { return Status::Ok(); };
+  int64_t i = 0;
+  for (auto _ : state) {
+    auto id = layer.SubmitWrite(s, "noop", lock, noop);
+    benchmark::DoNotOptimize(id);
+    if (!id.ok()) {
+      state.SkipWithError("submit");
+      break;
+    }
+    if (++i % kTxnFlushEvery == 0) {
+      state.PauseTiming();
+      cluster.MajorCompactAll();
+      state.ResumeTiming();
+    }
+  }
+}
+BENCHMARK(BM_TxnSubmitNoop);
 
 void BM_RegionScan1k(benchmark::State& state) {
   std::atomic<int64_t> clock{0};

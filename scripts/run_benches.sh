@@ -60,9 +60,9 @@ done
 # --------------------------------------------------------------------------
 # Fold the micro-component numbers into BENCH_exec_hotpath.json: an array of
 # runs, one appended per invocation, each recording rows/sec (items_per_second
-# where the benchmark sets it) and ns/op for the executor hot-path, codec
-# and Cluster RPC benchmarks. This file is committed so the perf trajectory
-# survives in git.
+# where the benchmark sets it) and ns/op for the executor hot-path, codec,
+# Cluster RPC and txn submit benchmarks. This file is committed so the perf
+# trajectory survives in git.
 # --------------------------------------------------------------------------
 if [[ -f "$out_dir/bench_micro_components.json" ]]; then
   python3 - "$out_dir" "$git_rev" <<'PYEOF'
@@ -77,7 +77,7 @@ with open(src) as f:
 
 keep = ("BM_ExecutorHashJoin", "BM_ExecutorAgg", "BM_ExecutorTopN",
         "BM_ExecutorPointLookup", "BM_CodecEncodeKey", "BM_CodecDecodeKey",
-        "BM_ClusterPut", "BM_ClusterGet")
+        "BM_ClusterPut", "BM_ClusterGet", "BM_TxnSubmitNoop")
 metrics = {}
 for b in raw.get("benchmarks", []):
     name = b.get("name", "")

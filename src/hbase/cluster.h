@@ -3,10 +3,10 @@
 //
 // Every operation goes through a Session, which carries the client's virtual
 // CostMeter and optional MVCC read view. The store itself is thread-safe;
-// sessions are not (one per logical client).
+// sessions are not: each is driven by one thread at a time (one per logical
+// client).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
@@ -87,16 +87,13 @@ class Session {
   const std::optional<RetryPolicy>& retry_policy() const {
     return retry_policy_;
   }
-  /// Null unless the installed policy enables the corresponding knob. Same
-  /// single-driver threading contract as SuppressRetries.
+  /// Null unless the installed policy enables the corresponding knob.
   RetryBudget* retry_budget() { return retry_budget_.get(); }
   CircuitBreaker* circuit_breaker() { return breaker_.get(); }
 
   /// Absolute virtual-time deadline of the op currently in flight (0 =
   /// none). Set by the retry loop at op start and read by the admission
-  /// controller for deadline-aware shedding — including from the slave
-  /// worker thread, which inherits it through the queue handoff (same
-  /// contract as SuppressRetries).
+  /// controller for deadline-aware shedding.
   void SetOpDeadline(double abs_us) { op_deadline_us_ = abs_us; }
   void ClearOpDeadline() { op_deadline_us_ = 0.0; }
   double OpDeadlineRemaining() const {
@@ -110,16 +107,12 @@ class Session {
   /// policy installed. The txn layer sets this around root-write bodies:
   /// a kUnavailable there must surface as a slave crash (§VIII), and the
   /// root-level retry in TxnLayer::SubmitWrite already owns the deadline —
-  /// nested RPC retries would stack unboundedly. Not synchronized: only
-  /// the thread currently driving the session may toggle it (the slave
-  /// worker is handed the session via the queue's happens-before).
+  /// nested RPC retries would stack unboundedly.
   void SuppressRetries(bool on) { retry_suppressed_ = on; }
   bool retries_suppressed() const { return retry_suppressed_; }
 
   /// Attaches (or detaches, with nullptr) a trace collector: layers below
-  /// emit spans/annotations for this session's ops. Same single-driver
-  /// threading contract as SuppressRetries — the slave worker inherits the
-  /// collector through the queue handoff.
+  /// emit spans/annotations for this session's ops.
   void SetTrace(obs::TraceCollector* trace) { trace_ = trace; }
   obs::TraceCollector* trace() const { return trace_; }
   /// Non-null only when per-RPC leaf spans were opted into (they can run
@@ -129,24 +122,13 @@ class Session {
   }
 
   /// Bumps one per-op counter (obs/op_counts.h): this session's slot and
-  /// the cluster registry's family of the same index. Atomic because
-  /// txn-slave workers execute write bodies against the client's session
-  /// from another thread (same contract as CostMeter: commuting adds, read
-  /// after the submit future resolves). Body follows the Cluster definition.
+  /// the cluster registry's family of the same index. Body follows the
+  /// Cluster definition.
   void Count(obs::OpCounter c);
-  uint64_t count(obs::OpCounter c) const {
-    return counts_[obs::OpCounts::Index(c)].load(std::memory_order_relaxed);
-  }
+  uint64_t count(obs::OpCounter c) const { return counts_[c]; }
   /// This session's running totals; one statement's share is the
   /// difference of the snapshots taken around it.
-  obs::OpCounts counts() const {
-    obs::OpCounts out;
-    for (size_t i = 0; i < obs::kNumOpCounters; ++i) {
-      out[static_cast<obs::OpCounter>(i)] =
-          counts_[i].load(std::memory_order_relaxed);
-    }
-    return out;
-  }
+  obs::OpCounts counts() const { return counts_; }
 
  private:
   Cluster* cluster_;
@@ -158,7 +140,7 @@ class Session {
   obs::TraceCollector* trace_ = nullptr;
   bool retry_suppressed_ = false;
   double op_deadline_us_ = 0.0;
-  std::array<std::atomic<uint64_t>, obs::kNumOpCounters> counts_{};
+  obs::OpCounts counts_;
 };
 
 /// Streaming scanner with per-batch RPC cost accounting. Obtain via
@@ -414,9 +396,8 @@ class Cluster {
 
 // Below Cluster because it mirrors into the cluster-wide registry handles.
 inline void Session::Count(obs::OpCounter c) {
-  const size_t i = obs::OpCounts::Index(c);
-  counts_[i].fetch_add(1, std::memory_order_relaxed);
-  cluster_->counters().per_op[i]->Inc();
+  ++counts_[c];
+  cluster_->counters().per_op[obs::OpCounts::Index(c)]->Inc();
 }
 
 namespace detail {

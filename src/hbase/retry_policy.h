@@ -103,9 +103,7 @@ class RetryController {
 };
 
 /// Session-scoped token bucket bounding retry traffic. Not synchronized:
-/// only the thread currently driving the session touches it (the retry
-/// loops run on the client thread; slave write bodies run with retries
-/// suppressed and never reach it).
+/// only the thread driving the session touches it.
 class RetryBudget {
  public:
   explicit RetryBudget(const RetryPolicy& policy)

@@ -1,9 +1,8 @@
 // The per-op client counter schema: the six facts every store client tallies
-// per operation, defined once. A session keeps one atomic slot per counter
-// and mirrors each bump into the registry family of the same index; the
-// per-op figures that flow from a statement to a bench report are one
-// OpCounts value, merged whole. Adding a counter is one enum entry plus one
-// schema line.
+// per operation, defined once. A session keeps one OpCounts and mirrors
+// each bump into the registry family of the same index; the per-op figures
+// that flow from a statement to a bench report are one OpCounts value,
+// merged whole. Adding a counter is one enum entry plus one schema line.
 #pragma once
 
 #include <array>

@@ -7,10 +7,9 @@
 // charges the same meter, the durations of a query's root spans sum exactly
 // to its total virtual cost: the decomposition is exact, not sampled.
 //
-// Threading contract: a collector belongs to one logical client session.
-// Like the session itself, it may be driven from a txn slave worker thread,
-// but only one thread at a time touches it (serialized by the slave queue /
-// future handoff), so it needs no internal locking.
+// Threading contract: a collector belongs to one logical client session and,
+// like the session, is driven by one thread at a time, so it needs no
+// internal locking.
 //
 // Typical use:
 //   obs::TraceCollector trace(&session.meter());

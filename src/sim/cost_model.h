@@ -17,7 +17,6 @@
 //   - VoltDB-like in-memory execution ~10x faster than HBase-backed scans.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -78,27 +77,20 @@ struct CostModel {
 };
 
 /// Per-session accumulator of virtual time. Each logical client session owns
-/// one meter, but charges may arrive from another OS thread (a txn-layer
-/// slave worker executes the write body against the client's session), so
-/// accumulation is a relaxed atomic add — charges commute and the client
-/// only reads the total after the submit future resolves.
+/// one meter, driven by the one thread that drives the session.
 class CostMeter {
  public:
-  void Charge(double micros) {
-    virtual_us_.fetch_add(micros, std::memory_order_relaxed);
-  }
-  void Reset() { virtual_us_.store(0.0, std::memory_order_relaxed); }
+  void Charge(double micros) { virtual_us_ += micros; }
+  void Reset() { virtual_us_ = 0.0; }
 
-  double micros() const {
-    return virtual_us_.load(std::memory_order_relaxed);
-  }
+  double micros() const { return virtual_us_; }
   double millis() const { return micros() / 1000.0; }
 
   /// Scoped measurement helper: returns elapsed virtual µs since `mark`.
   double Since(double mark) const { return micros() - mark; }
 
  private:
-  std::atomic<double> virtual_us_{0.0};
+  double virtual_us_ = 0.0;
 };
 
 /// Payload-size based RPC cost: base latency + transfer time.

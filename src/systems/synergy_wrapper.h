@@ -14,7 +14,7 @@ class SynergyWrapper : public StoreBackedSystem {
  public:
   /// `roots` defaults to the paper's Q_TPC-W; ablation benches pass
   /// alternative root sets to probe the sensitivity of root selection.
-  /// `txn_slaves` sizes the transaction layer's worker pool (the concurrent
+  /// `txn_slaves` sizes the transaction layer's slave pool (the concurrent
   /// bench raises it so writes from different clients overlap).
   explicit SynergyWrapper(std::vector<std::string> roots = tpcw::Roots(),
                           std::string name = "Synergy", int txn_slaves = 1)

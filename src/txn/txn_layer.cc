@@ -1,7 +1,5 @@
 #include "txn/txn_layer.h"
 
-#include <chrono>
-
 #include "testing/fault_injector.h"
 
 namespace synergy::txn {
@@ -17,82 +15,35 @@ SlaveNode::SlaveNode(hbase::Cluster* cluster, LockManager* locks, int id)
   c_backpressure_ = r.GetCounter(
       "txn_slave_backpressure_rejected_total",
       "writes rejected because a slave work queue stayed full");
-  worker_ = std::thread([this] { WorkerLoop(); });
-}
-
-SlaveNode::~SlaveNode() {
-  {
-    std::lock_guard lock(queue_mutex_);
-    stopping_ = true;
-  }
-  queue_not_empty_.notify_all();
-  queue_not_full_.notify_all();
-  if (worker_.joinable()) worker_.join();
-  // Every enqueued task has a client blocked on its future, so the queue is
-  // necessarily empty by the time the last client reference drops; fail any
-  // stragglers defensively anyway.
-  for (WriteTask& task : queue_) {
-    task.done.set_value(Status::Unavailable("slave shut down"));
-  }
-}
-
-void SlaveNode::WorkerLoop() {
-  for (;;) {
-    WriteTask task;
-    {
-      std::unique_lock lock(queue_mutex_);
-      queue_not_empty_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ with no work left
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    queue_not_full_.notify_one();
-    task.done.set_value(
-        ExecuteWrite(*task.session, *task.payload, *task.lock, *task.body));
-  }
 }
 
 StatusOr<int64_t> SlaveNode::ProcessWrite(hbase::Session& s,
                                           const std::string& payload,
                                           const std::optional<LockSpec>& lock,
                                           const WriteBody& body) {
-  std::future<StatusOr<int64_t>> done;
-  {
-    std::unique_lock qlock(queue_mutex_);
-    // Bounded wait: a queue that stays full (saturated worker, or a worker
-    // wedged mid-body) must reject with backpressure, not block the
-    // producer forever — the client's retry/deadline machinery can only act
-    // on an error it actually receives.
-    const bool has_room = queue_not_full_.wait_for(
-        qlock, std::chrono::milliseconds(enqueue_wait_ms_.load()), [this] {
-          return stopping_ || failed_.load() ||
-                 queue_.size() < kQueueCapacity;
-        });
-    if (stopping_) return Status::Unavailable("slave shut down");
-    if (failed_.load()) {
-      // Crashed slave: retryable, so the root loop routes to a live slave
-      // (or waits out recovery) instead of queueing work nobody will run.
-      return Status::Unavailable("slave " + std::to_string(id_) + " is down");
-    }
-    if (!has_room) {
-      c_backpressure_->Inc();
-      return Status::ResourceExhausted("slave " + std::to_string(id_) +
-                                       " work queue full (overloaded)");
-    }
-    WriteTask task{&s, &payload, &lock, &body, {}};
-    done = task.done.get_future();
-    queue_.push_back(std::move(task));
+  if (failed_.load()) {
+    // Crashed slave: retryable, so the root loop routes to a live slave
+    // (or waits out recovery) instead of waiting for a slave nobody runs.
+    return Status::Unavailable("slave " + std::to_string(id_) + " is down");
   }
-  queue_not_empty_.notify_one();
-  return done.get();
+  // Bounded backlog: a saturated slave, or one wedged mid-body, must reject
+  // with backpressure, not block the caller forever — the client's
+  // retry/deadline machinery can only act on an error it actually receives.
+  if (callers_.fetch_add(1) > kQueueCapacity) {
+    callers_.fetch_sub(1);
+    c_backpressure_->Inc();
+    return Status::ResourceExhausted("slave " + std::to_string(id_) +
+                                     " work queue full (overloaded)");
+  }
+  std::lock_guard exec(exec_mutex_);
+  StatusOr<int64_t> result = ExecuteWrite(s, payload, lock, body);
+  callers_.fetch_sub(1);
+  return result;
 }
 
 Status SlaveNode::Crash(const std::string& reason) {
   c_crashes_->Inc();
   failed_.store(true);
-  // Wake producers waiting for queue room: the slave is dead, they should
-  // take the kUnavailable exit instead of sitting out the bounded wait.
-  queue_not_full_.notify_all();
   return Status::Unavailable("slave " + std::to_string(id_) +
                              " crashed: " + reason);
 }
@@ -114,9 +65,7 @@ bool StoreRefused(const Status& status) {
 /// Disables session-level RPC retries for the extent of the slave write
 /// protocol: mid-body kUnavailable must reach the slave (it is the crash
 /// signal that leaks the lock for failover), and the root-level retry in
-/// TxnLayer::SubmitWrite already owns the operation's deadline. The worker
-/// thread toggles the client's session here; the client is blocked on the
-/// submit future, so access is serialized by the queue handoff.
+/// TxnLayer::SubmitWrite already owns the operation's deadline.
 class SuppressRetriesScope {
  public:
   explicit SuppressRetriesScope(hbase::Session& s)
@@ -138,8 +87,7 @@ StatusOr<int64_t> SlaveNode::ExecuteWrite(hbase::Session& s,
                                           const WriteBody& body) {
   if (failed_.load()) return Status::Unavailable("slave is down");
   SuppressRetriesScope no_rpc_retries(s);
-  // The collector travels with the session through the queue handoff, so
-  // slave-side work shows up in the client's trace. Closed on every exit
+  // Slave-side work shows up in the client's trace. Closed on every exit
   // path by the RAII dtors.
   obs::ScopedSpan slave_span(s.trace(), "txn.slave");
   slave_span.Note("slave", std::to_string(id_));
@@ -158,9 +106,14 @@ StatusOr<int64_t> SlaveNode::ExecuteWrite(hbase::Session& s,
   if (lock.has_value()) {
     obs::ScopedSpan lock_span(s.trace(), "txn.lock_acquire");
     int attempts = 0;
-    SYNERGY_RETURN_IF_ERROR(locks_->Acquire(s, lock->root_relation,
-                                            lock->root_key,
-                                            /*max_attempts=*/1000, &attempts));
+    Status acquired = locks_->Acquire(s, lock->root_relation, lock->root_key,
+                                      /*max_attempts=*/1000, &attempts);
+    if (!acquired.ok()) {
+      // A failed acquire applied nothing and holds no lock: settle the entry
+      // so failover never replays it after later writes to the same rows.
+      wal_->MarkCommitted(txn_id);
+      return acquired;
+    }
     if (attempts > 1) {
       lock_span.Note("lock_retries", std::to_string(attempts - 1));
     }

@@ -20,22 +20,21 @@
 //    failures — the lock is released and the error propagated. Recovery
 //    likewise stops, leaving the entry for a later attempt, when a replay
 //    fails with either code.
+//  - A root-lock acquire that fails applied nothing and holds no lock, so
+//    its WAL entry is settled and the error propagated; failover never
+//    replays it.
 //  - A lost lock release (drop-lock-release) after a successful body also
 //    kills the slave: the entry stays uncommitted so replay (idempotent)
 //    re-applies it and frees the orphaned lock.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -56,60 +55,40 @@ using WriteBody = std::function<Status(hbase::Session&)>;
 /// Rebuilds and executes the body for a WAL payload during replay.
 using ReplayFn = std::function<Status(hbase::Session&, const std::string&)>;
 
-/// A slave node runs its own worker thread: clients enqueue write tasks into
-/// a bounded queue and block on a future, so writes routed to different
-/// slaves overlap while each slave still executes its own WAL order
-/// serially. Single-client behaviour is unchanged (the client waits for its
-/// future before issuing the next statement).
+/// A slave node executes each write on the caller's thread under its own
+/// mutex, so writes routed to different slaves overlap while each slave
+/// still applies its writes one at a time, in WAL order.
 class SlaveNode {
  public:
   SlaveNode(hbase::Cluster* cluster, LockManager* locks, int id);
-  ~SlaveNode();
 
   int id() const { return id_; }
   bool failed() const { return failed_.load(); }
   std::shared_ptr<Wal> wal() const { return wal_; }
 
-  /// Enqueues the write for the worker thread and blocks until it commits
-  /// or fails. The caller's stack (payload/lock/body) stays valid for the
-  /// duration, so the task only carries pointers. Backpressure: when the
-  /// bounded queue stays full past the enqueue wait (saturated or stuck
-  /// worker), the write is rejected with kResourceExhausted instead of
-  /// blocking the producer indefinitely; a crashed slave rejects with
-  /// kUnavailable so the root retry loop routes around it.
+  /// Runs the write (WAL append, lock acquire, body, release) once the
+  /// slave is free. Backpressure: when kQueueCapacity callers already wait
+  /// behind the one executing, the write is rejected at once with
+  /// kResourceExhausted; a crashed slave rejects with kUnavailable so the
+  /// root retry loop routes around it.
   StatusOr<int64_t> ProcessWrite(hbase::Session& s, const std::string& payload,
                                  const std::optional<LockSpec>& lock,
                                  const WriteBody& body);
 
   static constexpr size_t kQueueCapacity = 8;
 
-  /// Host-time bound on how long an enqueue may wait for queue room before
-  /// rejecting with backpressure (liveness guard, not modeled time). Tests
-  /// shrink it to keep the queue-full regression fast.
-  void SetEnqueueWaitMs(int ms) { enqueue_wait_ms_.store(ms); }
-
-  /// Tasks waiting in the bounded queue, excluding the one the worker is
-  /// executing. Lets tests wait for a known backlog before probing the
-  /// backpressure path.
+  /// Callers waiting for the slave, excluding the one executing. Lets tests
+  /// wait for a known backlog before probing the backpressure path.
   size_t QueueDepth() const {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    return queue_.size();
+    const size_t callers = callers_.load();
+    return callers > 0 ? callers - 1 : 0;
   }
 
  private:
-  struct WriteTask {
-    hbase::Session* session;
-    const std::string* payload;
-    const std::optional<LockSpec>* lock;
-    const WriteBody* body;
-    std::promise<StatusOr<int64_t>> done;
-  };
-
-  /// Runs on the worker thread: WAL append, lock acquire, body, release.
+  /// WAL append, lock acquire, body, release; runs under exec_mutex_.
   StatusOr<int64_t> ExecuteWrite(hbase::Session& s, const std::string& payload,
                                  const std::optional<LockSpec>& lock,
                                  const WriteBody& body);
-  void WorkerLoop();
 
   /// Marks the slave dead and returns the Unavailable status the client sees.
   Status Crash(const std::string& reason);
@@ -126,13 +105,10 @@ class SlaveNode {
   obs::Counter* c_crashes_;
   obs::Counter* c_backpressure_;
 
-  mutable std::mutex queue_mutex_;
-  std::condition_variable queue_not_empty_;
-  std::condition_variable queue_not_full_;
-  std::deque<WriteTask> queue_;
-  bool stopping_ = false;
-  std::atomic<int> enqueue_wait_ms_{100};
-  std::thread worker_;
+  // Held across ExecuteWrite: one write at a time, applied in WAL order.
+  std::mutex exec_mutex_;
+  // Callers inside ProcessWrite: the one executing plus those waiting.
+  std::atomic<size_t> callers_{0};
 };
 
 /// Master: owns the slave pool, routes writes, performs failover.

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <string>
@@ -156,9 +155,67 @@ TEST_F(TxnLayerTest, WalRecordsCommitState) {
   EXPECT_EQ(committed, 1u);
 }
 
+TEST_F(TxnLayerTest, WriteBodyRunsOnCallingThread) {
+  hbase::Session s(&cluster_);
+  std::thread::id body_thread;
+  ASSERT_TRUE(layer_
+                  ->SubmitWrite(s, "w", LockSpec{"Root", "rk"},
+                                [&](hbase::Session&) {
+                                  body_thread = std::this_thread::get_id();
+                                  return Status::Ok();
+                                })
+                  .ok());
+  EXPECT_EQ(body_thread, std::this_thread::get_id());
+}
+
+TEST_F(TxnLayerTest, FailedLockAcquireIsNotReplayedAtFailover) {
+  // Regression: a write whose root-lock acquire timed out once stayed
+  // uncommitted in the WAL, so a later crash of its (live) slave replayed
+  // it after newer writes to the same rows, without its lock held.
+  TxnLayer layer(&cluster_, locks_.get(), 1);
+  hbase::Session holder(&cluster_);
+  ASSERT_TRUE(locks_->Acquire(holder, "Root", "rk").ok());
+
+  hbase::Session s(&cluster_);
+  auto blocked = layer.SubmitWrite(s, "put k old", LockSpec{"Root", "rk"},
+                                   PutBody("k", "old"));
+  EXPECT_EQ(blocked.status().code(), StatusCode::kAborted) << blocked.status();
+  EXPECT_FALSE(layer.slave(0)->failed());
+
+  ASSERT_TRUE(locks_->Release(holder, "Root", "rk").ok());
+  ASSERT_TRUE(layer
+                  .SubmitWrite(s, "put k new", LockSpec{"Root", "rk"},
+                               PutBody("k", "new"))
+                  .ok());
+  EXPECT_EQ(ReadData("k"), "new");
+
+  faults_.Arm(fault::FaultPoint::kCrashAfterWalAppend, /*skip_hits=*/0,
+              /*max_fires=*/1);
+  EXPECT_EQ(layer.SubmitWrite(s, "put z 1", std::nullopt, PutBody("z", "1"))
+                .status()
+                .code(),
+            StatusCode::kUnavailable);
+  ASSERT_TRUE(layer.slave(0)->failed());
+
+  ASSERT_TRUE(layer
+                  .DetectAndRecover(
+                      s,
+                      [&](hbase::Session& rs, const std::string& payload) {
+                        // "put <key> <value>"
+                        const size_t k = payload.find(' ') + 1;
+                        const size_t v = payload.find(' ', k);
+                        return cluster_.Put(rs, "data",
+                                            payload.substr(k, v - k),
+                                            {{"v", payload.substr(v + 1)}});
+                      })
+                  .ok());
+  EXPECT_EQ(ReadData("z"), "1");
+  EXPECT_EQ(ReadData("k"), "new");
+}
+
 // Shared scaffolding for the backpressure tests: a single-slave layer whose
-// worker is stuck executing a body that blocks until released, with the
-// bounded queue filled to capacity behind it.
+// slave is wedged executing a body that blocks until released, with
+// kQueueCapacity callers waiting behind it.
 class SlaveBackpressureTest : public TxnLayerTest {
  protected:
   void StartStuckLayer(Status release_status) {
@@ -167,17 +224,17 @@ class SlaveBackpressureTest : public TxnLayerTest {
     blocker_ = std::thread([this] {
       hbase::Session s(&cluster_);
       WriteBody body = [this](hbase::Session&) {
-        worker_blocked_.store(true);
+        slave_blocked_.store(true);
         std::unique_lock<std::mutex> lock(mu_);
         cv_.wait(lock, [this] { return released_; });
         return release_status_;
       };
       blocker_result_ = layer1_->SubmitWrite(s, "stuck", std::nullopt, body);
     });
-    while (!worker_blocked_.load()) std::this_thread::yield();
+    while (!slave_blocked_.load()) std::this_thread::yield();
 
-    // With the worker wedged, exactly kQueueCapacity concurrent producers
-    // fill the bounded queue (each blocks on its commit future).
+    // With the slave wedged, exactly kQueueCapacity concurrent callers wait
+    // for it.
     filler_status_.resize(SlaveNode::kQueueCapacity, Status::Ok());
     for (size_t i = 0; i < SlaveNode::kQueueCapacity; ++i) {
       fillers_.emplace_back([this, i] {
@@ -194,7 +251,7 @@ class SlaveBackpressureTest : public TxnLayerTest {
     }
   }
 
-  void ReleaseWorker() {
+  void ReleaseSlave() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       released_ = true;
@@ -203,7 +260,7 @@ class SlaveBackpressureTest : public TxnLayerTest {
   }
 
   void TearDown() override {
-    if (!released_) ReleaseWorker();
+    if (!released_) ReleaseSlave();
     if (blocker_.joinable()) blocker_.join();
     for (auto& t : fillers_) {
       if (t.joinable()) t.join();
@@ -216,28 +273,33 @@ class SlaveBackpressureTest : public TxnLayerTest {
   std::vector<Status> filler_status_;
   StatusOr<int64_t> blocker_result_ = Status::Internal("not run");
   Status release_status_ = Status::Ok();
-  std::atomic<bool> worker_blocked_{false};
+  std::atomic<bool> slave_blocked_{false};
   std::mutex mu_;
   std::condition_variable cv_;
   bool released_ = false;
 };
 
 TEST_F(SlaveBackpressureTest, FullQueueRejectsWithResourceExhausted) {
-  // Regression: a saturated slave once blocked producers indefinitely in
-  // Enqueue; the bounded wait must convert that into an overload rejection
-  // the client's retry/deadline machinery can act on.
+  // Regression: a saturated slave once blocked callers indefinitely; the
+  // bounded backlog must convert that into an overload rejection the
+  // client's retry/deadline machinery can act on, while the slave is still
+  // wedged.
   StartStuckLayer(Status::Ok());
-  layer1_->slave(0)->SetEnqueueWaitMs(20);
+  obs::Counter* rejected = cluster_.metrics().GetCounter(
+      "txn_slave_backpressure_rejected_total", "");
+  const uint64_t rejected_before = rejected->Value();
 
   hbase::Session s(&cluster_);
   auto late =
       layer1_->SubmitWrite(s, "late", std::nullopt, PutBody("late", "v"));
   EXPECT_EQ(late.status().code(), StatusCode::kResourceExhausted)
       << late.status();
+  EXPECT_EQ(rejected->Value(), rejected_before + 1);
+  EXPECT_EQ(layer1_->slave(0)->QueueDepth(), SlaveNode::kQueueCapacity);
 
-  // Once the worker unwedges, the queued writes all commit: shedding the
+  // Once the slave unwedges, the waiting writes all commit: shedding the
   // overflow lost nothing that was already accepted.
-  ReleaseWorker();
+  ReleaseSlave();
   blocker_.join();
   for (auto& t : fillers_) t.join();
   EXPECT_TRUE(blocker_result_.ok()) << blocker_result_.status();
@@ -245,45 +307,34 @@ TEST_F(SlaveBackpressureTest, FullQueueRejectsWithResourceExhausted) {
   EXPECT_EQ(ReadData("f0"), "v");
   EXPECT_EQ(ReadData("f" + std::to_string(SlaveNode::kQueueCapacity - 1)),
             "v");
+  EXPECT_EQ(ReadData("late"), "<missing>");
 }
 
-TEST_F(SlaveBackpressureTest, SlaveCrashWakesWaitingProducers) {
-  // A producer sitting out the bounded enqueue wait must be woken the
-  // moment the slave dies — with kUnavailable (retryable, so the root loop
-  // can route around the corpse), not kResourceExhausted.
+TEST_F(SlaveBackpressureTest, SlaveCrashFailsWaitingCallers) {
+  // The executing body crashes the slave: every caller waiting behind it,
+  // and every caller arriving afterwards, gets kUnavailable (retryable, so
+  // the root loop can route around the corpse), not kResourceExhausted.
   StartStuckLayer(Status::Unavailable("injected mid-body crash"));
-  layer1_->slave(0)->SetEnqueueWaitMs(60000);  // only a wake ends the wait
-
-  Status probe_status = Status::Internal("not run");
-  std::thread probe([this, &probe_status] {
-    hbase::Session s(&cluster_);
-    probe_status =
-        layer1_->SubmitWrite(s, "probe", std::nullopt, PutBody("p", "v"))
-            .status();
-  });
-  // Give the probe time to park in the enqueue wait (the crash-wake path is
-  // correct even if it loses this race: a failed slave rejects on entry).
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-
-  const auto released_at = std::chrono::steady_clock::now();
-  ReleaseWorker();  // body returns kUnavailable -> the slave crashes
-  probe.join();
-  const auto waited = std::chrono::steady_clock::now() - released_at;
-
-  EXPECT_EQ(probe_status.code(), StatusCode::kUnavailable) << probe_status;
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(waited)
-                .count(),
-            10000)
-      << "the producer must be woken by the crash, not time out";
-  EXPECT_TRUE(layer1_->slave(0)->failed());
-
+  ReleaseSlave();  // body returns kUnavailable -> the slave crashes
   blocker_.join();
   for (auto& t : fillers_) t.join();
+
+  EXPECT_TRUE(layer1_->slave(0)->failed());
   EXPECT_EQ(blocker_result_.status().code(), StatusCode::kUnavailable);
-  // The queued writes were drained by the dead slave's worker as failures.
   for (const Status& st : filler_status_) {
     EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st;
   }
+  hbase::Session s(&cluster_);
+  EXPECT_EQ(layer1_->SubmitWrite(s, "after", std::nullopt, PutBody("a", "v"))
+                .status()
+                .code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(layer1_->slave(0)
+                ->ProcessWrite(s, "after", std::nullopt, PutBody("a", "v"))
+                .status()
+                .code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(ReadData("f0"), "<missing>");
 }
 
 TEST_F(TxnLayerTest, BodyFailurePropagates) {
