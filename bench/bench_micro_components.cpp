@@ -43,13 +43,13 @@ constexpr int64_t kPutKeys = 10000;
 
 void BM_RegionPut(benchmark::State& state) {
   std::atomic<int64_t> clock{0};
-  hbase::Region region("", "", &clock);
+  hbase::Region region(&clock);
   int64_t i = 0;
   for (auto _ : state) {
     region.Put("key" + std::to_string(i % kPutKeys), {{"d", "payload"}});
     if (++i % kPutKeys == 0) {
       state.PauseTiming();
-      region.MajorCompact(hbase::TableDescriptor{}.max_versions);
+      region.MajorCompact(hbase::kMaxVersions);
       state.ResumeTiming();
     }
   }
@@ -58,7 +58,7 @@ BENCHMARK(BM_RegionPut);
 
 void BM_RegionGet(benchmark::State& state) {
   std::atomic<int64_t> clock{0};
-  hbase::Region region("", "", &clock);
+  hbase::Region region(&clock);
   for (int i = 0; i < 10000; ++i) {
     region.Put("key" + std::to_string(i), {{"d", "payload"}});
   }
@@ -158,7 +158,7 @@ BENCHMARK(BM_TxnSubmitNoop);
 
 void BM_RegionScan1k(benchmark::State& state) {
   std::atomic<int64_t> clock{0};
-  hbase::Region region("", "", &clock);
+  hbase::Region region(&clock);
   for (int i = 0; i < 1000; ++i) {
     char key[16];
     std::snprintf(key, sizeof(key), "k%06d", i);

@@ -1,5 +1,6 @@
 #include "hbase/cluster.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "testing/fault_injector.h"
@@ -31,15 +32,15 @@ auto Cluster::RunWithRetries(Session& s, Fn&& fn) -> decltype(fn()) {
   return RunWithRetryProtection(*this, s, std::forward<Fn>(fn), [] {});
 }
 
-Status Cluster::CreateTable(const TableDescriptor& desc,
-                            const std::vector<std::string>& split_keys) {
+Status Cluster::CreateTable(const TableDescriptor& desc) {
   std::unique_lock lock(tables_mutex_);
   if (tables_.contains(desc.name)) {
     return Status::AlreadyExists("table " + desc.name);
   }
   tables_.emplace(desc.name,
-                  std::make_unique<Table>(desc, split_keys, &clock_,
-                                          num_region_servers_));
+                  std::make_unique<Region>(
+                      &clock_,
+                      tables_created_++ % std::max(num_region_servers_, 1)));
   return Status::Ok();
 }
 
@@ -91,28 +92,28 @@ bool Cluster::HasTable(const std::string& name) const {
   return tables_.contains(name);
 }
 
-StatusOr<Table*> Cluster::FindTable(const std::string& name) const {
+StatusOr<Region*> Cluster::FindRegion(const std::string& table) const {
   std::shared_lock lock(tables_mutex_);
-  auto it = tables_.find(name);
-  if (it == tables_.end()) return Status::NotFound("table " + name);
+  auto it = tables_.find(table);
+  if (it == tables_.end()) return Status::NotFound("table " + table);
   return it->second.get();
 }
 
 template <typename Body>
 auto Cluster::RpcAttempt(Session& s, const char* span_name,
-                         const std::string& table, const std::string& key,
-                         bool is_write, double request_us, Body&& body)
+                         const std::string& table, bool is_write,
+                         double request_us, Body&& body)
     -> std::invoke_result_t<Body&, Region*> {
   failover_->OnRpc();
   s.Count(obs::OpCounter::kRpcs);
   obs::TraceCollector* trace = s.rpc_trace();
   obs::ScopedSpan rpc_span(trace, span_name);
   if (trace != nullptr) rpc_span.Note("table", table);
-  SYNERGY_ASSIGN_OR_RETURN(t, FindTable(table));
-  // Writes pay for their request before routing, so a refused write still
-  // costs its round trip; reads pay a response-sized cost in their body.
+  SYNERGY_ASSIGN_OR_RETURN(region, FindRegion(table));
+  // Writes pay for their request before the server sees it, so a refused
+  // write still costs its round trip; reads pay a response-sized cost in
+  // their body.
   if (request_us > 0.0) s.meter().Charge(request_us);
-  Region* region = t->RouteKey(key);
   if (trace != nullptr) {
     rpc_span.Note("server", std::to_string(region->server_id()));
   }
@@ -142,8 +143,8 @@ Status Cluster::Put(
   const double request_us =
       sim::RpcCost(model_, payload) + model_.server_seek_us;
   return RunWithRetries(s, [&] {
-    return RpcAttempt(s, "rpc.put", table, row_key, /*is_write=*/true,
-                      request_us, [&](Region* region) {
+    return RpcAttempt(s, "rpc.put", table, /*is_write=*/true, request_us,
+                      [&](Region* region) {
                         region->Put(row_key, columns, ts);
                         return InjectFault(fault::FaultPoint::kRegionRpcAckLost,
                                            table, region);
@@ -155,7 +156,7 @@ StatusOr<RowResult> Cluster::Get(Session& s, const std::string& table,
                                  const std::string& row_key) {
   return RunWithRetries(s, [&] {
     return RpcAttempt(
-        s, "rpc.get", table, row_key, /*is_write=*/false, 0.0,
+        s, "rpc.get", table, /*is_write=*/false, 0.0,
         [&](Region* region) -> StatusOr<RowResult> {
           std::optional<RowResult> row = region->Get(row_key, s.read_view());
           const size_t payload = row.has_value() ? row->PayloadBytes() : 0;
@@ -172,8 +173,8 @@ Status Cluster::Delete(Session& s, const std::string& table,
   const double request_us =
       sim::RpcCost(model_, row_key.size()) + model_.server_seek_us;
   return RunWithRetries(s, [&] {
-    return RpcAttempt(s, "rpc.delete", table, row_key, /*is_write=*/true,
-                      request_us, [&](Region* region) {
+    return RpcAttempt(s, "rpc.delete", table, /*is_write=*/true, request_us,
+                      [&](Region* region) {
                         region->Delete(row_key, ts);
                         return InjectFault(fault::FaultPoint::kRegionRpcAckLost,
                                            table, region);
@@ -190,8 +191,8 @@ StatusOr<bool> Cluster::CheckAndPut(Session& s, const std::string& table,
   // its caller an ambiguity it cannot resolve. Every refusal before the
   // body applies nothing, so retrying stays safe.
   return RunWithRetries(s, [&] {
-    return RpcAttempt(s, "rpc.check_and_put", table, row_key,
-                      /*is_write=*/true, model_.lock_rpc_us,
+    return RpcAttempt(s, "rpc.check_and_put", table, /*is_write=*/true,
+                      model_.lock_rpc_us,
                       [&](Region* region) -> StatusOr<bool> {
                         return region->CheckAndPut(row_key, qualifier,
                                                    expected, new_value);
@@ -206,7 +207,7 @@ StatusOr<int64_t> Cluster::Increment(Session& s, const std::string& table,
   const double request_us =
       sim::RpcCost(model_, row_key.size() + 16) + model_.server_seek_us;
   return RunWithRetries(s, [&] {
-    return RpcAttempt(s, "rpc.increment", table, row_key, /*is_write=*/true,
+    return RpcAttempt(s, "rpc.increment", table, /*is_write=*/true,
                       request_us, [&](Region* region) {
                         return region->Increment(row_key, qualifier, delta);
                       });
@@ -216,8 +217,7 @@ StatusOr<int64_t> Cluster::Increment(Session& s, const std::string& table,
 StatusOr<Scanner> Cluster::OpenScanner(Session& s, const std::string& table,
                                        const std::string& start,
                                        const std::string& stop) {
-  SYNERGY_ASSIGN_OR_RETURN(t, FindTable(table));
-  (void)t;
+  SYNERGY_RETURN_IF_ERROR(FindRegion(table).status());
   return Scanner(this, &s, table, start, stop,
                  static_cast<size_t>(model_.scan_batch_rows));
 }
@@ -230,17 +230,10 @@ StatusOr<ScanBatchResult> Cluster::ScanBatchRpc(Session& s,
   return RunWithRetries(s, [&] {
     counters_.scan_batches->Inc();  // every attempt, refused ones included
     return RpcAttempt(
-        s, "rpc.scan_batch", table, from, /*is_write=*/false, 0.0,
+        s, "rpc.scan_batch", table, /*is_write=*/false, 0.0,
         [&](Region* region) -> StatusOr<ScanBatchResult> {
           ScanBatchResult batch =
               region->ScanBatch(from, stop, limit, s.read_view());
-          // If the region was exhausted but the table continues, resume
-          // from the region's end key on the next RPC.
-          if (batch.exhausted && !region->end_key().empty() &&
-              (stop.empty() || region->end_key() < stop)) {
-            batch.exhausted = false;
-            batch.next_start_key = region->end_key();
-          }
           size_t payload = 0;
           for (const RowResult& row : batch.rows) payload += row.PayloadBytes();
           double cost = sim::RpcCost(model_, payload) +
@@ -260,34 +253,21 @@ StatusOr<ScanBatchResult> Cluster::ScanBatchRpc(Session& s,
 }
 
 bool Scanner::FetchBatch() {
-  while (!exhausted_) {
-    StatusOr<ScanBatchResult> batch =
-        cluster_->ScanBatchRpc(*session_, table_, next_start_, stop_,
-                               batch_rows_);
-    if (!batch.ok()) {
-      status_ = batch.status();
-      exhausted_ = true;
-      return false;
-    }
-    buffer_ = std::move(batch->rows);
-    buffer_pos_ = 0;
-    if (batch->exhausted) {
-      exhausted_ = true;
-    } else {
-      // Resume strictly after the last delivered row, or at the region
-      // boundary if the batch ended at one.
-      next_start_ = batch->next_start_key;
-      if (next_start_.empty()) {
-        if (buffer_.empty()) {
-          exhausted_ = true;
-        } else {
-          next_start_ = buffer_.back().row_key + std::string(1, '\0');
-        }
-      }
-    }
-    if (!buffer_.empty()) return true;
+  if (exhausted_) return false;
+  StatusOr<ScanBatchResult> batch = cluster_->ScanBatchRpc(
+      *session_, table_, next_start_, stop_, batch_rows_);
+  if (!batch.ok()) {
+    status_ = batch.status();
+    exhausted_ = true;
+    return false;
   }
-  return false;
+  // Only the last batch can come back empty: any other stopped at its row
+  // limit, and resumes at the first key it did not examine.
+  buffer_ = std::move(batch->rows);
+  buffer_pos_ = 0;
+  exhausted_ = batch->exhausted;
+  next_start_ = std::move(batch->next_start_key);
+  return !buffer_.empty();
 }
 
 bool Scanner::Next(RowResult* out) {
@@ -300,32 +280,25 @@ bool Scanner::Next(RowResult* out) {
 std::vector<Region*> Cluster::AllRegions() const {
   std::shared_lock lock(tables_mutex_);
   std::vector<Region*> out;
-  for (const auto& [name, table] : tables_) {
-    for (Region* region : table->SnapshotRegions()) out.push_back(region);
-  }
+  out.reserve(tables_.size());
+  for (const auto& [name, region] : tables_) out.push_back(region.get());
   return out;
 }
 
 void Cluster::MajorCompactAll() {
   std::shared_lock lock(tables_mutex_);
-  for (auto& [name, table] : tables_) table->MajorCompact();
-}
-
-void Cluster::MaybeSplitAll() {
-  std::shared_lock lock(tables_mutex_);
-  for (auto& [name, table] : tables_) table->MaybeSplit();
+  for (auto& [name, region] : tables_) region->MajorCompact(kMaxVersions);
 }
 
 std::vector<TableSizeInfo> Cluster::SizeReport() const {
   std::shared_lock lock(tables_mutex_);
   std::vector<TableSizeInfo> out;
   out.reserve(tables_.size());
-  for (const auto& [name, table] : tables_) {
+  for (const auto& [name, region] : tables_) {
     TableSizeInfo info;
     info.name = name;
-    info.rows = table->RowCount();
-    info.regions = table->RegionCount();
-    const size_t raw = table->ByteSize();
+    info.rows = region->RowCount();
+    const size_t raw = region->ByteSize();
     // Approximate HFile framing: per-cell key/cf/qualifier/timestamp overhead.
     info.bytes = raw + static_cast<size_t>(
                            model_.hbase_overhead_per_cell *
@@ -336,16 +309,14 @@ std::vector<TableSizeInfo> Cluster::SizeReport() const {
 }
 
 size_t Cluster::ApproxRowCount(const std::string& table) const {
-  StatusOr<Table*> t = FindTable(table);
-  if (!t.ok()) return 0;
-  return (*t)->ApproxRowCount();
+  StatusOr<Region*> region = FindRegion(table);
+  if (!region.ok()) return 0;
+  return (*region)->ApproxRowCount();
 }
 
 StatusOr<int> Cluster::RegionServerOf(const std::string& table) const {
-  SYNERGY_ASSIGN_OR_RETURN(t, FindTable(table));
-  const std::vector<Region*> regions = t->SnapshotRegions();
-  if (regions.empty()) return Status::NotFound("table has no regions");
-  return regions.front()->server_id();
+  SYNERGY_ASSIGN_OR_RETURN(region, FindRegion(table));
+  return region->server_id();
 }
 
 size_t Cluster::TotalBytes() const {

@@ -24,8 +24,8 @@
 #include "common/status.h"
 #include "hbase/admission.h"
 #include "hbase/failover.h"
+#include "hbase/region.h"
 #include "hbase/retry_policy.h"
-#include "hbase/table.h"
 #include "obs/metrics.h"
 #include "obs/op_counts.h"
 #include "obs/trace.h"
@@ -216,11 +216,17 @@ class Scanner {
   mutable bool status_checked_ = false;
 };
 
+struct TableDescriptor {
+  std::string name;
+};
+
+/// Versions a cell keeps through compaction (a column family's VERSIONS).
+inline constexpr int kMaxVersions = 3;
+
 struct TableSizeInfo {
   std::string name;
   size_t rows = 0;
   size_t bytes = 0;  // includes per-cell HBase framing overhead
-  size_t regions = 0;
 };
 
 class Cluster {
@@ -272,7 +278,7 @@ class Cluster {
   }
   AdmissionController* admission() { return admission_.get(); }
 
-  /// Stable pointers to every region of every table (failover sweeps).
+  /// Stable pointers to every table's region (failover sweeps).
   std::vector<Region*> AllRegions() const;
 
   /// Installs (or clears, with nullptr) the one fault injector every
@@ -290,8 +296,10 @@ class Cluster {
   int64_t NextTimestamp() { return clock_.fetch_add(1) + 1; }
 
   // --- DDL ---
-  Status CreateTable(const TableDescriptor& desc,
-                     const std::vector<std::string>& split_keys = {});
+  /// A table is one region. The n-th table created is placed on server
+  /// n mod num_region_servers(), so tables spread over the servers in
+  /// creation order.
+  Status CreateTable(const TableDescriptor& desc);
   Status DropTable(const std::string& name);
   bool HasTable(const std::string& name) const;
 
@@ -324,19 +332,18 @@ class Cluster {
 
   // --- admin ---
   void MajorCompactAll();
-  void MaybeSplitAll();
   std::vector<TableSizeInfo> SizeReport() const;
   size_t TotalBytes() const;
-  /// Cheap per-table row count for planner estimates (O(#regions)).
+  /// Cheap per-table row count for planner estimates.
   size_t ApproxRowCount(const std::string& table) const;
-  /// Server hosting the table's first region (failover benches/tests pick
-  /// their crash victim by the table they intend to disrupt).
+  /// Server hosting the table's region (failover benches/tests pick their
+  /// crash victim by the table they intend to disrupt).
   StatusOr<int> RegionServerOf(const std::string& table) const;
 
  private:
   friend class Scanner;
 
-  StatusOr<Table*> FindTable(const std::string& name) const;
+  StatusOr<Region*> FindRegion(const std::string& table) const;
 
   /// Consults fault `point` for an RPC to `region`: when it fires, counts
   /// it in hbase_faults_injected_total and returns the injected error.
@@ -356,18 +363,17 @@ class Cluster {
   template <typename Fn>
   auto RunWithRetries(Session& s, Fn&& fn) -> decltype(fn());
 
-  /// One RPC attempt against the region serving `key` of `table`, every
-  /// store op's single attempt. Its steps run in this fixed order: failover
-  /// tick, RPC count, the `span_name` span (noting table and server only
-  /// when RPC spans are on), table lookup, the `request_us` charge (reads
-  /// pass 0 and charge their response in `body`), routing, failover access
-  /// check (counting degraded reads), admission, then the region-rpc-failure
-  /// and rpc-timeout faults. Only then does `body(region)` run, while the
-  /// admission slot is held.
+  /// One RPC attempt against `table`'s region, every store op's single
+  /// attempt. Its steps run in this fixed order: failover tick, RPC count,
+  /// the `span_name` span (noting table and server only when RPC spans are
+  /// on), table lookup, the `request_us` charge (reads pass 0 and charge
+  /// their response in `body`), failover access check (counting degraded
+  /// reads), admission, then the region-rpc-failure and rpc-timeout faults.
+  /// Only then does `body(region)` run, while the admission slot is held.
   template <typename Body>
   auto RpcAttempt(Session& s, const char* span_name, const std::string& table,
-                  const std::string& key, bool is_write, double request_us,
-                  Body&& body) -> std::invoke_result_t<Body&, Region*>;
+                  bool is_write, double request_us, Body&& body)
+      -> std::invoke_result_t<Body&, Region*>;
 
   /// One scan RPC: fetch up to `limit` visible rows starting at `from`.
   /// Retries per batch under the session policy (a failed batch applied
@@ -391,7 +397,8 @@ class Cluster {
   // Reader-writer latch on the table catalog: every DML op resolves its
   // table here, so concurrent sessions take it shared; only DDL is exclusive.
   mutable std::shared_mutex tables_mutex_;
-  std::map<std::string, std::unique_ptr<Table>> tables_;
+  std::map<std::string, std::unique_ptr<Region>> tables_;  // one per table
+  int tables_created_ = 0;  // placement cursor (CreateTable)
 };
 
 // Below Cluster because it mirrors into the cluster-wide registry handles.

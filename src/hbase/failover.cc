@@ -115,7 +115,7 @@ void FailoverManager::SweepLocked() {
     if (target < 0) return;  // no live server; wait for a later round
     if (region->store_lost()) {
       c_edits_replayed_->Inc(static_cast<uint64_t>(region->EditLogSize()));
-      region->ReplayEdits();  // rebuild before clients can route here
+      region->ReplayEdits();  // rebuild before clients can reach it
     }
     region->set_server_id(target);
     c_regions_reassigned_->Inc();
@@ -174,7 +174,7 @@ void FailoverManager::HeartbeatRound() {
     }
   }
   // 4. Staggered reassignment of dead servers' regions (also catches
-  // regions that later land on a dead server via splits).
+  // tables created on a dead server later).
   if (any_down || any_server_down_.load(std::memory_order_relaxed)) {
     SweepLocked();
   }
@@ -204,7 +204,7 @@ RegionAccess FailoverManager::CheckAccess(const Region* region,
                                     " (reassignment in progress)"),
                 false};
       }
-      if (config_.allow_degraded_reads && !region->store_lost()) {
+      if (!region->store_lost()) {
         return {Status::Ok(), /*degraded=*/true};
       }
       return {Status::Unavailable("region store lost with server " +

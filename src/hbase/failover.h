@@ -47,7 +47,6 @@ struct FailoverConfig {
   int heartbeat_every_rpcs = 32;     // ticks per heartbeat round
   int lease_missed_rounds = 3;       // missed rounds before declared dead
   int reassign_regions_per_round = 8;  // staggered batch; <= 0 freezes sweep
-  bool allow_degraded_reads = true;  // serve intact regions during failover
   double us_per_tick = 900.0;        // backoff-µs → ticks (≈ one RPC each)
 };
 
@@ -79,8 +78,8 @@ class FailoverManager {
   /// clients waiting out a backoff still advance failure detection.
   void PumpVirtualTime(double us);
 
-  /// Gate an RPC that routes to `region`. One relaxed load when the whole
-  /// cluster is healthy.
+  /// Gate an RPC to `region`. One relaxed load when the whole cluster is
+  /// healthy.
   RegionAccess CheckAccess(const Region* region, bool is_write);
 
   /// Directly crash a server (bench/test API): wipes its region stores as
@@ -117,8 +116,8 @@ class FailoverManager {
   FailoverConfig config_;
   std::atomic<int64_t> ticks_{0};
   // Fast-path flag: false until any server leaves kLive (never unset — dead
-  // servers stay dead and splits may still land regions on them, so the
-  // sweep keeps running).
+  // servers stay dead, and a table created later may still be placed on
+  // one, so the sweep keeps running).
   std::atomic<bool> any_server_down_{false};
   // Lock order: mutex_ -> Cluster::tables_mutex_ (shared, via AllRegions)
   // -> Region::mutex_. Client RPC paths acquire mutex_ only while holding

@@ -135,19 +135,6 @@ void Region::Delete(const std::string& row_key, std::optional<int64_t> ts) {
   }
 }
 
-void Region::DeleteColumn(const std::string& row_key,
-                          const std::string& qualifier,
-                          std::optional<int64_t> ts) {
-  std::unique_lock lock(mutex_);
-  auto it = rows_.find(row_key);
-  if (it == rows_.end()) return;
-  auto cit = it->second.find(qualifier);
-  if (cit == it->second.end()) return;
-  const int64_t t = AllocTs(ts);
-  cit->second.AddVersion(CellVersion{t, "", /*tombstone=*/true});
-  EditWriter(this, row_key, t, /*tombstone=*/true).Column(qualifier);
-}
-
 std::optional<RowResult> Region::Get(const std::string& row_key,
                                      const ReadView& view) const {
   std::shared_lock lock(mutex_);
@@ -205,9 +192,8 @@ ScanBatchResult Region::ScanBatch(const std::string& from,
   std::shared_lock lock(mutex_);
   ScanBatchResult out;
   out.rows.reserve(std::min(limit, rows_.size()));
-  auto it = rows_.lower_bound(std::max(from, start_key_));
+  auto it = rows_.lower_bound(from);
   for (; it != rows_.end(); ++it) {
-    if (!end_key_.empty() && it->first >= end_key_) break;
     if (!stop.empty() && it->first >= stop) break;
     ++out.rows_examined;
     std::optional<RowResult> row = ResolveRow(it->first, it->second, view);
@@ -219,8 +205,7 @@ ScanBatchResult Region::ScanBatch(const std::string& from,
       }
     }
   }
-  if (it == rows_.end() || (!end_key_.empty() && it->first >= end_key_) ||
-      (!stop.empty() && it->first >= stop)) {
+  if (it == rows_.end() || (!stop.empty() && it->first >= stop)) {
     out.exhausted = true;
   } else {
     out.next_start_key = it->first;
@@ -280,38 +265,6 @@ size_t Region::ByteSize() const {
 size_t Region::ApproxRowCount() const {
   std::shared_lock lock(mutex_);
   return rows_.size();
-}
-
-std::string Region::MedianKey() const {
-  std::shared_lock lock(mutex_);
-  if (rows_.size() < 2) return {};
-  auto it = rows_.begin();
-  std::advance(it, rows_.size() / 2);
-  return it->first;
-}
-
-void Region::SplitInto(const std::string& split, Region* right) {
-  std::unique_lock lock(mutex_);
-  std::unique_lock rlock(right->mutex_);
-  auto it = rows_.lower_bound(split);
-  right->rows_.insert(std::make_move_iterator(it),
-                      std::make_move_iterator(rows_.end()));
-  rows_.erase(it, rows_.end());
-  // Partition the edit log with the rows so each daughter can replay its own
-  // half after a crash (append order within each half is preserved).
-  std::string keep;
-  std::string_view in = log_;
-  while (!in.empty()) {
-    const char* record = in.data();
-    std::string_view body = GetBytes(&in);
-    const bool moves = GetBytes(&body) >= split;
-    (moves ? right->log_ : keep).append(record, in.data() - record);
-    if (moves) {
-      --log_entries_;
-      ++right->log_entries_;
-    }
-  }
-  log_ = std::move(keep);
 }
 
 void Region::DropStore() {

@@ -1,4 +1,4 @@
-// A region: one contiguous row-key range of a table, with its own latch.
+// A region: the whole row-key space of one table, with its own latch.
 //
 // Regions provide the atomicity granule of the store: single-row operations
 // (Put/Get/Delete/CheckAndPut/Increment) are atomic under the region latch,
@@ -29,7 +29,7 @@ struct ReadView {
 
 struct ScanBatchResult {
   std::vector<RowResult> rows;
-  std::string next_start_key;  // exclusive resume point; empty => exhausted
+  std::string next_start_key;  // first key not examined; empty => exhausted
   bool exhausted = false;
   size_t rows_examined = 0;  // server-side work including filtered rows
 };
@@ -57,24 +57,15 @@ class Region {
   /// one and be silently hidden). `server_id` names the region server this
   /// region is assigned to; fault schedules use it to take down all regions
   /// of one server at once (see testing/fault_injector.h).
-  Region(std::string start_key, std::string end_key,
-         std::atomic<int64_t>* clock, int server_id = 0)
-      : start_key_(std::move(start_key)), end_key_(std::move(end_key)),
-        clock_(clock), server_id_(server_id) {}
+  explicit Region(std::atomic<int64_t>* clock, int server_id = 0)
+      : clock_(clock), server_id_(server_id) {}
 
-  const std::string& start_key() const { return start_key_; }
-  const std::string& end_key() const { return end_key_; }
   int server_id() const { return server_id_.load(std::memory_order_acquire); }
   /// Reassigns the region to another server (failover). The release store
-  /// pairs with the acquire load in server_id(): a client that routes to the
-  /// new server sees the replayed store.
+  /// pairs with the acquire load in server_id(): a client that sees the new
+  /// server sees the replayed store.
   void set_server_id(int id) {
     server_id_.store(id, std::memory_order_release);
-  }
-
-  /// Key containment: [start_key, end_key); empty end_key = unbounded.
-  bool Contains(const std::string& key) const {
-    return key >= start_key_ && (end_key_.empty() || key < end_key_);
   }
 
   /// ts == nullopt allocates from the clock inside the latch (the normal
@@ -85,8 +76,6 @@ class Region {
 
   void Delete(const std::string& row_key,
               std::optional<int64_t> ts = std::nullopt);
-  void DeleteColumn(const std::string& row_key, const std::string& qualifier,
-                    std::optional<int64_t> ts = std::nullopt);
 
   std::optional<RowResult> Get(const std::string& row_key,
                                const ReadView& view) const;
@@ -101,8 +90,8 @@ class Region {
   StatusOr<int64_t> Increment(const std::string& row_key,
                               const std::string& qualifier, int64_t delta);
 
-  /// Returns up to `limit` rows with key in [from, end) ∩ [start_key_,
-  /// end_key_), resolved through `view`. Rows with no visible cells are
+  /// Returns up to `limit` rows with key in [from, stop) (empty stop = to
+  /// the end), resolved through `view`. Rows with no visible cells are
   /// skipped but counted in rows_examined.
   ScanBatchResult ScanBatch(const std::string& from, const std::string& stop,
                             size_t limit, const ReadView& view) const;
@@ -118,15 +107,6 @@ class Region {
   /// estimates; exact liveness does not matter there).
   size_t ApproxRowCount() const;
   size_t ByteSize() const;
-
-  /// Median row key, for region splits. Empty if too few rows.
-  std::string MedianKey() const;
-
-  /// Moves rows with key >= split into `right`. Caller fixes key ranges.
-  void SplitInto(const std::string& split, Region* right);
-
-  /// Shrinks this region's upper bound after a split.
-  void SetEndKey(std::string end_key) { end_key_ = std::move(end_key); }
 
   // ---- Failover support (see hbase/failover.h) ----
 
@@ -159,15 +139,12 @@ class Region {
     return ts.has_value() ? *ts : clock_->fetch_add(1) + 1;
   }
 
-  std::string start_key_;
-  std::string end_key_;
   std::atomic<int64_t>* clock_;
   std::atomic<int> server_id_{0};
   std::atomic<bool> store_lost_{false};
   mutable std::shared_mutex mutex_;
   std::map<std::string, RowData> rows_;
-  // Region WAL since the last flush: serialized RegionEdits back to back,
-  // split-partitioned with rows_.
+  // Region WAL since the last flush: serialized RegionEdits back to back.
   std::string log_;
   size_t log_entries_ = 0;
 };

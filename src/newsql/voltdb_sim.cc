@@ -4,6 +4,8 @@
 #include <numeric>
 #include <set>
 
+#include "exec/write_binding.h"
+
 namespace synergy::newsql {
 
 sim::CostModel VoltCostModel() {
@@ -237,58 +239,21 @@ StatusOr<VoltDb::ExecResult> VoltDb::ExecuteWrite(
   hbase::Session s(cluster_.get());
   const sim::CostModel& m = cluster_->cost_model();
   s.meter().Charge(m.volt_dispatch_us + m.volt_write_sync_us);
-  const sql::Statement bound = sql::BindParams(stmt, params);
-  if (const auto* ins = std::get_if<sql::InsertStatement>(&bound)) {
-    exec::Tuple tuple;
-    for (size_t i = 0; i < ins->columns.size(); ++i) {
-      SYNERGY_ASSIGN_OR_RETURN(v,
-                               exec::ResolveConstOperand(ins->values[i], {}));
-      if (!v.is_null()) tuple[ins->columns[i]] = std::move(v);
-    }
-    SYNERGY_RETURN_IF_ERROR(adapter_->Insert(s, ins->table, tuple));
-  } else {
-    // UPDATE / DELETE keyed by full PK (the workloads guarantee this).
-    const sql::RelationDef* rel = nullptr;
-    const std::vector<sql::Predicate>* where = nullptr;
-    if (const auto* upd = std::get_if<sql::UpdateStatement>(&bound)) {
-      rel = catalog_.FindRelation(upd->table);
-      where = &upd->where;
-    } else if (const auto* del = std::get_if<sql::DeleteStatement>(&bound)) {
-      rel = catalog_.FindRelation(del->table);
-      where = &del->where;
-    } else {
-      return Status::InvalidArgument("unsupported statement");
-    }
-    if (rel == nullptr) return Status::NotFound("relation");
-    std::vector<Value> pk;
-    for (const std::string& pkcol : rel->primary_key) {
-      bool found = false;
-      for (const sql::Predicate& p : *where) {
-        if (p.op != sql::CompareOp::kEq) continue;
-        if (p.lhs.kind == sql::Operand::Kind::kColumn &&
-            p.lhs.column.column == pkcol &&
-            p.rhs.kind != sql::Operand::Kind::kColumn) {
-          SYNERGY_ASSIGN_OR_RETURN(v, exec::ResolveConstOperand(p.rhs, {}));
-          pk.push_back(std::move(v));
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        return Status::Unimplemented("write must bind the full primary key");
-      }
-    }
-    if (const auto* upd = std::get_if<sql::UpdateStatement>(&bound)) {
-      std::vector<std::pair<std::string, Value>> sets;
-      for (const auto& [col, op] : upd->assignments) {
-        SYNERGY_ASSIGN_OR_RETURN(v, exec::ResolveConstOperand(op, {}));
-        sets.emplace_back(col, std::move(v));
-      }
-      SYNERGY_RETURN_IF_ERROR(adapter_->UpdateByPk(s, upd->table, pk, sets));
-    } else {
-      const auto& del = std::get<sql::DeleteStatement>(bound);
-      SYNERGY_RETURN_IF_ERROR(adapter_->DeleteByPk(s, del.table, pk));
-    }
+  SYNERGY_ASSIGN_OR_RETURN(
+      write,
+      exec::BindWriteStatement(sql::BindParams(stmt, params), catalog_));
+  switch (write.kind) {
+    case exec::BoundWrite::Kind::kInsert:
+      SYNERGY_RETURN_IF_ERROR(adapter_->Insert(s, write.relation, write.tuple));
+      break;
+    case exec::BoundWrite::Kind::kUpdate:
+      SYNERGY_RETURN_IF_ERROR(adapter_->UpdateByPk(
+          s, write.relation, write.pk_values, write.sets));
+      break;
+    case exec::BoundWrite::Kind::kDelete:
+      SYNERGY_RETURN_IF_ERROR(
+          adapter_->DeleteByPk(s, write.relation, write.pk_values));
+      break;
   }
   ExecResult out;
   out.virtual_ms = s.meter().millis();

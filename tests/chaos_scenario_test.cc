@@ -9,6 +9,7 @@
 // SYNERGY_CHAOS_ITERS=<k> multiplies the round count (nightly CI).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -224,23 +225,42 @@ class ChaosScenarioTest : public ::testing::Test {
   /// After an overload storm, residual burst phantoms stay on a server's
   /// admission books until real ops drain them (one per completion or per
   /// shed decision). Quiesce the way an operator would — trickle cheap
-  /// probes until the books are empty — so recovery and the audit run on a
-  /// calm cluster instead of being shed themselves. Bounded: every probe
+  /// probes at every busy server until the books are empty — so recovery
+  /// and the audit run on a calm cluster instead of being shed themselves.
+  /// A probe reaches a server only through a table it hosts, so each busy
+  /// server is probed through one of its own tables. Bounded: every probe
   /// drains at least one phantom, so the loop always terminates.
   void DrainOverloadBacklog() {
-    if (cluster_.admission() == nullptr) return;
+    hbase::AdmissionController* admission = cluster_.admission();
+    if (admission == nullptr) return;
+    std::map<int, std::string> table_on_server;
+    for (const hbase::TableSizeInfo& table : cluster_.SizeReport()) {
+      table_on_server.try_emplace(cluster_.RegionServerOf(table.name).value(),
+                                  table.name);
+    }
     for (int probe = 0; probe < 1024; ++probe) {
       bool busy = false;
-      for (int sid = 0; sid < cluster_.num_region_servers(); ++sid) {
-        if (cluster_.admission()->Occupancy(sid) > 0) {
-          busy = true;
-          break;
-        }
+      for (const auto& [sid, table] : table_on_server) {
+        if (admission->Occupancy(sid) == 0) continue;
+        busy = true;
+        hbase::Session s(&cluster_);
+        (void)cluster_.Get(s, table, "overload-drain-probe");
       }
       if (!busy) return;
-      hbase::Session s(&cluster_);
-      (void)cluster_.Get(s, "Employee", "overload-drain-probe");
     }
+  }
+
+  uint64_t Count(const char* family) const {
+    return cluster_.metrics().Snapshot().CounterValue(family);
+  }
+
+  /// A server-targeted scenario must have reached data: with tables spread
+  /// over the servers, the target hosts some of them.
+  void ExpectFailoverMovedData() {
+    EXPECT_GT(Count("hbase_failover_regions_reassigned_total"), 0u)
+        << ReplayHint();
+    EXPECT_GT(Count("hbase_failover_edits_replayed_total"), 0u)
+        << ReplayHint();
   }
 
   /// Disarms all faults, runs master failover + WAL replay, then audits
@@ -352,6 +372,9 @@ TEST_F(ChaosScenarioTest, RegionServerOutage) {
   rule.point = FaultPoint::kRegionRpcFailure;
   rule.server_id = 1;
   RunProbabilisticScenario(rule, 107);
+  EXPECT_GT(Count("hbase_faults_injected_total"), 0u)
+      << "server 1 hosts tables, so the outage must have failed RPCs\n"
+      << ReplayHint();
 }
 
 // --- Scenario 8: faults aimed only at the lock tables (the hierarchical
@@ -441,6 +464,7 @@ TEST_F(ChaosScenarioTest, RegionServerCrashFailoverStorm) {
     Storm(40);
     RecoverAndAudit();
   }
+  ExpectFailoverMovedData();
 }
 
 // --- Scenario 14: heartbeat loss (server alive but silent). The lease
@@ -513,6 +537,7 @@ TEST_F(ChaosScenarioTest, DirtyReadRestartMidFailover) {
     }
     RecoverAndAudit();
   }
+  ExpectFailoverMovedData();
 }
 
 // --- Scenario 17: synthetic load bursts slam the serving region servers

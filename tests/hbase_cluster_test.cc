@@ -88,18 +88,43 @@ TEST_F(ClusterTest, ScannerHonorsRange) {
   EXPECT_EQ(keys, (std::vector<std::string>{"b", "c"}));
 }
 
-TEST_F(ClusterTest, ScannerCrossesPresplitRegions) {
-  ASSERT_TRUE(cluster_.CreateTable({.name = "split"}, {"g", "p"}).ok());
-  Session s(&cluster_);
-  for (const char* k : {"a", "h", "q", "z", "g", "p"}) {
-    ASSERT_TRUE(cluster_.Put(s, "split", k, {{"v", k}}).ok());
+// A scan longer than one batch resumes each batch at the first key the last
+// one did not examine; rows the read view hides are examined but never
+// returned, and never end a batch early.
+TEST(ClusterScanTest, ScanSpansBatchesThroughAReadView) {
+  sim::CostModel model;
+  model.scan_batch_rows = 2;
+  Cluster cluster(model);
+  ASSERT_TRUE(cluster.CreateTable({.name = "t"}).ok());
+  Session writer(&cluster);
+  for (int i = 1; i <= 7; ++i) {
+    ASSERT_TRUE(
+        cluster.Put(writer, "t", "k" + std::to_string(i), {{"v", "x"}}, i)
+            .ok());
   }
-  auto scanner = cluster_.OpenScanner(s, "split");
-  ASSERT_TRUE(scanner.ok());
-  std::vector<std::string> keys;
-  RowResult row;
-  while (scanner->Next(&row)) keys.push_back(row.row_key);
-  EXPECT_EQ(keys, (std::vector<std::string>{"a", "g", "h", "p", "q", "z"}));
+  const std::vector<int64_t> exclude = {3, 4};
+  auto scan = [&](const std::string& stop) {
+    Session reader(&cluster);
+    reader.SetReadView(ReadView{.read_ts = INT64_MAX, .exclude = &exclude});
+    auto batches = [&] {
+      return cluster.metrics().Snapshot().CounterValue(
+          "hbase_scan_batches_total");
+    };
+    const uint64_t before = batches();
+    std::vector<std::string> keys;
+    StatusOr<Scanner> scanner = cluster.OpenScanner(reader, "t", "", stop);
+    if (!scanner.ok()) return std::pair(keys, uint64_t{0});
+    RowResult row;
+    while (scanner->Next(&row)) keys.push_back(row.row_key);
+    EXPECT_TRUE(scanner->status().ok());
+    return std::pair(keys, batches() - before);
+  };
+  EXPECT_EQ(scan(""), std::pair(std::vector<std::string>{"k1", "k2", "k5",
+                                                         "k6", "k7"},
+                                uint64_t{3}));
+  EXPECT_EQ(scan("k7"),
+            std::pair(std::vector<std::string>{"k1", "k2", "k5", "k6"},
+                      uint64_t{2}));
 }
 
 TEST_F(ClusterTest, ScanCostScalesWithRows) {
@@ -172,36 +197,20 @@ TEST_F(ClusterTest, SizeReportTracksData) {
   EXPECT_GT(cluster_.TotalBytes(), 0u);
 }
 
-TEST_F(ClusterTest, AutoSplitCreatesRegions) {
-  ASSERT_TRUE(cluster_
-                  .CreateTable({.name = "grow", .split_threshold_rows = 100})
-                  .ok());
-  Session s(&cluster_);
-  for (int i = 0; i < 500; ++i) {
-    char key[16];
-    snprintf(key, sizeof(key), "k%05d", i);
-    ASSERT_TRUE(cluster_.Put(s, "grow", key, {{"v", "x"}}).ok());
-  }
-  cluster_.MaybeSplitAll();
-  auto report = cluster_.SizeReport();
-  for (const auto& info : report) {
-    if (info.name == "grow") {
-      EXPECT_GT(info.regions, 1u);
-      EXPECT_EQ(info.rows, 500u);
+// A table is one region, and the n-th table created lands on server
+// n mod num_region_servers(), so tables spread over the servers.
+TEST(ClusterPlacementTest, NthTableLandsOnServerNModServers) {
+  for (int servers : {5, 3}) {
+    SCOPED_TRACE(servers);
+    Cluster cluster(sim::CostModel{}, servers);
+    for (int n = 0; n < 12; ++n) {
+      const std::string name = "t" + std::to_string(n);
+      ASSERT_TRUE(cluster.CreateTable({.name = name}).ok());
+      EXPECT_EQ(cluster.RegionServerOf(name).value(), n % servers) << name;
+      // A refused create places nothing.
+      EXPECT_FALSE(cluster.CreateTable({.name = name}).ok());
     }
   }
-  // Scans still see everything, in order, across the split.
-  auto scanner = cluster_.OpenScanner(s, "grow");
-  ASSERT_TRUE(scanner.ok());
-  RowResult row;
-  size_t n = 0;
-  std::string prev;
-  while (scanner->Next(&row)) {
-    EXPECT_LT(prev, row.row_key);
-    prev = row.row_key;
-    ++n;
-  }
-  EXPECT_EQ(n, 500u);
 }
 
 TEST_F(ClusterTest, ScannerErrorIsSurfacedViaStatus) {
@@ -274,8 +283,8 @@ TEST_F(ClusterTest, MajorCompactionShrinksMultiVersionData) {
 // One store op against row "r" of `table`, as the contract test drives it.
 struct RpcOpCase {
   const char* span;
-  // Virtual cost charged before routing, so a refused attempt still pays
-  // it. Reads charge their response-sized cost only once served.
+  // Virtual cost charged before the access check, so a refused attempt
+  // still pays it. Reads charge their response-sized cost only once served.
   double (*request_us)(const sim::CostModel& m);
   bool ack_can_be_lost;  // applied by the region before the ack fault
   bool scan;

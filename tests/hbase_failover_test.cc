@@ -17,10 +17,9 @@
 namespace synergy::hbase {
 namespace {
 
-// One row per region of the 5-way pre-split table; region i lands on
-// server i (round-robin assignment starts at 0 for each table).
-const char* const kSplits[] = {"d", "h", "m", "r"};
-const char* const kRows[] = {"a1", "e1", "i1", "n1", "s1"};
+// Five one-row tables created in order, so table i is placed on server i.
+// Each holds row "r" whose value is its table's name.
+const char* const kTables[] = {"t0", "t1", "t2", "t3", "t4"};
 
 class FailoverTest : public ::testing::Test {
  protected:
@@ -30,13 +29,20 @@ class FailoverTest : public ::testing::Test {
     config_.heartbeat_every_rpcs = 4;
     config_.lease_missed_rounds = 2;
     cluster_.ConfigureFailover(config_);
-    ASSERT_TRUE(cluster_
-                    .CreateTable({.name = "t"},
-                                 {kSplits, kSplits + 4})
-                    .ok());
     Session s(&cluster_);
-    for (const char* row : kRows) {
-      ASSERT_TRUE(cluster_.Put(s, "t", row, {{"v", row}}).ok());
+    for (const char* table : kTables) {
+      ASSERT_TRUE(cluster_.CreateTable({.name = table}).ok());
+      ASSERT_TRUE(cluster_.Put(s, table, "r", {{"v", table}}).ok());
+    }
+  }
+
+  /// Reads row "r" of every table; each must hold its table's name.
+  void ExpectEveryRowIntact() {
+    Session s(&cluster_);
+    for (const char* table : kTables) {
+      StatusOr<RowResult> got = cluster_.Get(s, table, "r");
+      ASSERT_TRUE(got.ok()) << table << ": " << got.status();
+      EXPECT_EQ(got->columns.at("v"), table);
     }
   }
 
@@ -58,9 +64,11 @@ class FailoverTest : public ::testing::Test {
 };
 
 TEST_F(FailoverTest, RegionServerOfReportsHostingServer) {
-  StatusOr<int> host = cluster_.RegionServerOf("t");
-  ASSERT_TRUE(host.ok());
-  EXPECT_EQ(*host, 0);  // first region of a fresh table is on server 0
+  for (int i = 0; i < 5; ++i) {
+    StatusOr<int> host = cluster_.RegionServerOf(kTables[i]);
+    ASSERT_TRUE(host.ok());
+    EXPECT_EQ(*host, i);  // the i-th table created is placed on server i
+  }
   EXPECT_EQ(cluster_.RegionServerOf("nope").status().code(),
             StatusCode::kNotFound);
 }
@@ -70,13 +78,13 @@ TEST_F(FailoverTest, CrashedServerIsUnavailableUntilLeaseExpires) {
   EXPECT_EQ(cluster_.failover().state(0), ServerState::kCrashed);
   EXPECT_FALSE(cluster_.failover().AllHealthy());
 
-  // Row "a1" lives on server 0: its store is gone and the master has not
+  // Table t0 lives on server 0: its store is gone and the master has not
   // noticed yet, so the read fails retryably.
   Session s(&cluster_);
-  EXPECT_EQ(cluster_.Get(s, "t", "a1").status().code(),
+  EXPECT_EQ(cluster_.Get(s, "t0", "r").status().code(),
             StatusCode::kUnavailable);
-  // Rows on live servers are unaffected.
-  EXPECT_TRUE(cluster_.Get(s, "t", "e1").ok());
+  // Tables on live servers are unaffected.
+  EXPECT_TRUE(cluster_.Get(s, "t1", "r").ok());
 }
 
 TEST_F(FailoverTest, CrashReassignsAndReplaysWithoutLosingWrites) {
@@ -84,17 +92,12 @@ TEST_F(FailoverTest, CrashReassignsAndReplaysWithoutLosingWrites) {
   Rounds(config_.lease_missed_rounds + 2);  // expire lease + sweep
 
   EXPECT_EQ(cluster_.failover().state(0), ServerState::kDead);
-  Session s(&cluster_);
-  for (const char* row : kRows) {
-    StatusOr<RowResult> got = cluster_.Get(s, "t", row);
-    ASSERT_TRUE(got.ok()) << row << ": " << got.status();
-    EXPECT_EQ(got->columns.at("v"), row);
-  }
+  ExpectEveryRowIntact();
   EXPECT_EQ(Count("hbase_failover_crashes_total"), 1u);
-  EXPECT_GE(Count("hbase_failover_regions_reassigned_total"), 1u);
-  // The crash lost the memstore, so the region's edits were replayed.
-  EXPECT_GE(Count("hbase_failover_edits_replayed_total"), 1u);
-  EXPECT_GT(cluster_.RegionServerOf("t").value(), 0);  // moved off server 0
+  EXPECT_EQ(Count("hbase_failover_regions_reassigned_total"), 1u);
+  // The crash lost the memstore, so the region's one edit was replayed.
+  EXPECT_EQ(Count("hbase_failover_edits_replayed_total"), 1u);
+  EXPECT_GT(cluster_.RegionServerOf("t0").value(), 0);  // moved off server 0
 }
 
 TEST_F(FailoverTest, FencedServerMovesRegionsWithoutReplay) {
@@ -103,12 +106,12 @@ TEST_F(FailoverTest, FencedServerMovesRegionsWithoutReplay) {
 
   EXPECT_EQ(cluster_.failover().state(1), ServerState::kDead);
   Session s(&cluster_);
-  StatusOr<RowResult> got = cluster_.Get(s, "t", "e1");  // was on server 1
+  StatusOr<RowResult> got = cluster_.Get(s, "t1", "r");  // was on server 1
   ASSERT_TRUE(got.ok()) << got.status();
-  EXPECT_EQ(got->columns.at("v"), "e1");
+  EXPECT_EQ(got->columns.at("v"), "t1");
   EXPECT_EQ(Count("hbase_failover_fenced_total"), 1u);
   EXPECT_EQ(Count("hbase_failover_crashes_total"), 0u);
-  EXPECT_GE(Count("hbase_failover_regions_reassigned_total"), 1u);
+  EXPECT_EQ(Count("hbase_failover_regions_reassigned_total"), 1u);
   // The store was intact: replaying would duplicate versions, so none ran.
   EXPECT_EQ(Count("hbase_failover_edits_replayed_total"), 0u);
 }
@@ -125,14 +128,14 @@ TEST_F(FailoverTest, DegradedReadsDuringReassignmentWindow) {
 
   // Fenced store is intact: reads are served, flagged degraded.
   Session s(&cluster_);
-  StatusOr<RowResult> got = cluster_.Get(s, "t", "i1");  // server 2's region
+  StatusOr<RowResult> got = cluster_.Get(s, "t2", "r");  // server 2's region
   ASSERT_TRUE(got.ok()) << got.status();
-  EXPECT_EQ(got->columns.at("v"), "i1");
+  EXPECT_EQ(got->columns.at("v"), "t2");
   EXPECT_EQ(s.count(obs::OpCounter::kDegradedReads), 1u);
   EXPECT_EQ(Count("client_degraded_reads_total"), 1u);
 
   // Writes cannot be accepted mid-reassignment.
-  EXPECT_EQ(cluster_.Put(s, "t", "i2", {{"v", "x"}}).code(),
+  EXPECT_EQ(cluster_.Put(s, "t2", "r2", {{"v", "x"}}).code(),
             StatusCode::kUnavailable);
   EXPECT_GE(Count("hbase_failover_writes_rejected_total"), 1u);
 }
@@ -148,7 +151,7 @@ TEST_F(FailoverTest, CrashedStoreRefusesDegradedReads) {
   // The store is lost and replay is frozen: stale data would be *wrong*
   // data, so the read fails retryably instead of degrading.
   Session s(&cluster_);
-  EXPECT_EQ(cluster_.Get(s, "t", "n1").status().code(),
+  EXPECT_EQ(cluster_.Get(s, "t3", "r").status().code(),
             StatusCode::kUnavailable);
   EXPECT_EQ(s.count(obs::OpCounter::kDegradedReads), 0u);
 }
@@ -160,9 +163,9 @@ TEST_F(FailoverTest, RetryingClientRidesThroughCrash) {
   // expiry and WAL replay all complete inside this one Get call.
   Session s(&cluster_);
   s.SetRetryPolicy(RetryPolicy{});
-  StatusOr<RowResult> got = cluster_.Get(s, "t", "a1");
+  StatusOr<RowResult> got = cluster_.Get(s, "t0", "r");
   ASSERT_TRUE(got.ok()) << got.status();
-  EXPECT_EQ(got->columns.at("v"), "a1");
+  EXPECT_EQ(got->columns.at("v"), "t0");
   EXPECT_GT(s.count(obs::OpCounter::kRetries), 0u);
   EXPECT_EQ(cluster_.failover().state(0), ServerState::kDead);
   EXPECT_GE(Count("hbase_failover_edits_replayed_total"), 1u);
@@ -179,11 +182,9 @@ TEST_F(FailoverTest, LastLiveServerCannotBeTakenDown) {
 
   // Everything reassigned onto the survivor; no acknowledged write lost.
   Rounds(8);
-  Session s(&cluster_);
-  for (const char* row : kRows) {
-    StatusOr<RowResult> got = cluster_.Get(s, "t", row);
-    ASSERT_TRUE(got.ok()) << row << ": " << got.status();
-    EXPECT_EQ(got->columns.at("v"), row);
+  ExpectEveryRowIntact();
+  for (const char* table : kTables) {
+    EXPECT_EQ(cluster_.RegionServerOf(table).value(), 4) << table;
   }
 }
 
@@ -198,48 +199,21 @@ TEST_F(FailoverTest, InjectedServerCrashFiresOnHeartbeatRound) {
   cluster_.SetFaultInjector(&faults);
 
   // RPC traffic drives the heartbeat that consults the rule; keep reading a
-  // row hosted elsewhere so the reads themselves never fault.
+  // table hosted elsewhere so the reads themselves never fault.
   Session s(&cluster_);
   for (int i = 0; i < 16 * config_.heartbeat_every_rpcs; ++i) {
-    ASSERT_TRUE(cluster_.Get(s, "t", "a1").ok());
+    ASSERT_TRUE(cluster_.Get(s, "t0", "r").ok());
   }
   EXPECT_EQ(cluster_.failover().state(1), ServerState::kDead);
   EXPECT_EQ(Count("hbase_failover_crashes_total"), 1u);
-  StatusOr<RowResult> got = cluster_.Get(s, "t", "e1");
+  StatusOr<RowResult> got = cluster_.Get(s, "t1", "r");
   ASSERT_TRUE(got.ok()) << got.status();
-  EXPECT_EQ(got->columns.at("v"), "e1");
-}
-
-TEST(RegionWalTest, SplitPartitionsEditLogByKey) {
-  std::atomic<int64_t> clock{0};
-  Region left("", "", &clock, /*server_id=*/0);
-  left.Put("a", {{"v", "1"}});
-  left.Put("m", {{"v", "2"}});
-  left.Put("z", {{"v", "3"}});
-  ASSERT_EQ(left.EditLogSize(), 3u);
-
-  Region right("m", "", &clock, /*server_id=*/1);
-  left.SplitInto("m", &right);
-  EXPECT_EQ(left.EditLogSize(), 1u);
-  EXPECT_EQ(right.EditLogSize(), 2u);
-
-  // The daughter replays exactly its own half of the log.
-  right.DropStore();
-  EXPECT_TRUE(right.store_lost());
-  EXPECT_FALSE(right.Get("z", ReadView{}).has_value());
-  right.ReplayEdits();
-  EXPECT_FALSE(right.store_lost());
-  ASSERT_TRUE(right.Get("z", ReadView{}).has_value());
-  EXPECT_EQ(right.Get("z", ReadView{})->columns.at("v"), "3");
-  EXPECT_EQ(right.Get("m", ReadView{})->columns.at("v"), "2");
-  // The parent kept its half untouched.
-  ASSERT_TRUE(left.Get("a", ReadView{}).has_value());
-  EXPECT_EQ(left.Get("a", ReadView{})->columns.at("v"), "1");
+  EXPECT_EQ(got->columns.at("v"), "t1");
 }
 
 TEST(RegionWalTest, ReplayReproducesTombstonesAndRmwResults) {
   std::atomic<int64_t> clock{0};
-  Region region("", "", &clock, 0);
+  Region region(&clock, 0);
   region.Put("r", {{"a", "1"}, {"b", "2"}});
   region.Delete("r");
   region.Put("r", {{"a", "3"}});
@@ -258,7 +232,7 @@ TEST(RegionWalTest, ReplayReproducesTombstonesAndRmwResults) {
 
 TEST(RegionWalTest, ReplayDoesNotUndoCompaction) {
   std::atomic<int64_t> clock{0};
-  Region region("", "", &clock, 0);
+  Region region(&clock, 0);
   for (int i = 1; i <= 4; ++i) region.Put("k", {{"v", std::to_string(i)}});
   region.Put("gone", {{"v", "x"}});
   region.Delete("gone");
@@ -281,7 +255,7 @@ TEST(RegionWalTest, ReplayDoesNotUndoCompaction) {
 
 TEST(RegionWalTest, OnlyEditsSinceTheFlushReplay) {
   std::atomic<int64_t> clock{0};
-  Region region("", "", &clock, 0);
+  Region region(&clock, 0);
   region.Put("a", {{"v", "1"}});
   region.Put("b", {{"v", "2"}});
   region.MajorCompact(3);
@@ -295,6 +269,7 @@ TEST(RegionWalTest, OnlyEditsSinceTheFlushReplay) {
   // The crash loses the memstore only: the flushed rows survive with their
   // flushed values, the row written after the flush is gone.
   region.DropStore();
+  EXPECT_TRUE(region.store_lost());
   ASSERT_EQ(region.ApproxRowCount(), 2u);
   EXPECT_EQ(region.Get("a", ReadView{})->columns.at("v"), "1");
   EXPECT_EQ(region.Get("b", ReadView{})->columns.at("v"), "2");
@@ -304,6 +279,7 @@ TEST(RegionWalTest, OnlyEditsSinceTheFlushReplay) {
   EXPECT_EQ(region.EditLogSize(), 2u);
 
   region.ReplayEdits();
+  EXPECT_FALSE(region.store_lost());
   EXPECT_EQ(region.ApproxRowCount(), 3u);
   EXPECT_EQ(region.ByteSize(), bytes);
   EXPECT_EQ(region.Get("b", ReadView{})->columns.at("v"), "3");
@@ -314,16 +290,15 @@ TEST(RegionWalTest, OnlyEditsSinceTheFlushReplay) {
 TEST_F(FailoverTest, CrashAfterFlushReplaysOnlyLaterEdits) {
   cluster_.MajorCompactAll();
   Session s(&cluster_);
-  ASSERT_TRUE(cluster_.Put(s, "t", "a2", {{"v", "a2"}}).ok());  // server 0
+  ASSERT_TRUE(cluster_.Put(s, "t0", "r2", {{"v", "r2"}}).ok());  // server 0
   ASSERT_TRUE(cluster_.failover().CrashServer(0));
   Rounds(config_.lease_missed_rounds + 2);
 
   EXPECT_EQ(Count("hbase_failover_edits_replayed_total"), 1u);
-  for (const char* row : {"a1", "a2", "e1", "i1", "n1", "s1"}) {
-    StatusOr<RowResult> got = cluster_.Get(s, "t", row);
-    ASSERT_TRUE(got.ok()) << row << ": " << got.status();
-    EXPECT_EQ(got->columns.at("v"), row);
-  }
+  ExpectEveryRowIntact();
+  StatusOr<RowResult> got = cluster_.Get(s, "t0", "r2");
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got->columns.at("v"), "r2");
 }
 
 }  // namespace

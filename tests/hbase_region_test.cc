@@ -12,7 +12,7 @@ ReadView Now() { return ReadView{}; }
 std::atomic<int64_t> clock{0};
 
 TEST(RegionTest, PutGetRoundTrip) {
-  Region r("", "", &clock);
+  Region r(&clock);
   r.Put("k1", {{"a", "1"}, {"b", "2"}}, 1);
   auto row = r.Get("k1", Now());
   ASSERT_TRUE(row.has_value());
@@ -21,39 +21,19 @@ TEST(RegionTest, PutGetRoundTrip) {
 }
 
 TEST(RegionTest, GetMissingRow) {
-  Region r("", "", &clock);
+  Region r(&clock);
   EXPECT_FALSE(r.Get("nope", Now()).has_value());
 }
 
 TEST(RegionTest, DeleteHidesRow) {
-  Region r("", "", &clock);
+  Region r(&clock);
   r.Put("k", {{"a", "1"}}, 1);
   r.Delete("k", 2);
   EXPECT_FALSE(r.Get("k", Now()).has_value());
 }
 
-TEST(RegionTest, DeleteColumnKeepsSiblings) {
-  Region r("", "", &clock);
-  r.Put("k", {{"a", "1"}, {"b", "2"}}, 1);
-  r.DeleteColumn("k", "a", 2);
-  auto row = r.Get("k", Now());
-  ASSERT_TRUE(row.has_value());
-  EXPECT_FALSE(row->columns.contains("a"));
-  EXPECT_EQ(row->columns.at("b"), "2");
-}
-
-TEST(RegionTest, ContainsRespectsRange) {
-  Region r("b", "m", &clock);
-  EXPECT_TRUE(r.Contains("b"));
-  EXPECT_TRUE(r.Contains("cat"));
-  EXPECT_FALSE(r.Contains("m"));
-  EXPECT_FALSE(r.Contains("a"));
-  Region unbounded("", "", &clock);
-  EXPECT_TRUE(unbounded.Contains("anything"));
-}
-
 TEST(RegionTest, CheckAndPutSucceedsOnMatch) {
-  Region r("", "", &clock);
+  Region r(&clock);
   EXPECT_TRUE(r.CheckAndPut("k", "lock", std::nullopt, "1"));
   EXPECT_FALSE(r.CheckAndPut("k", "lock", std::nullopt, "1"));
   EXPECT_TRUE(r.CheckAndPut("k", "lock", "1", "0"));
@@ -62,7 +42,7 @@ TEST(RegionTest, CheckAndPutSucceedsOnMatch) {
 }
 
 TEST(RegionTest, CheckAndPutIsMutuallyExclusiveUnderThreads) {
-  Region r("", "", &clock);
+  Region r(&clock);
   r.Put("k", {{"lock", "0"}}, 1);
   std::atomic<int> winners{0};
   std::vector<std::thread> threads;
@@ -76,7 +56,7 @@ TEST(RegionTest, CheckAndPutIsMutuallyExclusiveUnderThreads) {
 }
 
 TEST(RegionTest, IncrementAccumulates) {
-  Region r("", "", &clock);
+  Region r(&clock);
   auto v1 = r.Increment("k", "n", 5);
   ASSERT_TRUE(v1.ok());
   EXPECT_EQ(*v1, 5);
@@ -86,13 +66,13 @@ TEST(RegionTest, IncrementAccumulates) {
 }
 
 TEST(RegionTest, IncrementRejectsNonInteger) {
-  Region r("", "", &clock);
+  Region r(&clock);
   r.Put("k", {{"n", "abc"}}, 1);
   EXPECT_FALSE(r.Increment("k", "n", 1).ok());
 }
 
 TEST(RegionTest, ScanBatchReturnsSortedRange) {
-  Region r("", "", &clock);
+  Region r(&clock);
   for (const char* k : {"d", "a", "c", "b", "e"}) r.Put(k, {{"v", k}}, 1);
   auto batch = r.ScanBatch("b", "e", 100, Now());
   ASSERT_EQ(batch.rows.size(), 3u);
@@ -102,7 +82,7 @@ TEST(RegionTest, ScanBatchReturnsSortedRange) {
 }
 
 TEST(RegionTest, ScanBatchHonorsLimitAndResumes) {
-  Region r("", "", &clock);
+  Region r(&clock);
   for (const char* k : {"a", "b", "c", "d"}) r.Put(k, {{"v", k}}, 1);
   auto batch = r.ScanBatch("", "", 2, Now());
   ASSERT_EQ(batch.rows.size(), 2u);
@@ -114,7 +94,7 @@ TEST(RegionTest, ScanBatchHonorsLimitAndResumes) {
 }
 
 TEST(RegionTest, ScanSkipsDeletedRowsButCountsThem) {
-  Region r("", "", &clock);
+  Region r(&clock);
   r.Put("a", {{"v", "1"}}, 1);
   r.Put("b", {{"v", "2"}}, 1);
   r.Delete("a", 2);
@@ -125,33 +105,15 @@ TEST(RegionTest, ScanSkipsDeletedRowsButCountsThem) {
 }
 
 TEST(RegionTest, MajorCompactRemovesDeletedRows) {
-  Region r("", "", &clock);
+  Region r(&clock);
   r.Put("a", {{"v", "1"}}, 1);
   r.Delete("a", 2);
   r.MajorCompact(3);
   EXPECT_EQ(r.RowCount(), 0u);
 }
 
-TEST(RegionTest, SplitMovesUpperRows) {
-  Region left("", "", &clock);
-  for (const char* k : {"a", "b", "c", "d"}) left.Put(k, {{"v", k}}, 1);
-  Region right("c", "", &clock);
-  left.SplitInto("c", &right);
-  left.SetEndKey("c");
-  EXPECT_EQ(left.RowCount(), 2u);
-  EXPECT_EQ(right.RowCount(), 2u);
-  EXPECT_TRUE(right.Get("d", Now()).has_value());
-  EXPECT_FALSE(left.Contains("c"));
-}
-
-TEST(RegionTest, MedianKey) {
-  Region r("", "", &clock);
-  for (const char* k : {"a", "b", "c", "d"}) r.Put(k, {{"v", k}}, 1);
-  EXPECT_EQ(r.MedianKey(), "c");
-}
-
 TEST(RegionTest, ConcurrentPutsAllLand) {
-  Region r("", "", &clock);
+  Region r(&clock);
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
