@@ -14,40 +14,6 @@ namespace {
 
 Status DirtyRead() { return Status::Aborted("dirty row encountered"); }
 
-/// One-line plan-node label for EXPLAIN ANALYZE, matching the vocabulary of
-/// SelectPlan::Explain.
-std::string StepLabel(const PlanStep& step, size_t i) {
-  std::string label = std::to_string(i) + ": " + step.table.table;
-  if (step.table.alias != step.table.table) {
-    label += " AS " + step.table.alias;
-  }
-  switch (step.method) {
-    case PlanStep::Method::kSource:
-      label += " SOURCE " + step.path.Describe();
-      break;
-    case PlanStep::Method::kHashJoin:
-      label += " HASH_JOIN " + step.path.Describe();
-      break;
-    case PlanStep::Method::kIndexNestedLoop:
-      label += " INDEX_NESTED_LOOP ";
-      switch (step.lookup.kind) {
-        case AccessPath::Kind::kPkGet:
-          label += "PK_GET";
-          break;
-        case AccessPath::Kind::kPkPrefixScan:
-          label += "PK_PREFIX";
-          break;
-        case AccessPath::Kind::kIndexPrefixScan:
-          label += "INDEX(" + step.lookup.index_name + ")";
-          break;
-        default:
-          label += "?";
-      }
-      break;
-  }
-  return label;
-}
-
 std::string RenderAnalyze(const AnalyzeResult& a) {
   std::ostringstream os;
   size_t width = 24;
@@ -87,19 +53,15 @@ std::shared_ptr<RowSchema> AliasSchema(const sql::TableRef& ref,
   return RowSchema::Make(std::move(names));
 }
 
-/// The constant side of an access-path key predicate.
-const sql::Operand& ConstSide(const sql::Predicate& pred) {
-  return pred.lhs.kind == sql::Operand::Kind::kColumn ? pred.rhs : pred.lhs;
-}
-
 /// Coerces a byte-key lookup value to the declared column type so encoded
 /// point/prefix lookups agree with Value::Compare's numeric equality (int 5
 /// must find a row stored under double 5.0 and vice versa, exactly as the
 /// hash-join/predicate paths treat them). Returns false when no stored
-/// value could match (a fractional or out-of-range double against an INT
-/// column), i.e. the lookup is a guaranteed miss.
+/// value could match (NULL, which equals nothing, or a fractional or
+/// out-of-range double against an INT column), i.e. the lookup is a
+/// guaranteed miss.
 bool CoerceKeyValue(DataType declared, Value* v) {
-  if (v->is_null()) return true;  // NULL handling stays with the caller
+  if (v->is_null()) return false;
   if (declared == DataType::kInt && v->type() == DataType::kDouble) {
     const double d = v->as_double();
     if (!(d >= -9223372036854775808.0 && d < 9223372036854775808.0)) {
@@ -171,6 +133,13 @@ StatusOr<std::vector<BoundPredicate>> BindPredicates(
   }
   return bound;
 }
+
+/// One column of an access-path key: the operand it equals, bound, and the
+/// column's declared type (for CoerceKeyValue).
+struct BoundKeyPart {
+  BoundOperand value;
+  DataType type = DataType::kString;
+};
 
 inline const Value& OperandValue(const BoundOperand& op,
                                  const std::vector<Value>& row) {
@@ -792,89 +761,61 @@ StatusOr<QueryResult> Executor::ExecuteOnce(hbase::Session& s,
     nodes->push_back(bind);
   }
 
-  // Streams rows of one table according to its access path. The callback
-  // receives a reusable slot row (relation column order); it may move the
-  // values out when it needs to keep them.
-  // Resolves an access path's equality key values, coerced to the key
-  // columns' declared types. Returns false when the lookup is a guaranteed
-  // miss (e.g. a fractional double against an INT key column).
-  auto build_access_key = [&params](const PlanStep& step,
-                                    std::vector<Value>* key)
-      -> StatusOr<bool> {
-    for (size_t j = 0; j < step.path.key_preds.size(); ++j) {
-      SYNERGY_ASSIGN_OR_RETURN(
-          v, ResolveConstOperand(ConstSide(*step.path.key_preds[j]), params));
-      const DataType declared =
-          step.rel->ColumnType(step.path.key_columns[j])
-              .value_or(DataType::kString);
-      if (!CoerceKeyValue(declared, &v)) return false;
-      key->push_back(std::move(v));
+  // The one key builder and the one table reader, shared by every step.
+  // `key_parts` holds the current step's bound key operands; `key` and
+  // `scratch` are buffers reused across steps and outer rows.
+  std::vector<BoundKeyPart> key_parts;
+  std::vector<Value> key;
+  SlotRow scratch;
+  // Fills `key` from the key operands over `outer` (a source or hash-join
+  // step's are constants, so it passes no row). False when the read can
+  // match nothing: a NULL value, or e.g. a fractional double against an INT
+  // column.
+  auto build_key = [&](const std::vector<Value>& outer) {
+    key.clear();
+    for (const BoundKeyPart& part : key_parts) {
+      Value v = OperandValue(part.value, outer);
+      if (!CoerceKeyValue(part.type, &v)) return false;
+      key.push_back(std::move(v));
     }
     return true;
   };
-
-  auto for_each_table_row =
-      [&](const PlanStep& step,
-          const std::function<StatusOr<bool>(SlotRow&)>& fn) -> Status {
-    SlotRow scratch;
-    auto handle = [&](SlotRow& row) -> StatusOr<bool> {
+  // Reads the rows of `step`'s table that match `key` along its access path
+  // into `scratch` and hands each to `fn`, which returns false to stop. Under
+  // detect_dirty every row read is checked for its dirty mark, and passes
+  // the dirty-read-restart fault point, which treats a clean row as marked
+  // so the §VIII-C restart loop in RunStatement runs under test control.
+  auto read_rows = [&](const PlanStep& step, auto&& fn) -> Status {
+    auto deliver = [&]() -> StatusOr<bool> {
       if (options.detect_dirty) {
-        if (row.marked) return DirtyRead();
-        // The dirty-read-restart fault point treats this (clean) row as if
-        // its dirty mark had been observed, forcing the §VIII-C abort so
-        // the restart loop in ExecuteSelect runs under test control.
+        if (scratch.marked) return DirtyRead();
         fault::FaultInjector* faults = adapter_->cluster()->fault_injector();
         if (faults != nullptr &&
             faults->ShouldFire(fault::FaultPoint::kDirtyReadRestart)) {
           return faults->InjectedFault(fault::FaultPoint::kDirtyReadRestart);
         }
       }
-      return fn(row);
+      return fn(scratch);
     };
-    switch (step.path.kind) {
-      case AccessPath::Kind::kPkGet: {
-        std::vector<Value> key;
-        SYNERGY_ASSIGN_OR_RETURN(matchable, build_access_key(step, &key));
-        if (!matchable) return Status::Ok();
-        SYNERGY_ASSIGN_OR_RETURN(
-            found, adapter_->GetByPkSlots(s, step.table.table, key, &scratch));
-        if (found) {
-          SYNERGY_ASSIGN_OR_RETURN(keep, handle(scratch));
-          (void)keep;
-        }
-        return Status::Ok();
-      }
-      case AccessPath::Kind::kIndexPrefixScan:
-      case AccessPath::Kind::kPkPrefixScan: {
-        std::vector<Value> prefix;
-        SYNERGY_ASSIGN_OR_RETURN(matchable, build_access_key(step, &prefix));
-        if (!matchable) return Status::Ok();
-        StatusOr<TupleScanner> scanner =
-            step.path.kind == AccessPath::Kind::kIndexPrefixScan
-                ? adapter_->ScanIndexPrefix(s, step.path.index_name, prefix)
-                : adapter_->ScanPkPrefix(s, step.table.table, prefix);
-        SYNERGY_RETURN_IF_ERROR(scanner.status());
-        while (true) {
-          SYNERGY_ASSIGN_OR_RETURN(more, scanner->NextSlots(&scratch));
-          if (!more) break;
-          SYNERGY_ASSIGN_OR_RETURN(keep, handle(scratch));
-          if (!keep) break;
-        }
-        return Status::Ok();
-      }
-      case AccessPath::Kind::kFullScan: {
-        SYNERGY_ASSIGN_OR_RETURN(scanner,
-                                 adapter_->ScanAll(s, step.table.table));
-        while (true) {
-          SYNERGY_ASSIGN_OR_RETURN(more, scanner.NextSlots(&scratch));
-          if (!more) break;
-          SYNERGY_ASSIGN_OR_RETURN(keep, handle(scratch));
-          if (!keep) break;
-        }
-        return Status::Ok();
-      }
+    const std::string& table = step.table.table;
+    if (step.path.kind == AccessPath::Kind::kPkGet) {
+      SYNERGY_ASSIGN_OR_RETURN(found,
+                               adapter_->GetByPkSlots(s, table, key, &scratch));
+      return found ? deliver().status() : Status::Ok();
     }
-    return Status::Internal("bad access path");
+    StatusOr<TupleScanner> scanner =
+        step.path.kind == AccessPath::Kind::kIndexPrefixScan
+            ? adapter_->ScanIndexPrefix(s, step.path.index_name, key)
+        : step.path.kind == AccessPath::Kind::kPkPrefixScan
+            ? adapter_->ScanPkPrefix(s, table, key)
+            : adapter_->ScanAll(s, table);
+    SYNERGY_RETURN_IF_ERROR(scanner.status());
+    while (true) {
+      SYNERGY_ASSIGN_OR_RETURN(more, scanner->NextSlots(&scratch));
+      if (!more) return Status::Ok();
+      SYNERGY_ASSIGN_OR_RETURN(keep, deliver());
+      if (!keep) return Status::Ok();
+    }
   };
 
   // --- pipeline ---
@@ -882,45 +823,12 @@ StatusOr<QueryResult> Executor::ExecuteOnce(hbase::Session& s,
   // everything row-referencing was pre-bound to slots above.
   std::vector<std::vector<Value>> current;
   bool stopped = false;
-
-  {
-    const PlanStep& step = plan.steps[0];
-    const std::vector<BoundPredicate>& residual = residuals[0];
-    const double stage_us = s.meter().micros();
-    const uint64_t stage_rpcs = s.count(obs::OpCounter::kRpcs);
-    const double stage_sink_us = sink_us;
-    const uint64_t stage_sink_rpcs = sink_rpcs;
-    size_t stage_rows = 0;
-    auto consume = [&](SlotRow& row) -> StatusOr<bool> {
-      if (!EvalBound(residual, row.values)) return true;
-      ++stage_rows;
-      if (n == 1) {
-        SYNERGY_ASSIGN_OR_RETURN(keep, sink_process(row.values));
-        if (!keep) {
-          stopped = true;
-          return false;
-        }
-        return true;
-      }
-      current.push_back(std::move(row.values));
-      return true;
-    };
-    SYNERGY_RETURN_IF_ERROR(for_each_table_row(step, consume));
-    if (analyze) {
-      PlanNodeStats node;
-      node.label = StepLabel(step, 0);
-      node.rows = stage_rows;
-      node.virtual_us = s.meter().Since(stage_us) - (sink_us - stage_sink_us);
-      node.rpcs = s.count(obs::OpCounter::kRpcs) - stage_rpcs -
-                  (sink_rpcs - stage_sink_rpcs);
-      nodes->push_back(node);
-    }
-  }
-
-  for (size_t i = 1; i < n && !stopped; ++i) {
+  for (size_t i = 0; i < n && !stopped; ++i) {
     const PlanStep& step = plan.steps[i];
     const bool last = (i == n - 1);
-    const RowSchema& outer_schema = *cum_schemas[i - 1];
+    // Step 0 has no outer row; its key operands are constants, which bind
+    // against any schema.
+    const RowSchema& outer_schema = *cum_schemas[i > 0 ? i - 1 : 0];
     const std::vector<BoundPredicate>& residual = residuals[i];
     const double stage_us = s.meter().micros();
     const uint64_t stage_rpcs = s.count(obs::OpCounter::kRpcs);
@@ -930,6 +838,27 @@ StatusOr<QueryResult> Executor::ExecuteOnce(hbase::Session& s,
     std::vector<std::vector<Value>> next;
     std::vector<Value> combined;  // reused when feeding the sink
 
+    key_parts.clear();
+    for (size_t j = 0; j < step.path.key_values.size(); ++j) {
+      SYNERGY_ASSIGN_OR_RETURN(
+          value, BindOperand(*step.path.key_values[j], outer_schema, params));
+      key_parts.push_back(BoundKeyPart{
+          std::move(value), step.rel->ColumnType(step.path.key_columns[j])
+                                .value_or(DataType::kString)});
+    }
+
+    // Passes a row this step produced on: into the sink from the last step,
+    // else into the next step's input.
+    auto emit = [&](std::vector<Value>&& out) -> StatusOr<bool> {
+      ++stage_rows;
+      if (!last) {
+        next.push_back(std::move(out));
+        return true;
+      }
+      SYNERGY_ASSIGN_OR_RETURN(keep, sink_process(out));
+      stopped = !keep;
+      return keep;
+    };
     auto emit_combined = [&](const std::vector<Value>& left,
                              const std::vector<Value>& right)
         -> StatusOr<bool> {
@@ -939,77 +868,25 @@ StatusOr<QueryResult> Executor::ExecuteOnce(hbase::Session& s,
       combined.insert(combined.end(), right.begin(), right.end());
       if (!EvalBound(residual, combined)) return true;
       s.meter().Charge(model.join_emit_row_us);
-      ++stage_rows;
-      if (last) {
-        SYNERGY_ASSIGN_OR_RETURN(keep, sink_process(combined));
-        if (!keep) {
-          stopped = true;
-          return false;
-        }
-        return true;
-      }
-      next.push_back(std::move(combined));
-      return true;
+      return emit(std::move(combined));
     };
 
-    if (step.method == PlanStep::Method::kIndexNestedLoop) {
-      // Bind the outer-side lookup operands once; reuse key and inner-row
-      // buffers across all outer rows.
-      std::vector<BoundOperand> outer_ops;
-      outer_ops.reserve(step.lookup.outer_operands.size());
-      for (const sql::Operand& op : step.lookup.outer_operands) {
-        SYNERGY_ASSIGN_OR_RETURN(bound, BindOperand(op, outer_schema, params));
-        outer_ops.push_back(std::move(bound));
+    if (step.method == PlanStep::Method::kSource) {
+      if (build_key({})) {
+        SYNERGY_RETURN_IF_ERROR(
+            read_rows(step, [&](SlotRow& row) -> StatusOr<bool> {
+              if (!EvalBound(residual, row.values)) return true;
+              return emit(std::move(row.values));
+            }));
       }
-      std::vector<DataType> lookup_types;
-      lookup_types.reserve(step.lookup.inner_columns.size());
-      for (const std::string& col : step.lookup.inner_columns) {
-        lookup_types.push_back(
-            step.rel->ColumnType(col).value_or(DataType::kString));
-      }
-      std::vector<Value> key;
-      SlotRow inner;
+    } else if (step.method == PlanStep::Method::kIndexNestedLoop) {
       for (const std::vector<Value>& outer : current) {
         if (stopped) break;
-        key.clear();
-        bool skip = false;
-        for (size_t j = 0; j < outer_ops.size(); ++j) {
-          Value v = OperandValue(outer_ops[j], outer);
-          // NULL keys never match; neither does e.g. a fractional double
-          // probed against an INT column (keeps byte-key lookups consistent
-          // with hash-join/Compare numeric equality).
-          if (v.is_null() || !CoerceKeyValue(lookup_types[j], &v)) {
-            skip = true;
-            break;
-          }
-          key.push_back(std::move(v));
-        }
-        if (skip) continue;
+        if (!build_key(outer)) continue;
         s.meter().Charge(model.join_probe_row_us + model.join_row_overhead_us);
-        if (step.lookup.kind == AccessPath::Kind::kPkGet) {
-          SYNERGY_ASSIGN_OR_RETURN(
-              found, adapter_->GetByPkSlots(s, step.table.table, key, &inner));
-          if (found) {
-            if (options.detect_dirty && inner.marked) return DirtyRead();
-            SYNERGY_ASSIGN_OR_RETURN(keep,
-                                     emit_combined(outer, inner.values));
-            (void)keep;
-          }
-        } else {
-          StatusOr<TupleScanner> scanner =
-              step.lookup.kind == AccessPath::Kind::kIndexPrefixScan
-                  ? adapter_->ScanIndexPrefix(s, step.lookup.index_name, key)
-                  : adapter_->ScanPkPrefix(s, step.table.table, key);
-          SYNERGY_RETURN_IF_ERROR(scanner.status());
-          while (!stopped) {
-            SYNERGY_ASSIGN_OR_RETURN(more, scanner->NextSlots(&inner));
-            if (!more) break;
-            if (options.detect_dirty && inner.marked) return DirtyRead();
-            SYNERGY_ASSIGN_OR_RETURN(keep,
-                                     emit_combined(outer, inner.values));
-            if (!keep) break;
-          }
-        }
+        SYNERGY_RETURN_IF_ERROR(read_rows(step, [&](SlotRow& inner) {
+          return emit_combined(outer, inner.values);
+        }));
       }
     } else {
       // Client-side hash join: build on the accumulated intermediate,
@@ -1094,20 +971,20 @@ StatusOr<QueryResult> Executor::ExecuteOnce(hbase::Session& s,
         }
         return true;
       };
-      SYNERGY_RETURN_IF_ERROR(for_each_table_row(step, consume));
+      if (build_key({})) {
+        SYNERGY_RETURN_IF_ERROR(read_rows(step, consume));
+      }
     }
     if (analyze) {
       PlanNodeStats node;
-      node.label = StepLabel(step, i);
+      node.label = step.Label(i);
       node.rows = stage_rows;
       node.virtual_us = s.meter().Since(stage_us) - (sink_us - stage_sink_us);
       node.rpcs = s.count(obs::OpCounter::kRpcs) - stage_rpcs -
                   (sink_rpcs - stage_sink_rpcs);
       nodes->push_back(node);
     }
-    if (!last) {
-      current = std::move(next);
-    }
+    current = std::move(next);
   }
 
   QueryResult result;

@@ -3,7 +3,7 @@
 // charging join/sort/aggregation CPU to the session's virtual meter.
 //
 // Also implements the dirty-read detection protocol of §VIII-C: when
-// ExecOptions.detect_dirty is set and a scan encounters a marked row, the
+// ExecOptions.detect_dirty is set and any plan step reads a marked row, the
 // whole statement is restarted (bounded retries).
 //
 // EXPLAIN ANALYZE (ExplainAnalyze) runs a statement and attributes its

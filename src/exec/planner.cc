@@ -8,6 +8,9 @@
 namespace synergy::exec {
 namespace {
 
+/// Max estimated outer rows for which an index nested-loop join is chosen.
+constexpr double kInlMaxOuterRows = 2000.0;
+
 /// Index of the FROM alias a column reference resolves to; -1 if it cannot
 /// be resolved unambiguously.
 int ResolveAlias(const std::vector<sql::TableRef>& from,
@@ -35,11 +38,17 @@ int OperandAlias(const std::vector<sql::TableRef>& from,
   return ResolveAlias(from, catalog, op.column);
 }
 
+/// An equality that can key a read of one alias: `*column = *value`.
+struct KeyValue {
+  const std::string* column;
+  const sql::Operand* value;
+  const sql::Predicate* pred;
+};
+
 struct ClassifiedPred {
   const sql::Predicate* pred;
   int lhs_alias;
   int rhs_alias;
-  int max_alias;  // latest FROM position referenced
   bool IsEquiJoin() const {
     return pred->op == sql::CompareOp::kEq && lhs_alias >= 0 &&
            rhs_alias >= 0 && lhs_alias != rhs_alias;
@@ -51,10 +60,12 @@ struct ClassifiedPred {
             (rhs_alias == alias && lhs_alias < 0 &&
              pred->lhs.kind != sql::Operand::Kind::kColumn));
   }
-  /// For a const-equality: the column on `alias`.
-  std::string ConstEqualityColumn(int alias) const {
-    return lhs_alias == alias ? pred->lhs.column.column
-                              : pred->rhs.column.column;
+  /// For an equality with one side on `alias`: that column, equal to the
+  /// other side.
+  KeyValue KeyFor(int alias) const {
+    return lhs_alias == alias
+               ? KeyValue{&pred->lhs.column.column, &pred->rhs, pred}
+               : KeyValue{&pred->rhs.column.column, &pred->lhs, pred};
   }
 };
 
@@ -94,77 +105,58 @@ bool Covers(const sql::IndexDef& ix, const std::set<std::string>& needed) {
   return true;
 }
 
-/// Picks the best access path given const-equality predicates on the alias.
-AccessPath PickAccessPath(const sql::RelationDef& rel,
-                          const std::vector<const sql::IndexDef*>& indexes,
-                          const std::vector<ClassifiedPred>& const_eqs,
-                          int alias, const std::set<std::string>& needed) {
-  auto find_pred = [&](const std::string& col) -> const ClassifiedPred* {
-    for (const ClassifiedPred& cp : const_eqs) {
-      if (cp.ConstEqualityColumn(alias) == col) return &cp;
+/// Chooses how to read `rel` given the equalities `values` that can key
+/// the read: constants for a step's own read, outer-row columns for an index
+/// nested-loop lookup. A full primary key is a point get; otherwise the
+/// longest covered-index prefix, unless the PK prefix is longer; otherwise a
+/// full scan.
+AccessPath ChoosePath(const sql::RelationDef& rel,
+                      const std::vector<const sql::IndexDef*>& indexes,
+                      const std::set<std::string>& needed,
+                      const std::vector<KeyValue>& values) {
+  auto find = [&](const std::string& col) -> const KeyValue* {
+    for (const KeyValue& v : values) {
+      if (*v.column == col) return &v;
     }
     return nullptr;
   };
+  auto prefix_len = [&](const std::vector<std::string>& cols) {
+    size_t len = 0;
+    while (len < cols.size() && find(cols[len]) != nullptr) ++len;
+    return len;
+  };
 
   AccessPath path;
-  // Full PK equality -> point get.
-  {
-    std::vector<const sql::Predicate*> preds;
-    std::vector<std::string> cols;
-    for (const std::string& pk : rel.primary_key) {
-      const ClassifiedPred* cp = find_pred(pk);
-      if (cp == nullptr) break;
-      preds.push_back(cp->pred);
-      cols.push_back(pk);
+  const std::vector<std::string>* key = &rel.primary_key;
+  size_t len = prefix_len(rel.primary_key);
+  if (len > 0 && len == rel.primary_key.size()) {
+    path.kind = AccessPath::Kind::kPkGet;
+  } else {
+    size_t best_len = 0;
+    const sql::IndexDef* best_ix = nullptr;
+    for (const sql::IndexDef* ix : indexes) {
+      if (!Covers(*ix, needed)) continue;
+      const size_t ix_len = prefix_len(ix->indexed_columns);
+      if (ix_len > best_len) {
+        best_len = ix_len;
+        best_ix = ix;
+      }
     }
-    if (cols.size() == rel.primary_key.size() && !cols.empty()) {
-      path.kind = AccessPath::Kind::kPkGet;
-      path.key_columns = std::move(cols);
-      path.key_preds = std::move(preds);
-      return path;
-    }
-  }
-  // Longest covered index prefix.
-  size_t best_len = 0;
-  const sql::IndexDef* best_ix = nullptr;
-  for (const sql::IndexDef* ix : indexes) {
-    if (!Covers(*ix, needed)) continue;
-    size_t len = 0;
-    for (const std::string& col : ix->indexed_columns) {
-      if (find_pred(col) == nullptr) break;
-      ++len;
-    }
-    if (len > best_len) {
-      best_len = len;
-      best_ix = ix;
+    if (best_len > 0 && best_len >= len) {
+      path.kind = AccessPath::Kind::kIndexPrefixScan;
+      path.index_name = best_ix->name;
+      key = &best_ix->indexed_columns;
+      len = best_len;
+    } else if (len > 0) {
+      path.kind = AccessPath::Kind::kPkPrefixScan;
     }
   }
-  // PK prefix.
-  size_t pk_prefix = 0;
-  for (const std::string& pk : rel.primary_key) {
-    if (find_pred(pk) == nullptr) break;
-    ++pk_prefix;
+  for (size_t k = 0; k < len; ++k) {
+    const KeyValue* v = find((*key)[k]);
+    path.key_columns.push_back(*v->column);
+    path.key_values.push_back(v->value);
+    path.key_preds.push_back(v->pred);
   }
-  if (best_len > 0 && best_len >= pk_prefix) {
-    path.kind = AccessPath::Kind::kIndexPrefixScan;
-    path.index_name = best_ix->name;
-    for (size_t i = 0; i < best_len; ++i) {
-      const std::string& col = best_ix->indexed_columns[i];
-      path.key_columns.push_back(col);
-      path.key_preds.push_back(find_pred(col)->pred);
-    }
-    return path;
-  }
-  if (pk_prefix > 0) {
-    path.kind = AccessPath::Kind::kPkPrefixScan;
-    for (size_t i = 0; i < pk_prefix; ++i) {
-      const std::string& col = rel.primary_key[i];
-      path.key_columns.push_back(col);
-      path.key_preds.push_back(find_pred(col)->pred);
-    }
-    return path;
-  }
-  path.kind = AccessPath::Kind::kFullScan;
   return path;
 }
 
@@ -209,33 +201,33 @@ std::string AccessPath::Describe() const {
   return "?";
 }
 
+std::string PlanStep::Label(size_t i) const {
+  std::string label = std::to_string(i) + ": " + table.table;
+  if (table.alias != table.table) label += " AS " + table.alias;
+  switch (method) {
+    case Method::kSource:
+      return label + " SOURCE " + path.Describe();
+    case Method::kHashJoin:
+      return label + " HASH_JOIN " + path.Describe();
+    case Method::kIndexNestedLoop:
+      break;
+  }
+  label += " INDEX_NESTED_LOOP ";
+  switch (path.kind) {
+    case AccessPath::Kind::kPkGet: return label + "PK_GET";
+    case AccessPath::Kind::kPkPrefixScan: return label + "PK_PREFIX";
+    case AccessPath::Kind::kIndexPrefixScan:
+      return label + "INDEX(" + path.index_name + ")";
+    case AccessPath::Kind::kFullScan: break;
+  }
+  return label + "?";
+}
+
 std::string SelectPlan::Explain() const {
   std::ostringstream os;
   for (size_t i = 0; i < steps.size(); ++i) {
-    const PlanStep& s = steps[i];
-    os << i << ": " << s.table.table;
-    if (s.table.alias != s.table.table) os << " AS " << s.table.alias;
-    switch (s.method) {
-      case PlanStep::Method::kSource:
-        os << " SOURCE " << s.path.Describe();
-        break;
-      case PlanStep::Method::kHashJoin:
-        os << " HASH_JOIN " << s.path.Describe();
-        break;
-      case PlanStep::Method::kIndexNestedLoop:
-        os << " INDEX_NESTED_LOOP ";
-        switch (s.lookup.kind) {
-          case AccessPath::Kind::kPkGet: os << "PK_GET"; break;
-          case AccessPath::Kind::kPkPrefixScan: os << "PK_PREFIX"; break;
-          case AccessPath::Kind::kIndexPrefixScan:
-            os << "INDEX(" << s.lookup.index_name << ")";
-            break;
-          default: os << "?";
-        }
-        break;
-    }
-    os << " residual=" << s.residual.size()
-       << " est=" << static_cast<long long>(s.estimated_rows) << "\n";
+    os << steps[i].Label(i) << " residual=" << steps[i].residual.size()
+       << " est=" << static_cast<long long>(steps[i].estimated_rows) << "\n";
   }
   return os.str();
 }
@@ -270,7 +262,6 @@ StatusOr<SelectPlan> PlanSelect(const sql::SelectStatement& stmt,
       return Status::InvalidArgument("cannot resolve column " +
                                      p.rhs.column.ToString());
     }
-    cp.max_alias = std::max(cp.lhs_alias, cp.rhs_alias);
     preds.push_back(cp);
   }
 
@@ -282,14 +273,13 @@ StatusOr<SelectPlan> PlanSelect(const sql::SelectStatement& stmt,
   for (size_t i = 0; i < n; ++i) {
     const int alias = static_cast<int>(i);
     alias_needed[i] = NeededColumns(stmt, catalog, stmt.from, alias);
-    std::vector<ClassifiedPred> const_eqs;
+    std::vector<KeyValue> const_eqs;
     for (const ClassifiedPred& cp : preds) {
-      if (cp.IsConstEquality(alias)) const_eqs.push_back(cp);
+      if (cp.IsConstEquality(alias)) const_eqs.push_back(cp.KeyFor(alias));
     }
     const sql::RelationDef* rel = catalog.FindRelation(stmt.from[i].table);
-    alias_paths[i] =
-        PickAccessPath(*rel, catalog.IndexesFor(stmt.from[i].table),
-                       const_eqs, alias, alias_needed[i]);
+    alias_paths[i] = ChoosePath(*rel, catalog.IndexesFor(stmt.from[i].table),
+                                alias_needed[i], const_eqs);
     const size_t table_rows =
         row_count ? row_count(stmt.from[i].table) : 0;
     alias_est[i] = EstimateSourceRows(alias_paths[i], catalog, table_rows);
@@ -342,20 +332,19 @@ StatusOr<SelectPlan> PlanSelect(const sql::SelectStatement& stmt,
     PlanStep step;
     step.table = stmt.from[i];
     step.rel = catalog.FindRelation(step.table.table);
-    const std::set<std::string>& needed = alias_needed[i];
-    const auto indexes = catalog.IndexesFor(step.table.table);
     done.insert(alias);
 
-    std::vector<const sql::Predicate*> equi_joins;
+    std::vector<KeyValue> join_keys;  // this alias's side of each equi join
     for (const ClassifiedPred& cp : preds) {
       if (cp.IsEquiJoin() && (cp.lhs_alias == alias || cp.rhs_alias == alias) &&
           done.contains(cp.lhs_alias) && done.contains(cp.rhs_alias)) {
-        equi_joins.push_back(cp.pred);
+        step.equi_joins.push_back(cp.pred);
+        join_keys.push_back(cp.KeyFor(alias));
       }
     }
     // Residual: every predicate that becomes fully bound at this step and is
     // not consumed by the access path / hash keys.
-    step.path = alias_paths[i];
+    step.path = std::move(alias_paths[i]);
     auto becomes_bound_here = [&](const ClassifiedPred& cp) {
       const bool lhs_ok = cp.lhs_alias < 0 || done.contains(cp.lhs_alias);
       const bool rhs_ok = cp.rhs_alias < 0 || done.contains(cp.rhs_alias);
@@ -370,114 +359,40 @@ StatusOr<SelectPlan> PlanSelect(const sql::SelectStatement& stmt,
           std::find(step.path.key_preds.begin(), step.path.key_preds.end(),
                     cp.pred) != step.path.key_preds.end();
       const bool is_hash_key =
-          std::find(equi_joins.begin(), equi_joins.end(), cp.pred) !=
-          equi_joins.end();
+          std::find(step.equi_joins.begin(), step.equi_joins.end(),
+                    cp.pred) != step.equi_joins.end();
       if (!consumed_by_path && !is_hash_key) step.residual.push_back(cp.pred);
     }
-    step.equi_joins = std::move(equi_joins);
 
-    const size_t table_rows = row_count ? row_count(step.table.table) : 0;
     if (pos == 0) {
       step.method = PlanStep::Method::kSource;
       est = alias_est[i];
     } else {
-      // Try an index nested-loop lookup on the join columns.
-      JoinLookup lookup;
-      if (!options.force_hash_join && !step.equi_joins.empty() &&
-          est <= options.inl_max_outer_rows) {
-        std::vector<std::pair<std::string, sql::Operand>> join_cols;
-        for (const sql::Predicate* p : step.equi_joins) {
-          const int la = OperandAlias(stmt.from, catalog, p->lhs);
-          if (la == alias) {
-            join_cols.emplace_back(p->lhs.column.column, p->rhs);
-          } else {
-            join_cols.emplace_back(p->rhs.column.column, p->lhs);
-          }
-        }
-        auto find_join_col =
-            [&](const std::string& col) -> const sql::Operand* {
-          for (const auto& [c, op] : join_cols) {
-            if (c == col) return &op;
-          }
-          return nullptr;
-        };
-        // Full-PK lookup?
-        bool pk_ok = !step.rel->primary_key.empty();
-        for (const std::string& pk : step.rel->primary_key) {
-          if (find_join_col(pk) == nullptr) {
-            pk_ok = false;
-            break;
-          }
-        }
-        if (pk_ok) {
-          lookup.kind = AccessPath::Kind::kPkGet;
-          for (const std::string& pk : step.rel->primary_key) {
-            lookup.inner_columns.push_back(pk);
-            lookup.outer_operands.push_back(*find_join_col(pk));
-          }
-        } else {
-          // Longest covered-index prefix over join columns.
-          size_t best_len = 0;
-          const sql::IndexDef* best_ix = nullptr;
-          for (const sql::IndexDef* ix : indexes) {
-            if (!Covers(*ix, needed)) continue;
-            size_t len = 0;
-            for (const std::string& col : ix->indexed_columns) {
-              if (find_join_col(col) == nullptr) break;
-              ++len;
-            }
-            if (len > best_len) {
-              best_len = len;
-              best_ix = ix;
-            }
-          }
-          size_t pk_prefix = 0;
-          for (const std::string& pk : step.rel->primary_key) {
-            if (find_join_col(pk) == nullptr) break;
-            ++pk_prefix;
-          }
-          if (best_len > 0 && best_len >= pk_prefix) {
-            lookup.kind = AccessPath::Kind::kIndexPrefixScan;
-            lookup.index_name = best_ix->name;
-            for (size_t k = 0; k < best_len; ++k) {
-              const std::string& col = best_ix->indexed_columns[k];
-              lookup.inner_columns.push_back(col);
-              lookup.outer_operands.push_back(*find_join_col(col));
-            }
-          } else if (pk_prefix > 0) {
-            lookup.kind = AccessPath::Kind::kPkPrefixScan;
-            for (size_t k = 0; k < pk_prefix; ++k) {
-              const std::string& pk = step.rel->primary_key[k];
-              lookup.inner_columns.push_back(pk);
-              lookup.outer_operands.push_back(*find_join_col(pk));
-            }
-          }
-        }
+      // An index nested-loop lookup keyed on the join columns, if one has a
+      // key and the outer side is small enough.
+      AccessPath lookup;
+      if (!options.force_hash_join && !join_keys.empty() &&
+          est <= kInlMaxOuterRows) {
+        lookup = ChoosePath(*step.rel, catalog.IndexesFor(step.table.table),
+                            alias_needed[i], join_keys);
       }
-      if (!lookup.inner_columns.empty()) {
+      if (lookup.kind != AccessPath::Kind::kFullScan) {
         step.method = PlanStep::Method::kIndexNestedLoop;
-        step.lookup = std::move(lookup);
-        // The lookup path replaces the table's access path, so constant
-        // predicates consumed into that (now unused) path must be evaluated
-        // as residuals instead.
-        for (const sql::Predicate* p : step.path.key_preds) {
-          step.residual.push_back(p);
-        }
-        step.path = AccessPath{};
-        // All equi joins must still hold on the combined row (those consumed
-        // by the lookup are trivially true); evaluate them as residuals.
-        for (const sql::Predicate* p : step.equi_joins) {
-          step.residual.push_back(p);
-        }
+        // The lookup replaces the table's own access path, so constant
+        // predicates consumed into that path must be evaluated as residuals
+        // instead. All equi joins must still hold on the combined row (those
+        // consumed by the lookup are trivially true).
+        step.residual.insert(step.residual.end(), step.path.key_preds.begin(),
+                             step.path.key_preds.end());
+        step.residual.insert(step.residual.end(), step.equi_joins.begin(),
+                             step.equi_joins.end());
+        step.path = std::move(lookup);
         est = std::max(
-            1.0, est * (step.lookup.kind == AccessPath::Kind::kPkGet
-                            ? 1.0
-                            : 10.0));
+            1.0, est * (step.path.kind == AccessPath::Kind::kPkGet ? 1.0
+                                                                    : 10.0));
       } else {
         step.method = PlanStep::Method::kHashJoin;
-        const double scan_est =
-            EstimateSourceRows(step.path, catalog, table_rows);
-        est = std::max(1.0, std::max(est, scan_est));
+        est = std::max(1.0, std::max(est, alias_est[i]));
       }
     }
     step.estimated_rows = est;

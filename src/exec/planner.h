@@ -22,20 +22,13 @@ struct AccessPath {
   Kind kind = Kind::kFullScan;
   std::string index_name;                      // kIndexPrefixScan
   std::vector<std::string> key_columns;        // consumed equality columns
+  /// Aligned with key_columns: the operand each key column equals, pointing
+  /// into the statement. A literal or parameter, except on an index
+  /// nested-loop step, where it is a column of the outer row.
+  std::vector<const sql::Operand*> key_values;
   std::vector<const sql::Predicate*> key_preds;  // aligned with key_columns
 
   std::string Describe() const;
-};
-
-/// Per-outer-row lookup used by index nested-loop joins.
-struct JoinLookup {
-  AccessPath::Kind kind = AccessPath::Kind::kFullScan;
-  std::string index_name;
-  /// Columns of the inner table forming the lookup prefix...
-  std::vector<std::string> inner_columns;
-  /// ...and the outer-side operands supplying their values (column refs
-  /// resolved against the accumulated intermediate row).
-  std::vector<sql::Operand> outer_operands;
 };
 
 struct PlanStep {
@@ -44,11 +37,16 @@ struct PlanStep {
   sql::TableRef table;
   const sql::RelationDef* rel = nullptr;
   Method method = Method::kSource;
-  AccessPath path;        // how this table is read (source & hash join)
-  JoinLookup lookup;      // kIndexNestedLoop only
+  /// How this table is read: once for a source or hash-join step, once per
+  /// outer row for an index nested-loop step.
+  AccessPath path;
   std::vector<const sql::Predicate*> equi_joins;  // to prior aliases
   std::vector<const sql::Predicate*> residual;    // filters + non-equi joins
   double estimated_rows = 0;  // cardinality estimate after this step
+
+  /// "<i>: <table>[ AS <alias>] <method> <path>", the node label shared by
+  /// SelectPlan::Explain and EXPLAIN ANALYZE.
+  std::string Label(size_t i) const;
 };
 
 struct SelectPlan {
@@ -61,8 +59,6 @@ struct PlannerOptions {
   /// Disable index nested-loop (the micro-benchmark's "join algorithm"
   /// measurement uses full client-side joins).
   bool force_hash_join = false;
-  /// Max estimated outer rows for which INL is chosen.
-  double inl_max_outer_rows = 2000.0;
 };
 
 /// Row-count oracle for cardinality estimation.

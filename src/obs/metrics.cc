@@ -133,42 +133,6 @@ void MetricsRegistry::ResetAll() {
   for (auto& [name, e] : histograms_) e.metric->Reset();
 }
 
-std::string RegistrySnapshot::ToPrometheusText() const {
-  std::string out;
-  for (const CounterRow& c : counters) {
-    if (!c.help.empty()) out += "# HELP " + c.name + " " + c.help + "\n";
-    out += "# TYPE " + c.name + " counter\n";
-    out += c.name + " ";
-    AppendUint(&out, c.value);
-    out.push_back('\n');
-  }
-  for (const GaugeRow& g : gauges) {
-    if (!g.help.empty()) out += "# HELP " + g.name + " " + g.help + "\n";
-    out += "# TYPE " + g.name + " gauge\n";
-    out += g.name + " ";
-    AppendDouble(&out, g.value);
-    out.push_back('\n');
-  }
-  for (const HistogramRow& h : histograms) {
-    if (!h.help.empty()) out += "# HELP " + h.name + " " + h.help + "\n";
-    out += "# TYPE " + h.name + " summary\n";
-    const struct { const char* q; double v; } quantiles[] = {
-        {"0.5", h.summary.p50}, {"0.95", h.summary.p95}, {"0.99", h.summary.p99}};
-    for (const auto& q : quantiles) {
-      out += h.name + "{quantile=\"" + q.q + "\"} ";
-      AppendDouble(&out, q.v);
-      out.push_back('\n');
-    }
-    out += h.name + "_sum ";
-    AppendDouble(&out, h.summary.sum);
-    out.push_back('\n');
-    out += h.name + "_count ";
-    AppendUint(&out, h.summary.count);
-    out.push_back('\n');
-  }
-  return out;
-}
-
 std::string RegistrySnapshot::ToJson() const {
   std::string out = "{\"counters\":{";
   bool first = true;

@@ -1,9 +1,8 @@
 // Cluster-wide metrics registry: counters, gauges and log-bucketed
 // histograms published by every layer (hbase RPC boundary, admission,
 // failover, txn WAL/locks/slaves, executor, Synergy view maintenance) and
-// rendered as one snapshot — Prometheus-style text or JSON — so benches and
-// tests read layer-level state from a single place instead of per-struct
-// tallies.
+// rendered as one JSON snapshot, so benches and tests read layer-level
+// state from a single place instead of per-struct tallies.
 //
 // Hot-path design: a Counter is a set of cache-line-aligned stripes of
 // relaxed atomics, one picked per thread, so concurrent clients never
@@ -137,9 +136,6 @@ struct RegistrySnapshot {
   std::vector<GaugeRow> gauges;
   std::vector<HistogramRow> histograms;
 
-  /// Prometheus text exposition (counters/gauges plain, histograms as
-  /// summaries with quantile labels plus _sum/_count).
-  std::string ToPrometheusText() const;
   /// Compact JSON object: {"counters":{...},"gauges":{...},
   /// "histograms":{name:{count,sum,mean,min,max,p50,p95,p99}}}.
   std::string ToJson() const;

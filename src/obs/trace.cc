@@ -44,23 +44,6 @@ void TraceCollector::NoteCurrent(std::string key, std::string value) {
   Note(open_.back(), std::move(key), std::move(value));
 }
 
-int TraceCollector::AddLeaf(std::string name, double duration_us) {
-  TraceSpan span;
-  span.name = std::move(name);
-  span.parent = open_.empty() ? -1 : open_.back();
-  span.depth = span.parent < 0 ? 0 : spans_[span.parent].depth + 1;
-  span.start_us = 0.0;
-  span.end_us = duration_us;
-  const int index = static_cast<int>(spans_.size());
-  spans_.push_back(std::move(span));
-  return index;
-}
-
-void TraceCollector::Clear() {
-  spans_.clear();
-  open_.clear();
-}
-
 double TraceCollector::RootUs() const {
   double total = 0.0;
   for (const TraceSpan& span : spans_) {

@@ -31,7 +31,7 @@ struct TraceSpan {
   std::string name;
   int parent = -1;  // index into TraceCollector::spans(), -1 = root
   int depth = 0;
-  double start_us = 0.0;  // meter reading at enter (0 for pre-measured leaves)
+  double start_us = 0.0;  // meter reading at enter
   double end_us = 0.0;    // meter reading at exit
   bool open = false;      // still on the open stack
   // Layer annotations (server id, queue wait, lock retries, shed/degraded
@@ -62,13 +62,6 @@ class TraceCollector {
   /// lets deep layers (admission queue, failover degraded reads) annotate
   /// whatever span is active without plumbing indices through.
   void NoteCurrent(std::string key, std::string value);
-  /// Records an already-measured child of the innermost open span, e.g. a
-  /// plan-node cost computed by EXPLAIN ANALYZE (start_us stays 0; only the
-  /// duration is meaningful).
-  int AddLeaf(std::string name, double duration_us);
-
-  void Clear();
-
   const std::vector<TraceSpan>& spans() const { return spans_; }
   /// Sum of root-span durations == total virtual-µs this trace accounts for.
   double RootUs() const;

@@ -1,25 +1,10 @@
 #include "sim/cost_model.h"
 
-#include <sstream>
-
 namespace synergy::sim {
 
 double RpcCost(const CostModel& m, size_t payload_bytes) {
   return m.rpc_base_us +
          m.rpc_per_kb_us * (static_cast<double>(payload_bytes) / 1024.0);
-}
-
-std::string DescribeCostModel(const CostModel& m) {
-  std::ostringstream os;
-  os << "CostModel{rpc_base_us=" << m.rpc_base_us
-     << ", rpc_per_kb_us=" << m.rpc_per_kb_us
-     << ", server_scan_row_us=" << m.server_scan_row_us
-     << ", scan_batch_rows=" << m.scan_batch_rows
-     << ", mvcc_start_us=" << m.mvcc_start_us
-     << ", mvcc_commit_us=" << m.mvcc_commit_us
-     << ", lock_rpc_us=" << m.lock_rpc_us
-     << ", volt_row_us=" << m.volt_row_us << "}";
-  return os.str();
 }
 
 }  // namespace synergy::sim

@@ -17,8 +17,8 @@
 //   - VoltDB-like in-memory execution ~10x faster than HBase-backed scans.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace synergy::sim {
 
@@ -64,7 +64,6 @@ struct CostModel {
 
   // --- VoltDB-like NewSQL engine ---
   double volt_dispatch_us = 450.0;     // client -> partition executor
-  double volt_row_us = 0.35;           // in-memory per-row processing
   double volt_replicated_round_us = 900.0;  // multi-partition coordination
   double volt_write_sync_us = 7000.0;  // command-log group commit (writes)
 
@@ -95,7 +94,5 @@ class CostMeter {
 
 /// Payload-size based RPC cost: base latency + transfer time.
 double RpcCost(const CostModel& m, size_t payload_bytes);
-
-std::string DescribeCostModel(const CostModel& m);
 
 }  // namespace synergy::sim

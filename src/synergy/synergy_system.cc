@@ -121,28 +121,30 @@ Status SynergySystem::Load(hbase::Session& s, const std::string& relation,
   return Status::Ok();
 }
 
+namespace {
+
+/// The read protocol: statements restart on dirty-marked rows (§VIII-C).
+exec::ExecOptions ReadOptions(bool collect_rows) {
+  return exec::ExecOptions{.collect_rows = collect_rows, .detect_dirty = true};
+}
+
+}  // namespace
+
 StatusOr<exec::QueryResult> SynergySystem::ExecuteRead(
     hbase::Session& s, const sql::SelectStatement& stmt,
     exec::BoundParams params, bool collect_rows) {
-  exec::ExecOptions options;
-  options.detect_dirty = true;
-  options.max_dirty_retries = config_.max_dirty_retries;
-  options.collect_rows = collect_rows;
   c_reads_->Inc();
   obs::ScopedSpan span(s.trace(), "synergy.read");
-  return executor_->ExecuteSelect(s, stmt, params, options);
+  return executor_->ExecuteSelect(s, stmt, params, ReadOptions(collect_rows));
 }
 
 StatusOr<exec::AnalyzeResult> SynergySystem::ExplainAnalyzeRead(
     hbase::Session& s, const sql::SelectStatement& stmt,
     exec::BoundParams params) {
-  exec::ExecOptions options;
-  options.detect_dirty = true;
-  options.max_dirty_retries = config_.max_dirty_retries;
-  options.collect_rows = false;
   c_reads_->Inc();
   obs::ScopedSpan span(s.trace(), "synergy.read");
-  return executor_->ExplainAnalyze(s, stmt, params, options);
+  return executor_->ExplainAnalyze(s, stmt, params,
+                                   ReadOptions(/*collect_rows=*/false));
 }
 
 StatusOr<std::optional<txn::LockSpec>> SynergySystem::DeriveLockSpec(

@@ -29,7 +29,6 @@ namespace synergy::core {
 struct SynergyConfig {
   std::vector<std::string> roots;
   int txn_slaves = 1;
-  int max_dirty_retries = 10;
 };
 
 /// Output of the offline design pipeline (§V + §VI): catalog with views and

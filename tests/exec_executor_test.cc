@@ -149,6 +149,16 @@ TEST_F(ExecutorTest, UniqueIndexLookup) {
   EXPECT_EQ(r.rows[0][0], Value(1));
 }
 
+TEST_F(ExecutorTest, NullParameterMatchesNoRowThroughAnIndex) {
+  // A row with no c_uname is stored under the NULL index key, but NULL
+  // equals nothing: the index path must agree with a full scan's predicate.
+  hbase::Session s(&cluster_);
+  ASSERT_TRUE(adapter_->Insert(s, "Customer", {{"c_id", Value(4)}}).ok());
+  const std::string sql = "SELECT c_id FROM Customer WHERE c_uname = ?";
+  EXPECT_NE(ExplainSql(sql).find("INDEX_SCAN(ix_c_uname)"), std::string::npos);
+  EXPECT_EQ(Run(sql, {Value()}).row_count, 0u);
+}
+
 TEST_F(ExecutorTest, NonKeyFilterScans) {
   auto r = Run("SELECT * FROM Customer WHERE c_city = 'NYC'");
   EXPECT_EQ(r.row_count, 2u);  // customers 1 and 3
@@ -394,6 +404,33 @@ TEST_F(ExecutorTest, DirtyRestartRecoversOnceTheDirtClears) {
   EXPECT_EQ(r->dirty_restarts, 2);
   EXPECT_EQ(r->row_count, 3u);
   cluster_.SetFaultInjector(nullptr);
+}
+
+TEST_F(ExecutorTest, DirtyRestartReachesIndexNestedLoopInnerRows) {
+  // The fault point passes the source row (hit 1) and fires on the first
+  // Orders row the INL join reads (hit 2), so the §VIII-C restart is forced
+  // on the inner side; the rerun reads all three rows clean.
+  const std::string sql =
+      "SELECT * FROM Customer AS c, Orders AS o "
+      "WHERE c.c_id = o.o_c_id AND c.c_id = 1";
+  const std::string plan = ExplainSql(sql);
+  EXPECT_NE(plan.find("0: Customer AS c SOURCE PK_GET"), std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find("1: Orders AS o INDEX_NESTED_LOOP INDEX(ix_o_c_id)"),
+            std::string::npos)
+      << plan;
+  fault::FaultInjector faults(7);
+  faults.Arm(fault::FaultPoint::kDirtyReadRestart, /*skip_hits=*/1,
+             /*max_fires=*/1);
+  cluster_.SetFaultInjector(&faults);
+  ExecOptions opts;
+  opts.detect_dirty = true;
+  auto r = Run(sql, {}, opts);
+  cluster_.SetFaultInjector(nullptr);
+  EXPECT_EQ(faults.FireCount(fault::FaultPoint::kDirtyReadRestart), 1);
+  EXPECT_EQ(faults.HitCount(fault::FaultPoint::kDirtyReadRestart), 5);
+  EXPECT_EQ(r.dirty_restarts, 1);
+  EXPECT_EQ(r.row_count, 2u);
 }
 
 TEST_F(ExecutorTest, DirtyRestartBoundHoldsMidReassignment) {

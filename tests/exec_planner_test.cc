@@ -83,7 +83,7 @@ TEST_F(PlannerTest, GreedyOrderStartsAtMostSelectiveTable) {
   ASSERT_EQ(plan.steps.size(), 2u);
   EXPECT_EQ(plan.steps[0].table.table, "Parent");
   EXPECT_EQ(plan.steps[1].method, PlanStep::Method::kIndexNestedLoop);
-  EXPECT_EQ(plan.steps[1].lookup.index_name, "ix_child_p");
+  EXPECT_EQ(plan.steps[1].path.index_name, "ix_child_p");
 }
 
 TEST_F(PlannerTest, HashJoinForUnfilteredJoin) {

@@ -106,7 +106,6 @@ TEST(RegistryTest, SnapshotIsNameOrderedAndDeterministic) {
   EXPECT_EQ(s1.gauges[0].name, "g1");
   // Same state -> byte-identical renderings.
   const RegistrySnapshot s2 = r.Snapshot();
-  EXPECT_EQ(s1.ToPrometheusText(), s2.ToPrometheusText());
   EXPECT_EQ(s1.ToJson(), s2.ToJson());
 }
 
@@ -116,11 +115,6 @@ TEST(RegistryTest, RenderingsContainFamilies) {
   r.GetGauge("hbase_live_region_servers", "live servers")->Set(3.0);
   r.GetHistogram("exec_statement_virtual_us", "per stmt")->Observe(42.0);
   const RegistrySnapshot snap = r.Snapshot();
-
-  const std::string prom = snap.ToPrometheusText();
-  EXPECT_NE(prom.find("hbase_rpcs_total 7"), std::string::npos);
-  EXPECT_NE(prom.find("hbase_live_region_servers"), std::string::npos);
-  EXPECT_NE(prom.find("exec_statement_virtual_us_count"), std::string::npos);
 
   const std::string json = snap.ToJson();
   EXPECT_NE(json.find("\"hbase_rpcs_total\":7"), std::string::npos);
@@ -213,20 +207,6 @@ TEST(TraceTest, SpansNestAndSumToMeterTotal) {
   const std::string text = trace.Render();
   EXPECT_NE(text.find("stmt"), std::string::npos);
   EXPECT_NE(text.find("scan"), std::string::npos);
-
-  trace.Clear();
-  EXPECT_TRUE(trace.spans().empty());
-}
-
-TEST(TraceTest, AddLeafRecordsPreMeasuredChildren) {
-  sim::CostMeter meter;
-  TraceCollector trace(&meter);
-  const int root = trace.OpenSpan("analyze");
-  trace.AddLeaf("node: scan", 12.5);
-  trace.CloseSpan(root);
-  ASSERT_EQ(trace.spans().size(), 2u);
-  EXPECT_DOUBLE_EQ(trace.spans()[1].duration_us(), 12.5);
-  EXPECT_EQ(trace.spans()[1].parent, root);
 }
 
 TEST(TraceTest, NullCollectorScopedSpanIsNoOp) {

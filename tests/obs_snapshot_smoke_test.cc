@@ -249,12 +249,6 @@ TEST(ObsSnapshotSmokeTest, MixedWorkloadSnapshotIsWellFormedAndComplete) {
   }
   EXPECT_TRUE(has_stmt_histogram);
 
-  // The Prometheus rendering carries the same families.
-  const std::string prom = snap.ToPrometheusText();
-  EXPECT_NE(prom.find("# TYPE hbase_rpcs_total counter"), std::string::npos);
-  EXPECT_NE(prom.find("# TYPE exec_statement_virtual_us summary"),
-            std::string::npos);
-
   // Dump the snapshot for the CI log (the smoke job greps this output).
   std::printf("=== registry snapshot (JSON) ===\n%s\n", json.c_str());
 }

@@ -1,19 +1,59 @@
 // Integration tests across the five evaluated systems at small scale:
-// every workload statement runs on every system, and the paper's headline
-// orderings hold.
+// every workload statement runs on every system, every SELECT plan is
+// pinned, and the paper's headline orderings hold.
 #include "systems/evaluated_system.h"
 
 #include <gtest/gtest.h>
 
+#include "exec/planner.h"
 #include "hbase/retry_policy.h"
 #include "systems/harness.h"
 #include "systems/mvcc_system.h"
 #include "systems/store_backed_system.h"
+#include "systems/synergy_wrapper.h"
 #include "testing/fault_injector.h"
 #include "tpcw/workload.h"
+#include "tpcw_plans.h"
 
 namespace synergy::systems {
 namespace {
+
+// Every SELECT plan of the four HBase-backed systems at 40 customers, pinned
+// against tests/tpcw_plans.h. The systems are set up fresh: SystemsTest's
+// shared systems take writes, which move the row counts the planner reads.
+// On a mismatch the test prints this tree's plans in the header's format.
+TEST(TpcwPlansTest, EverySelectPlanMatchesThePinnedText) {
+  tpcw::ScaleConfig scale;
+  scale.num_customers = 40;
+  std::string plans;
+  for (const SystemKind kind : HBaseBackedKinds()) {
+    std::unique_ptr<EvaluatedSystem> system = MakeSystem(kind);
+    ASSERT_TRUE(system->Setup(scale).ok()) << SystemKindName(kind);
+    const sql::Catalog* catalog = nullptr;
+    const sql::Workload* workload = nullptr;
+    if (auto* synergy = dynamic_cast<SynergyWrapper*>(system.get())) {
+      catalog = &synergy->system()->catalog();
+      workload = &synergy->system()->workload();
+    } else {
+      auto& mvcc = dynamic_cast<MvccSystem&>(*system);
+      catalog = &mvcc.catalog();
+      workload = &mvcc.workload();
+    }
+    const hbase::Cluster& cluster =
+        *static_cast<StoreBackedSystem&>(*system).cluster();
+    for (const sql::WorkloadStatement& stmt : workload->statements) {
+      const auto* sel = std::get_if<sql::SelectStatement>(&stmt.ast);
+      if (sel == nullptr) continue;
+      StatusOr<exec::SelectPlan> plan = exec::PlanSelect(
+          *sel, *catalog,
+          [&](const std::string& r) { return cluster.ApproxRowCount(r); });
+      ASSERT_TRUE(plan.ok()) << SystemKindName(kind) << " " << stmt.id;
+      plans += std::string("== ") + SystemKindName(kind) + " " + stmt.id +
+               "\n" + plan->Explain();
+    }
+  }
+  EXPECT_TRUE(plans == kTpcwPlans) << "this tree's plans:\n" << plans;
+}
 
 class SystemsTest : public ::testing::Test {
  protected:
