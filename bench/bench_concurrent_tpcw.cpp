@@ -67,7 +67,6 @@ int main() {
   scale.num_customers = systems::EnvCustomers(300);
   const int max_threads = systems::EnvThreads(8);
   const size_t ops_per_thread = static_cast<size_t>(systems::EnvReps(80));
-  scale.load_threads = std::min(4, max_threads);
 
   std::vector<int> sweep;
   for (const int t : {1, 2, 4, 8}) {

@@ -35,10 +35,11 @@ void BM_CodecDecodeKey(benchmark::State& state) {
 }
 BENCHMARK(BM_CodecDecodeKey);
 
-// Every Put adds a cell version and a WAL record, so without a flush a Put
-// costs more the more Puts ran before it. Both Put rungs flush (compact)
-// once per pass over their keys, untimed, so the store stays the same size
-// however many iterations run.
+// Every Put adds a cell version, so without compaction a Put costs more the
+// more Puts ran before it. (Its WAL record does not pile up: a region
+// flushes its log at 1 MiB.) Both Put rungs compact once per pass over their
+// keys, untimed, so the store stays the same size however many iterations
+// run.
 constexpr int64_t kPutKeys = 10000;
 
 void BM_RegionPut(benchmark::State& state) {

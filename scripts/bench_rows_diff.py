@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare the last run of two bench trajectory files field by field.
 
-Usage: scripts/bench_rows_diff.py A.json B.json
+Usage: scripts/bench_rows_diff.py [--threads N] A.json B.json
 
 A and B are trajectory files written by bench_concurrent_tpcw or
 bench_overload (bench-results/BENCH_*.json layout: {"runs": [...]}). The
@@ -9,8 +9,16 @@ last run object of each is compared recursively -- run-level fields, every
 `results` row and every `metrics` registry snapshot -- ignoring only
 `timestamp`. Each difference prints as `path: a -> b`. Exits 0 when the
 runs are identical, 1 when they differ, 2 on unreadable input.
+
+With --threads N, only the `results` rows with that thread count are
+compared, paired by system and mix; run-level fields and registry
+snapshots, which cover every thread count of a run, are not. This compares
+two runs with different SYNERGY_BENCH_THREADS. A row only one run has (the
+failover row runs at each run's largest thread count) is listed and
+skipped. Exits 1 if no row pairs.
 """
 
+import argparse
 import json
 import sys
 
@@ -46,23 +54,52 @@ def diff(a, b, path, out):
         out.append(f"{path}: {json.dumps(a)} -> {json.dumps(b)}")
 
 
+def rows_at(run, threads):
+    """The run's `results` rows with `threads` clients, keyed by system/mix."""
+    return {f"{r['system']}/{r['mix']}": r for r in run["results"]
+            if r["threads"] == threads}
+
+
+def diff_rows(a, b, threads, out):
+    """Diffs the paired rows into `out`; returns how many rows paired."""
+    a_rows, b_rows = rows_at(a, threads), rows_at(b, threads)
+    for key in sorted(set(a_rows) ^ set(b_rows)):
+        side = "A" if key in a_rows else "B"
+        print(f"skipped: {key} (threads={threads}) is only in {side}")
+    paired = sorted(set(a_rows) & set(b_rows))
+    for key in paired:
+        diff(a_rows[key], b_rows[key], key, out)
+    return len(paired)
+
+
 def main(argv):
-    if len(argv) != 3:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
-        return 2
+    parser = argparse.ArgumentParser(
+        usage="%(prog)s [--threads N] A.json B.json")
+    parser.add_argument("--threads", type=int)
+    parser.add_argument("a")
+    parser.add_argument("b")
+    args = parser.parse_args(argv[1:])
     try:
-        a, b = last_run(argv[1]), last_run(argv[2])
+        a, b = last_run(args.a), last_run(args.b)
+        out = []
+        if args.threads is None:
+            diff(a, b, "", out)
+            what = "last run"
+        else:
+            if diff_rows(a, b, args.threads, out) == 0:
+                print(f"bench_rows_diff: no threads={args.threads} row in "
+                      "both runs", file=sys.stderr)
+                return 1
+            what = f"threads={args.threads} rows of the last run"
     except (OSError, ValueError, KeyError) as e:
         print(f"bench_rows_diff: {e}", file=sys.stderr)
         return 2
-    out = []
-    diff(a, b, "", out)
     for line in out:
         print(line)
     if out:
         print(f"{len(out)} field(s) differ", file=sys.stderr)
         return 1
-    print(f"identical: {argv[1]} == {argv[2]} (last run, timestamp ignored)")
+    print(f"identical: {args.a} == {args.b} ({what}, timestamp ignored)")
     return 0
 
 

@@ -8,6 +8,11 @@
 namespace synergy::hbase {
 namespace {
 
+// A region flushes once its edit log holds this many bytes, as HBase flushes
+// a memstore at hbase.hregion.memstore.flush.size. It bounds the memory the
+// log holds and the edits a crash has to replay.
+constexpr size_t kFlushLogBytes = size_t{1} << 20;
+
 // Edit-log record layout: a varint body length, then the body: the
 // varint-prefixed row key, the fixed64 timestamp, a tombstone byte, and one
 // varint-prefixed qualifier and value per column until the body ends.
@@ -80,12 +85,14 @@ std::optional<RowResult> ResolveRow(const std::string& key, const RowData& row,
 
 /// Appends one record to a region's edit log: the constructor writes the
 /// header, Column() each column, and the destructor prefixes the body with
-/// its length. Lives under the region latch, held exclusively.
+/// its length, then flushes a log that has reached kFlushLogBytes. Lives
+/// under the region latch, held exclusively, and ends after the store
+/// holds the record's versions, so a flush never precedes its own edit.
 class Region::EditWriter {
  public:
   EditWriter(Region* region, std::string_view row_key, int64_t ts,
              bool tombstone)
-      : out_(&region->log_), start_(out_->size()) {
+      : region_(region), out_(&region->log_), start_(out_->size()) {
     ++region->log_entries_;
     PutBytes(out_, row_key);
     out_->append(reinterpret_cast<const char*>(&ts), sizeof(ts));
@@ -97,6 +104,7 @@ class Region::EditWriter {
     std::string length;
     PutVarint(&length, out_->size() - start_);
     out_->insert(start_, length);
+    if (out_->size() >= kFlushLogBytes) region_->Flush();
   }
 
   void Column(std::string_view qualifier, std::string_view value = {}) {
@@ -105,6 +113,7 @@ class Region::EditWriter {
   }
 
  private:
+  Region* region_;
   std::string* out_;
   size_t start_;
 };
@@ -179,10 +188,9 @@ StatusOr<int64_t> Region::Increment(const std::string& row_key,
   }
   const int64_t next = current + delta;
   const int64_t t = AllocTs(std::nullopt);
-  std::string encoded = std::to_string(next);
+  const std::string encoded = std::to_string(next);
+  row[qualifier].AddVersion(CellVersion{t, encoded, /*tombstone=*/false});
   EditWriter(this, row_key, t, /*tombstone=*/false).Column(qualifier, encoded);
-  row[qualifier].AddVersion(
-      CellVersion{t, std::move(encoded), /*tombstone=*/false});
   return next;
 }
 
@@ -213,10 +221,18 @@ ScanBatchResult Region::ScanBatch(const std::string& from,
   return out;
 }
 
-void Region::MajorCompact(int max_versions) {
-  std::unique_lock lock(mutex_);
+void Region::Flush() {
   // A dead server flushes nothing: its memstore is gone and the log is the
   // only copy of those edits until ReplayEdits().
+  if (store_lost_.load(std::memory_order_relaxed)) return;
+  std::string().swap(log_);  // free the buffer, not just clear it
+  log_entries_ = 0;
+}
+
+void Region::MajorCompact(int max_versions) {
+  std::unique_lock lock(mutex_);
+  // Nor is a lost store compacted: without the versions the log names,
+  // compaction would keep and drop the wrong ones.
   if (store_lost_.load(std::memory_order_relaxed)) return;
   for (auto row_it = rows_.begin(); row_it != rows_.end();) {
     RowData& row = row_it->second;
@@ -234,8 +250,7 @@ void Region::MajorCompact(int max_versions) {
       ++row_it;
     }
   }
-  std::string().swap(log_);  // flushed: free the buffer, not just clear it
-  log_entries_ = 0;
+  Flush();
 }
 
 size_t Region::RowCount() const {

@@ -96,9 +96,8 @@ class Region {
   ScanBatchResult ScanBatch(const std::string& from, const std::string& stop,
                             size_t limit, const ReadView& view) const;
 
-  /// Drops tombstones/excess versions; removes rows left empty. This is also
-  /// the region's flush: the compacted store is durable from here on, so the
-  /// edit log is truncated. A region whose store is lost is not compacted.
+  /// Drops tombstones/excess versions; removes rows left empty; then
+  /// flushes. A region whose store is lost is not compacted.
   void MajorCompact(int max_versions);
 
   /// Number of live rows (rows whose cells are all tombstoned don't count).
@@ -138,6 +137,13 @@ class Region {
   int64_t AllocTs(std::optional<int64_t> ts) {
     return ts.has_value() ? *ts : clock_->fetch_add(1) + 1;
   }
+
+  /// The region's flush: the store as it stands is durable from here on, so
+  /// the edit log is truncated. Drops no version and charges no time. Runs
+  /// after every write whose record fills the log to 1 MiB, and at the end
+  /// of MajorCompact. A region whose store is lost never flushes. Latch
+  /// held exclusively.
+  void Flush();
 
   std::atomic<int64_t>* clock_;
   std::atomic<int> server_id_{0};

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -299,6 +300,74 @@ TEST_F(FailoverTest, CrashAfterFlushReplaysOnlyLaterEdits) {
   StatusOr<RowResult> got = cluster_.Get(s, "t0", "r2");
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_EQ(got->columns.at("v"), "r2");
+}
+
+/// Writes 1500 rows of 1 KiB to table t0, about 1.5 MiB of edit log, then
+/// rewrites its row "r".
+void WritePastOneFlush(Cluster& cluster) {
+  Session s(&cluster);
+  const std::string value(1024, 'x');
+  for (int i = 0; i < 1500; ++i) {
+    ASSERT_TRUE(
+        cluster.Put(s, "t0", "k" + std::to_string(i), {{"v", value}}).ok());
+  }
+  ASSERT_TRUE(cluster.Put(s, "t0", "r", {{"v", "rewritten"}}).ok());
+}
+
+using Columns = std::vector<std::pair<std::string, std::string>>;
+
+/// Every row of `region` under `view`, in key order.
+std::vector<std::pair<std::string, Columns>> Rows(const Region& region,
+                                                  const ReadView& view) {
+  std::vector<std::pair<std::string, Columns>> out;
+  for (const RowResult& row : region.ScanBatch("", "", SIZE_MAX, view).rows) {
+    out.emplace_back(row.row_key,
+                     Columns(row.columns.begin(), row.columns.end()));
+  }
+  return out;
+}
+
+TEST_F(FailoverTest, CrashAfterSizeFlushReplaysOnlyPostFlushEdits) {
+  // A twin with the same tables and writes that never crashes.
+  Cluster twin;
+  {
+    Session s(&twin);
+    for (const char* table : kTables) {
+      ASSERT_TRUE(twin.CreateTable({.name = table}).ok());
+      ASSERT_TRUE(twin.Put(s, table, "r", {{"v", table}}).ok());
+    }
+  }
+  WritePastOneFlush(cluster_);
+  WritePastOneFlush(twin);
+  Region* region = cluster_.AllRegions()[0];  // t0, on server 0
+  const Region* twin_region = twin.AllRegions()[0];
+
+  // The log flushed once, part way through: it names only later edits.
+  const size_t post_flush = region->EditLogSize();
+  ASSERT_GT(post_flush, 0u);
+  ASSERT_LT(post_flush, 1000u);
+  const size_t pre_flush = 1502 - post_flush;  // edits before the flush
+
+  ASSERT_TRUE(cluster_.failover().CrashServer(0));
+  // The crash lost the post-flush versions only: every pre-flush row
+  // survives, and "r" reads its value from before the rewrite.
+  ASSERT_TRUE(region->store_lost());
+  EXPECT_EQ(region->ApproxRowCount(), pre_flush);
+  EXPECT_EQ(region->Get("r", ReadView{})->columns.at("v"), "t0");
+  EXPECT_FALSE(region->Get("k1499", ReadView{}).has_value());
+
+  Rounds(config_.lease_missed_rounds + 2);  // expire lease, replay, move
+  ASSERT_FALSE(region->store_lost());
+  EXPECT_EQ(Count("hbase_failover_edits_replayed_total"), post_flush);
+  EXPECT_EQ(region->ByteSize(), twin_region->ByteSize());
+  EXPECT_EQ(Rows(*region, ReadView{}), Rows(*twin_region, ReadView{}));
+  // Older versions match too: a view that excludes the rewrite's timestamp
+  // reads "r"'s first value on both.
+  const int64_t rewrite_ts = twin.NextTimestamp() - 1;
+  const std::vector<int64_t> exclude = {rewrite_ts};
+  const ReadView before_rewrite{.exclude = &exclude};
+  EXPECT_EQ(Rows(*region, before_rewrite), Rows(*twin_region, before_rewrite));
+  EXPECT_EQ(region->Get("r", before_rewrite)->columns.at("v"), "t0");
 }
 
 }  // namespace

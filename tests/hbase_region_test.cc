@@ -112,6 +112,36 @@ TEST(RegionTest, MajorCompactRemovesDeletedRows) {
   EXPECT_EQ(r.RowCount(), 0u);
 }
 
+// Each row written below logs a record of a little over 1 KiB, so a flush
+// at 1 MiB comes after the 1001st to the 1024th record since the last one.
+TEST(RegionTest, EditLogFlushesAtOneMebibyteAndKeepsEveryVersion) {
+  Region r(&clock);
+  r.Put("k", {{"v", "old"}}, 1);
+  r.Put("k", {{"v", "new"}}, 2);
+  const std::string value(1024, 'x');
+  size_t since_flush = 2;
+  int flushes = 0;
+  for (int i = 0; i < 3000; ++i) {  // about 3 MiB of edits
+    r.Put("row" + std::to_string(i), {{"v", value}}, 3 + i);
+    ++since_flush;
+    if (r.EditLogSize() == 0) {
+      EXPECT_GT(since_flush, 1000u) << "flushed before 1 MiB";
+      EXPECT_LE(since_flush, 1024u) << "flushed after 1 MiB";
+      since_flush = 0;
+      ++flushes;
+    }
+    ASSERT_EQ(r.EditLogSize(), since_flush);
+  }
+  EXPECT_EQ(flushes, 2);
+
+  // The flushes dropped no version: a view that excludes the rewrite's
+  // timestamp still reads the value under it.
+  const std::vector<int64_t> newest = {2};
+  EXPECT_EQ(r.Get("k", ReadView{.exclude = &newest})->columns.at("v"), "old");
+  EXPECT_EQ(r.Get("k", Now())->columns.at("v"), "new");
+  EXPECT_EQ(r.RowCount(), 3001u);
+}
+
 TEST(RegionTest, ConcurrentPutsAllLand) {
   Region r(&clock);
   std::vector<std::thread> threads;
