@@ -83,8 +83,8 @@ sql::Catalog MicroCatalog() {
   return cat;
 }
 
-void Populate(exec::TableAdapter& adapter, core::ViewMaintainer& maintainer,
-              hbase::Cluster& cluster, int64_t customers) {
+void Populate(core::ViewMaintainer& maintainer, hbase::Cluster& cluster,
+              int64_t customers) {
   Rng rng(42);
   hbase::Session s(&cluster);
   auto must = [](Status st) {
@@ -94,8 +94,7 @@ void Populate(exec::TableAdapter& adapter, core::ViewMaintainer& maintainer,
     }
   };
   auto load = [&](const std::string& rel, const exec::Tuple& t) {
-    must(adapter.Insert(s, rel, t));
-    must(maintainer.ApplyInsert(s, rel, t));
+    must(maintainer.InsertWithViews(s, rel, t));
   };
   int64_t next_order = 1, next_line = 1;
   for (int64_t c = 1; c <= customers; ++c) {
@@ -170,7 +169,7 @@ int main() {
     for (const sql::RelationDef* rel : catalog.Relations()) {
       if (!adapter.CreateStorage(rel->name).ok()) std::abort();
     }
-    Populate(adapter, maintainer, cluster, customers);
+    Populate(maintainer, cluster, customers);
     exec::Executor executor(&adapter);
 
     struct Case {

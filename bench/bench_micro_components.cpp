@@ -8,6 +8,10 @@
 #include "exec/executor.h"
 #include "hbase/cluster.h"
 #include "sql/parser.h"
+#include "synergy/synergy_system.h"
+#include "tpcw/generator.h"
+#include "tpcw/schema.h"
+#include "tpcw/workload.h"
 #include "txn/txn_layer.h"
 
 namespace {
@@ -156,6 +160,62 @@ void BM_TxnSubmitNoop(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TxnSubmitNoop);
+
+// The view-maintenance rung over the Cluster rungs: SynergySystem::Load of
+// one fresh Order_line tuple into a 40-customer TPC-W store. It reads 3
+// ancestors (Item for Item-Order_line; Item and Author for
+// Author-Item-Order_line) and puts 9 rows: the base row, its 2 index rows,
+// the 2 view rows and their 4 view-index rows. ol_id cycles over kPutKeys
+// ids above every generated one, and the store compacts once per pass,
+// untimed, as in the Put rungs.
+void BM_SynergyLoadOrderLine(benchmark::State& state) {
+  hbase::Cluster cluster;
+  core::SynergySystem system(&cluster,
+                             core::SynergyConfig{.roots = tpcw::Roots()});
+  hbase::Session s(&cluster);
+  tpcw::ScaleConfig scale;
+  scale.num_customers = 40;
+  exec::Tuple line;
+  if (!system.Build(tpcw::BuildCatalog(), tpcw::BuildWorkload()).ok() ||
+      !system.CreateStorage().ok() ||
+      !tpcw::GenerateDatabase(scale,
+                              [&](const std::string& relation,
+                                  const exec::Tuple& tuple) {
+                                if (relation == "Order_line" && line.empty()) {
+                                  line = tuple;
+                                }
+                                return system.Load(s, relation, tuple);
+                              })
+           .ok()) {
+    state.SkipWithError("setup");
+    return;
+  }
+  cluster.MajorCompactAll();
+  constexpr int64_t kFreshIds = 1000000000;
+  line["ol_id"] = Value(kFreshIds - 1);
+  const uint64_t rpcs = s.count(obs::OpCounter::kRpcs);
+  if (!system.Load(s, "Order_line", line).ok() ||
+      s.count(obs::OpCounter::kRpcs) - rpcs != 12) {
+    state.SkipWithError("an Order_line load is not 3 Gets and 9 Puts");
+    return;
+  }
+  int64_t i = 0;
+  for (auto _ : state) {
+    line["ol_id"] = Value(kFreshIds + i % kPutKeys);
+    Status st = system.Load(s, "Order_line", line);
+    benchmark::DoNotOptimize(st);
+    if (!st.ok()) {
+      state.SkipWithError("load");
+      break;
+    }
+    if (++i % kPutKeys == 0) {
+      state.PauseTiming();
+      cluster.MajorCompactAll();
+      state.ResumeTiming();
+    }
+  }
+}
+BENCHMARK(BM_SynergyLoadOrderLine);
 
 void BM_RegionScan1k(benchmark::State& state) {
   std::atomic<int64_t> clock{0};

@@ -10,8 +10,9 @@
 #
 # Besides the per-bench .txt transcripts, this appends one machine-readable
 # datapoint per invocation to bench-results/BENCH_exec_hotpath.json (rows/sec
-# for the executor hash join, aggregation, top-N, the key codec and the
-# Cluster Put/Get rungs), giving the repo a perf trajectory across PRs.
+# for the executor hash join, aggregation, top-N, the key codec, the
+# Cluster Put/Get rungs, the txn submit rung and the Synergy Order_line load
+# rung), giving the repo a perf trajectory across PRs.
 # bench_concurrent_tpcw and bench_overload likewise append to
 # BENCH_concurrent_tpcw.json and BENCH_overload.json themselves (the overload
 # sweep also enforces its goodput/p99 acceptance gate past saturation — a
@@ -61,8 +62,8 @@ done
 # Fold the micro-component numbers into BENCH_exec_hotpath.json: an array of
 # runs, one appended per invocation, each recording rows/sec (items_per_second
 # where the benchmark sets it) and ns/op for the executor hot-path, codec,
-# Cluster RPC and txn submit benchmarks. This file is committed so the perf
-# trajectory survives in git.
+# Cluster RPC, txn submit and Synergy load benchmarks. This file is committed
+# so the perf trajectory survives in git.
 # --------------------------------------------------------------------------
 if [[ -f "$out_dir/bench_micro_components.json" ]]; then
   python3 - "$out_dir" "$git_rev" <<'PYEOF'
@@ -77,7 +78,8 @@ with open(src) as f:
 
 keep = ("BM_ExecutorHashJoin", "BM_ExecutorAgg", "BM_ExecutorTopN",
         "BM_ExecutorPointLookup", "BM_CodecEncodeKey", "BM_CodecDecodeKey",
-        "BM_ClusterPut", "BM_ClusterGet", "BM_TxnSubmitNoop")
+        "BM_ClusterPut", "BM_ClusterGet", "BM_TxnSubmitNoop",
+        "BM_SynergyLoadOrderLine")
 metrics = {}
 for b in raw.get("benchmarks", []):
     name = b.get("name", "")

@@ -3,9 +3,11 @@
 namespace synergy::exec {
 namespace {
 
-Value TupleGet(const Tuple& tuple, const std::string& column) {
+const Value kNull;
+
+const Value& TupleGet(const Tuple& tuple, const std::string& column) {
   auto it = tuple.find(column);
-  return it == tuple.end() ? Value() : it->second;
+  return it == tuple.end() ? kNull : it->second;
 }
 
 }  // namespace
@@ -15,37 +17,18 @@ StatusOr<std::string> EncodePkKey(const sql::RelationDef& rel,
   std::vector<Value> pk;
   pk.reserve(rel.primary_key.size());
   for (const std::string& col : rel.primary_key) {
-    Value v = TupleGet(tuple, col);
+    const Value& v = TupleGet(tuple, col);
     if (v.is_null()) {
       return Status::InvalidArgument("NULL or missing PK column " + col +
                                      " for relation " + rel.name);
     }
-    pk.push_back(std::move(v));
+    pk.push_back(v);
   }
   return codec::EncodeKey(pk);
 }
 
 std::string EncodePkKeyFromValues(const std::vector<Value>& pk_values) {
   return codec::EncodeKey(pk_values);
-}
-
-StatusOr<std::string> EncodeIndexKey(const sql::IndexDef& index,
-                                     const sql::RelationDef& rel,
-                                     const Tuple& tuple) {
-  std::vector<Value> parts;
-  parts.reserve(index.indexed_columns.size() + rel.primary_key.size());
-  for (const std::string& col : index.indexed_columns) {
-    parts.push_back(TupleGet(tuple, col));
-  }
-  for (const std::string& col : rel.primary_key) {
-    Value v = TupleGet(tuple, col);
-    if (v.is_null()) {
-      return Status::InvalidArgument("NULL PK column " + col +
-                                     " while building index key");
-    }
-    parts.push_back(std::move(v));
-  }
-  return codec::EncodeKey(parts);
 }
 
 std::pair<std::string, std::string> IndexPrefixRange(
@@ -62,14 +45,26 @@ std::string EncodeRowValue(const sql::RelationDef& rel, const Tuple& tuple) {
   return out;
 }
 
-std::string EncodeProjectedValue(const std::vector<std::string>& columns,
-                                 const sql::RelationDef& rel,
-                                 const Tuple& tuple) {
-  (void)rel;
-  std::string out;
-  for (const std::string& col : columns) {
-    codec::EncodeValue(TupleGet(tuple, col), &out);
+std::vector<Value> TupleToSlots(const sql::RelationDef& rel,
+                                const Tuple& tuple) {
+  std::vector<Value> row;
+  row.reserve(rel.columns.size());
+  for (const sql::Column& col : rel.columns) {
+    row.push_back(TupleGet(tuple, col.name));
   }
+  return row;
+}
+
+void EncodeSlots(const std::vector<Value>& row, const std::vector<int>& slots,
+                 std::string* out) {
+  for (const int slot : slots) {
+    codec::EncodeValue(slot < 0 ? kNull : row[static_cast<size_t>(slot)], out);
+  }
+}
+
+std::string EncodeRowSlots(const std::vector<Value>& row) {
+  std::string out;
+  for (const Value& v : row) codec::EncodeValue(v, &out);
   return out;
 }
 

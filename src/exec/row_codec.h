@@ -32,11 +32,6 @@ StatusOr<std::string> EncodePkKey(const sql::RelationDef& rel,
                                   const Tuple& tuple);
 std::string EncodePkKeyFromValues(const std::vector<Value>& pk_values);
 
-/// Index row key: encoded indexed-column values, then PK values.
-StatusOr<std::string> EncodeIndexKey(const sql::IndexDef& index,
-                                     const sql::RelationDef& rel,
-                                     const Tuple& tuple);
-
 /// Scan bounds [start, stop) for an index-prefix lookup on the first
 /// `prefix_values.size()` indexed columns.
 std::pair<std::string, std::string> IndexPrefixRange(
@@ -45,10 +40,21 @@ std::pair<std::string, std::string> IndexPrefixRange(
 /// Serializes the tuple's values for `rel.columns` in schema order.
 std::string EncodeRowValue(const sql::RelationDef& rel, const Tuple& tuple);
 
-/// Serializes only `columns` (for covered index rows).
-std::string EncodeProjectedValue(const std::vector<std::string>& columns,
-                                 const sql::RelationDef& rel,
-                                 const Tuple& tuple);
+/// The slot form of `tuple` that the write path runs on: its values in
+/// `rel.columns` order, NULL where it has none. Columns outside `rel` are
+/// dropped.
+std::vector<Value> TupleToSlots(const sql::RelationDef& rel,
+                                const Tuple& tuple);
+
+/// Appends the encoding of `row[slot]` for each of `slots` (NULL for a
+/// negative slot) to `out`. Every key and value the write path stores is
+/// one call: with sql::WriteLayout's PK slots it is the row key, with an
+/// index's key slots its row key, with its covered slots that row's value.
+void EncodeSlots(const std::vector<Value>& row, const std::vector<int>& slots,
+                 std::string* out);
+
+/// The stored value of a row in slot form: every slot in order.
+std::string EncodeRowSlots(const std::vector<Value>& row);
 
 /// Decodes a row value back into a tuple given the column list used to
 /// encode it (schema order for base rows; covered order for index rows).

@@ -14,6 +14,20 @@ std::vector<int> CoveredSlotMap(const sql::IndexDef& ix,
   return map;
 }
 
+std::string IndexKey(const sql::WriteLayout::Index& ix,
+                     const std::vector<Value>& row) {
+  std::string key;
+  EncodeSlots(row, ix.key_slots, &key);
+  return key;
+}
+
+std::string CoveredValue(const sql::WriteLayout::Index& ix,
+                         const std::vector<Value>& row) {
+  std::string value;
+  EncodeSlots(row, ix.covered_slots, &value);
+  return value;
+}
+
 }  // namespace
 
 StatusOr<bool> TupleScanner::Next(TupleWithMeta* out) {
@@ -63,37 +77,39 @@ Status TableAdapter::CreateStorage(const std::string& relation) {
   return Status::Ok();
 }
 
+Status TableAdapter::InsertRow(hbase::Session& s, const std::string& relation,
+                               const std::vector<Value>& row) {
+  const sql::RelationDef* rel = catalog_->FindRelation(relation);
+  if (rel == nullptr) return Status::NotFound("relation " + relation);
+  if (row.size() != rel->columns.size()) {
+    return Status::InvalidArgument(std::to_string(row.size()) +
+                                   " slots in a row of relation " + relation);
+  }
+  const sql::WriteLayout& layout = *catalog_->FindWriteLayout(relation);
+  for (size_t i = 0; i < layout.pk_slots.size(); ++i) {
+    if (row[static_cast<size_t>(layout.pk_slots[i])].is_null()) {
+      return Status::InvalidArgument("NULL or missing PK column " +
+                                     rel->primary_key[i] + " for relation " +
+                                     relation);
+    }
+  }
+  std::string key;
+  EncodeSlots(row, layout.pk_slots, &key);
+  SYNERGY_RETURN_IF_ERROR(
+      cluster_->Put(s, relation, key, {{kDataQualifier, EncodeRowSlots(row)}}));
+  for (const sql::WriteLayout::Index& ix : layout.indexes) {
+    SYNERGY_RETURN_IF_ERROR(
+        cluster_->Put(s, ix.name, IndexKey(ix, row),
+                      {{kDataQualifier, CoveredValue(ix, row)}}));
+  }
+  return Status::Ok();
+}
+
 Status TableAdapter::Insert(hbase::Session& s, const std::string& relation,
                             const Tuple& tuple) {
   const sql::RelationDef* rel = catalog_->FindRelation(relation);
   if (rel == nullptr) return Status::NotFound("relation " + relation);
-  SYNERGY_ASSIGN_OR_RETURN(key, EncodePkKey(*rel, tuple));
-  SYNERGY_RETURN_IF_ERROR(cluster_->Put(
-      s, relation, key, {{kDataQualifier, EncodeRowValue(*rel, tuple)}}));
-  return WriteIndexRows(s, *rel, tuple);
-}
-
-Status TableAdapter::WriteIndexRows(hbase::Session& s,
-                                    const sql::RelationDef& rel,
-                                    const Tuple& tuple) {
-  for (const sql::IndexDef* ix : catalog_->IndexesFor(rel.name)) {
-    SYNERGY_ASSIGN_OR_RETURN(ikey, EncodeIndexKey(*ix, rel, tuple));
-    SYNERGY_RETURN_IF_ERROR(cluster_->Put(
-        s, ix->name, ikey,
-        {{kDataQualifier,
-          EncodeProjectedValue(ix->covered_columns, rel, tuple)}}));
-  }
-  return Status::Ok();
-}
-
-Status TableAdapter::DeleteIndexRows(hbase::Session& s,
-                                     const sql::RelationDef& rel,
-                                     const Tuple& tuple) {
-  for (const sql::IndexDef* ix : catalog_->IndexesFor(rel.name)) {
-    SYNERGY_ASSIGN_OR_RETURN(ikey, EncodeIndexKey(*ix, rel, tuple));
-    SYNERGY_RETURN_IF_ERROR(cluster_->Delete(s, ix->name, ikey));
-  }
-  return Status::Ok();
+  return InsertRow(s, relation, TupleToSlots(*rel, tuple));
 }
 
 StatusOr<std::optional<TupleWithMeta>> TableAdapter::GetByPk(
@@ -143,11 +159,16 @@ StatusOr<bool> TableAdapter::GetByPkSlots(hbase::Session& s,
 
 Status TableAdapter::DeleteByPk(hbase::Session& s, const std::string& relation,
                                 const std::vector<Value>& pk_values) {
-  const sql::RelationDef* rel = catalog_->FindRelation(relation);
-  if (rel == nullptr) return Status::NotFound("relation " + relation);
-  SYNERGY_ASSIGN_OR_RETURN(existing, GetByPk(s, relation, pk_values));
-  if (!existing.has_value()) return Status::Ok();
-  SYNERGY_RETURN_IF_ERROR(DeleteIndexRows(s, *rel, existing->tuple));
+  const sql::WriteLayout* layout = catalog_->FindWriteLayout(relation);
+  if (layout == nullptr) return Status::NotFound("relation " + relation);
+  SlotRow existing;
+  SYNERGY_ASSIGN_OR_RETURN(found,
+                           GetByPkSlots(s, relation, pk_values, &existing));
+  if (!found) return Status::Ok();
+  for (const sql::WriteLayout::Index& ix : layout->indexes) {
+    SYNERGY_RETURN_IF_ERROR(
+        cluster_->Delete(s, ix.name, IndexKey(ix, existing.values)));
+  }
   return cluster_->Delete(s, relation, EncodePkKeyFromValues(pk_values));
 }
 
@@ -157,41 +178,39 @@ Status TableAdapter::UpdateByPk(
     const std::vector<std::pair<std::string, Value>>& sets) {
   const sql::RelationDef* rel = catalog_->FindRelation(relation);
   if (rel == nullptr) return Status::NotFound("relation " + relation);
+  std::vector<int> set_slots;
+  set_slots.reserve(sets.size());
   for (const auto& [col, value] : sets) {
     if (rel->IsPrimaryKeyColumn(col)) {
       return Status::InvalidArgument("cannot update PK column " + col);
     }
-    if (!rel->HasColumn(col)) {
-      return Status::InvalidArgument("unknown column " + col);
-    }
+    const int slot = rel->ColumnIndex(col);
+    if (slot < 0) return Status::InvalidArgument("unknown column " + col);
+    set_slots.push_back(slot);
   }
-  SYNERGY_ASSIGN_OR_RETURN(existing, GetByPk(s, relation, pk_values));
-  if (!existing.has_value()) {
+  SlotRow existing;
+  SYNERGY_ASSIGN_OR_RETURN(found,
+                           GetByPkSlots(s, relation, pk_values, &existing));
+  if (!found) {
     return Status::Ok();  // SQL UPDATE of an absent row affects zero rows
   }
-  // Remove stale index rows if any indexed column changes.
-  Tuple updated = existing->tuple;
-  for (const auto& [col, value] : sets) {
-    if (value.is_null()) {
-      updated.erase(col);
-    } else {
-      updated[col] = value;
-    }
+  std::vector<Value> updated = existing.values;
+  for (size_t i = 0; i < sets.size(); ++i) {
+    updated[static_cast<size_t>(set_slots[i])] = sets[i].second;
   }
-  for (const sql::IndexDef* ix : catalog_->IndexesFor(relation)) {
-    SYNERGY_ASSIGN_OR_RETURN(old_key, EncodeIndexKey(*ix, *rel, existing->tuple));
-    SYNERGY_ASSIGN_OR_RETURN(new_key, EncodeIndexKey(*ix, *rel, updated));
+  // Remove stale index rows if any indexed column changes.
+  const sql::WriteLayout& layout = *catalog_->FindWriteLayout(relation);
+  for (const sql::WriteLayout::Index& ix : layout.indexes) {
+    const std::string old_key = IndexKey(ix, existing.values);
+    const std::string new_key = IndexKey(ix, updated);
     if (old_key != new_key) {
-      SYNERGY_RETURN_IF_ERROR(cluster_->Delete(s, ix->name, old_key));
+      SYNERGY_RETURN_IF_ERROR(cluster_->Delete(s, ix.name, old_key));
     }
     SYNERGY_RETURN_IF_ERROR(cluster_->Put(
-        s, ix->name, new_key,
-        {{kDataQualifier,
-          EncodeProjectedValue(ix->covered_columns, *rel, updated)}}));
+        s, ix.name, new_key, {{kDataQualifier, CoveredValue(ix, updated)}}));
   }
-  return cluster_->Put(
-      s, relation, EncodePkKeyFromValues(pk_values),
-      {{kDataQualifier, EncodeRowValue(*rel, updated)}});
+  return cluster_->Put(s, relation, EncodePkKeyFromValues(pk_values),
+                       {{kDataQualifier, EncodeRowSlots(updated)}});
 }
 
 StatusOr<TupleScanner> TableAdapter::ScanAll(hbase::Session& s,
@@ -240,15 +259,17 @@ Status TableAdapter::SetMarkWithIndexes(hbase::Session& s,
                                         const std::string& relation,
                                         const std::vector<Value>& pk_values,
                                         bool marked) {
-  const sql::RelationDef* rel = catalog_->FindRelation(relation);
-  if (rel == nullptr) return Status::NotFound("relation " + relation);
+  const sql::WriteLayout* layout = catalog_->FindWriteLayout(relation);
+  if (layout == nullptr) return Status::NotFound("relation " + relation);
   SYNERGY_RETURN_IF_ERROR(MarkRow(s, relation, pk_values, marked));
-  SYNERGY_ASSIGN_OR_RETURN(existing, GetByPk(s, relation, pk_values));
-  if (!existing.has_value()) return Status::Ok();
-  for (const sql::IndexDef* ix : catalog_->IndexesFor(relation)) {
-    SYNERGY_ASSIGN_OR_RETURN(ikey, EncodeIndexKey(*ix, *rel, existing->tuple));
-    SYNERGY_RETURN_IF_ERROR(cluster_->Put(
-        s, ix->name, ikey, {{kMarkQualifier, marked ? "1" : "0"}}));
+  SlotRow existing;
+  SYNERGY_ASSIGN_OR_RETURN(found,
+                           GetByPkSlots(s, relation, pk_values, &existing));
+  if (!found) return Status::Ok();
+  for (const sql::WriteLayout::Index& ix : layout->indexes) {
+    SYNERGY_RETURN_IF_ERROR(
+        cluster_->Put(s, ix.name, IndexKey(ix, existing.values),
+                      {{kMarkQualifier, marked ? "1" : "0"}}));
   }
   return Status::Ok();
 }

@@ -71,7 +71,12 @@ class TableAdapter {
   /// Creates store tables for a relation and all its indexes.
   Status CreateStorage(const std::string& relation);
 
-  /// Inserts a tuple and its index rows. Does not check uniqueness.
+  /// Inserts a row and its index rows. Does not check uniqueness. `row`
+  /// holds the relation's values in column order, NULL where absent.
+  Status InsertRow(hbase::Session& s, const std::string& relation,
+                   const std::vector<Value>& row);
+
+  /// InsertRow of the tuple's slot form (TupleToSlots).
   Status Insert(hbase::Session& s, const std::string& relation,
                 const Tuple& tuple);
 
@@ -122,11 +127,6 @@ class TableAdapter {
   size_t RowCount(const std::string& relation) const;
 
  private:
-  Status WriteIndexRows(hbase::Session& s, const sql::RelationDef& rel,
-                        const Tuple& tuple);
-  Status DeleteIndexRows(hbase::Session& s, const sql::RelationDef& rel,
-                         const Tuple& tuple);
-
   hbase::Cluster* cluster_;
   const sql::Catalog* catalog_;
 };

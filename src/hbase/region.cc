@@ -157,13 +157,17 @@ bool Region::CheckAndPut(const std::string& row_key,
                          const std::optional<std::string>& expected,
                          const std::string& new_value) {
   std::unique_lock lock(mutex_);
-  RowData& row = rows_[row_key];
+  // A failed check writes nothing, as in HBase: the row is created only
+  // when the put happens.
   std::optional<std::string> current;
-  auto cit = row.find(qualifier);
-  if (cit != row.end()) current = cit->second.Latest();
+  if (auto rit = rows_.find(row_key); rit != rows_.end()) {
+    auto cit = rit->second.find(qualifier);
+    if (cit != rit->second.end()) current = cit->second.Latest();
+  }
   if (current != expected) return false;
   const int64_t t = AllocTs(std::nullopt);
-  row[qualifier].AddVersion(CellVersion{t, new_value, /*tombstone=*/false});
+  rows_[row_key][qualifier].AddVersion(
+      CellVersion{t, new_value, /*tombstone=*/false});
   EditWriter(this, row_key, t, /*tombstone=*/false)
       .Column(qualifier, new_value);
   return true;

@@ -3,6 +3,39 @@
 #include <algorithm>
 
 namespace synergy::sql {
+namespace {
+
+/// The slot of each of `names` in `rel` (-1 where `rel` lacks it).
+std::vector<int> SlotsOf(const RelationDef& rel,
+                         const std::vector<std::string>& names) {
+  std::vector<int> slots;
+  slots.reserve(names.size());
+  for (const std::string& name : names) slots.push_back(rel.ColumnIndex(name));
+  return slots;
+}
+
+/// The slot in `view` of each column of `member`.
+std::vector<int> ViewSlotsOf(const RelationDef& member,
+                             const RelationDef& view) {
+  std::vector<int> slots;
+  slots.reserve(member.columns.size());
+  for (const Column& col : member.columns) {
+    slots.push_back(view.ColumnIndex(col.name));
+  }
+  return slots;
+}
+
+/// Inserts `item` into `items`, kept in name order (the order in which the
+/// catalog's own maps list indexes and views).
+template <typename T>
+void InsertByName(std::vector<T>& items, T item) {
+  auto at = std::find_if(items.begin(), items.end(), [&](const T& other) {
+    return other.name > item.name;
+  });
+  items.insert(at, std::move(item));
+}
+
+}  // namespace
 
 bool RelationDef::HasColumn(const std::string& col) const {
   return std::any_of(columns.begin(), columns.end(),
@@ -51,6 +84,7 @@ Status Catalog::AddRelation(RelationDef def) {
   if (relations_.contains(def.name)) {
     return Status::AlreadyExists("relation " + def.name);
   }
+  layouts_[def.name].pk_slots = SlotsOf(def, def.primary_key);
   relations_.emplace(def.name, std::move(def));
   return Status::Ok();
 }
@@ -83,6 +117,13 @@ Status Catalog::AddIndex(IndexDef def) {
   if (indexes_.contains(def.name)) {
     return Status::AlreadyExists("index " + def.name);
   }
+  std::vector<std::string> key = def.indexed_columns;
+  key.insert(key.end(), rel->primary_key.begin(), rel->primary_key.end());
+  InsertByName(layouts_[def.relation].indexes,
+               WriteLayout::Index{.name = def.name,
+                                  .key_slots = SlotsOf(*rel, key),
+                                  .covered_slots =
+                                      SlotsOf(*rel, def.covered_columns)});
   indexes_.emplace(def.name, std::move(def));
   return Status::Ok();
 }
@@ -91,7 +132,35 @@ Status Catalog::AddView(ViewDef view, RelationDef storage) {
   if (view.name != storage.name) {
     return Status::InvalidArgument("view/storage name mismatch");
   }
+  const size_t n = view.relations.size();
+  if (n > 1 && view.edges.size() < n) {
+    return Status::InvalidArgument("view " + view.name +
+                                   " lacks an edge per member");
+  }
+  for (const std::string& member : view.relations) {
+    if (FindRelation(member) == nullptr) {
+      return Status::NotFound("relation " + member + " of view " + view.name);
+    }
+  }
+  // An insert into the last member reads one ancestor per hop, by the
+  // child's FK, and copies its columns into the view row.
+  WriteLayout::ViewPath path{.name = view.name,
+                             .width = storage.columns.size()};
+  if (n > 0) {
+    path.to_view = ViewSlotsOf(*FindRelation(view.relations.back()), storage);
+  }
+  for (size_t i = n; i-- > 1;) {
+    const RelationDef& child = *FindRelation(view.relations[i]);
+    const RelationDef& parent = *FindRelation(view.relations[i - 1]);
+    path.hops.push_back(
+        WriteLayout::Hop{.parent = parent.name,
+                         .fk_slots = SlotsOf(child, view.edges[i].columns),
+                         .to_view = ViewSlotsOf(parent, storage)});
+  }
   SYNERGY_RETURN_IF_ERROR(AddRelation(std::move(storage)));
+  if (n > 0) {
+    InsertByName(layouts_[view.relations.back()].views, std::move(path));
+  }
   views_.emplace(view.name, std::move(view));
   return Status::Ok();
 }
@@ -113,6 +182,12 @@ const ViewDef* Catalog::FindView(const std::string& name) const {
 
 bool Catalog::IsView(const std::string& relation) const {
   return views_.contains(relation);
+}
+
+const WriteLayout* Catalog::FindWriteLayout(
+    const std::string& relation) const {
+  auto it = layouts_.find(relation);
+  return it == layouts_.end() ? nullptr : &it->second;
 }
 
 std::vector<const IndexDef*> Catalog::IndexesFor(

@@ -73,16 +73,55 @@ struct ViewDef {
   std::string root;  // root relation of the rooted tree this path came from
 };
 
+/// A relation's write path with every column name resolved to a slot: a
+/// position in RelationDef::columns, or -1 where the relation has no such
+/// column (the slot reads as NULL). The catalog builds it as the schema is
+/// registered, so no write looks a column up by name per row.
+struct WriteLayout {
+  /// A covered index X(R): its row key is Xtuple(R) ++ PK(R), its value X(R).
+  struct Index {
+    std::string name;
+    std::vector<int> key_slots;
+    std::vector<int> covered_slots;
+  };
+  /// One step up a view's FK chain: the child's FK slots hold the parent's
+  /// PK; `to_view` is the view slot of each parent column.
+  struct Hop {
+    std::string parent;
+    std::vector<int> fk_slots;
+    std::vector<int> to_view;
+  };
+  /// A view whose last relation this is: an insert into this relation adds
+  /// the view row that joins it with its ancestors (§VII-A), a delete
+  /// removes the view row with its key (§VII-B).
+  struct ViewPath {
+    std::string name;  // the view's
+    size_t width = 0;  // the view's column count
+    /// The view slot of each of this relation's columns.
+    std::vector<int> to_view = {};
+    /// This relation's parent first, up to the view's head.
+    std::vector<Hop> hops = {};
+  };
+
+  std::vector<int> pk_slots;
+  std::vector<Index> indexes;   // in IndexesFor order
+  std::vector<ViewPath> views;  // in Views order
+};
+
 class Catalog {
  public:
   Status AddRelation(RelationDef def);
   Status AddIndex(IndexDef def);
+  /// Registers the view's storage relation and its WriteLayout::ViewPath;
+  /// every member relation must be registered first.
   Status AddView(ViewDef view, RelationDef storage);
 
   const RelationDef* FindRelation(const std::string& name) const;
   const IndexDef* FindIndex(const std::string& name) const;
   const ViewDef* FindView(const std::string& name) const;
   bool IsView(const std::string& relation) const;
+  /// The write layout of `relation`, or nullptr for an unknown relation.
+  const WriteLayout* FindWriteLayout(const std::string& relation) const;
 
   std::vector<const IndexDef*> IndexesFor(const std::string& relation) const;
   std::vector<const RelationDef*> Relations() const;
@@ -96,6 +135,7 @@ class Catalog {
   std::map<std::string, RelationDef> relations_;
   std::map<std::string, IndexDef> indexes_;
   std::map<std::string, ViewDef> views_;
+  std::map<std::string, WriteLayout> layouts_;  // by relation
 };
 
 }  // namespace synergy::sql

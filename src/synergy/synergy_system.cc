@@ -110,8 +110,7 @@ Status SynergySystem::CreateStorage() {
 
 Status SynergySystem::Load(hbase::Session& s, const std::string& relation,
                            const exec::Tuple& tuple) {
-  SYNERGY_RETURN_IF_ERROR(adapter_->Insert(s, relation, tuple));
-  SYNERGY_RETURN_IF_ERROR(maintainer_->ApplyInsert(s, relation, tuple));
+  SYNERGY_RETURN_IF_ERROR(maintainer_->InsertWithViews(s, relation, tuple));
   if (std::find(config_.roots.begin(), config_.roots.end(), relation) !=
       config_.roots.end()) {
     const sql::RelationDef* rel = catalog_.FindRelation(relation);
@@ -191,15 +190,17 @@ StatusOr<std::optional<txn::LockSpec>> SynergySystem::DeriveLockSpec(
 
 Status SynergySystem::RunInsert(hbase::Session& s,
                                 const exec::BoundWrite& write) {
-  SYNERGY_RETURN_IF_ERROR(adapter_->Insert(s, write.relation, write.tuple));
+  const sql::RelationDef* rel = catalog_.FindRelation(write.relation);
+  if (rel == nullptr) return Status::NotFound("relation " + write.relation);
+  const std::vector<Value> row = exec::TupleToSlots(*rel, write.tuple);
+  SYNERGY_RETURN_IF_ERROR(adapter_->InsertRow(s, write.relation, row));
   if (std::find(config_.roots.begin(), config_.roots.end(), write.relation) !=
       config_.roots.end()) {
-    const sql::RelationDef* rel = catalog_.FindRelation(write.relation);
     SYNERGY_ASSIGN_OR_RETURN(key, exec::EncodePkKey(*rel, write.tuple));
     SYNERGY_RETURN_IF_ERROR(
         locks_->CreateLockEntry(s, write.relation, key));
   }
-  return maintainer_->ApplyInsert(s, write.relation, write.tuple);
+  return maintainer_->ApplyInsert(s, write.relation, row);
 }
 
 Status SynergySystem::RunDelete(hbase::Session& s,

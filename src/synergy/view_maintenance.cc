@@ -12,54 +12,78 @@ bool ViewMaintainer::UpdateApplies(const sql::ViewDef& view,
 
 Status ViewMaintainer::ApplyInsert(hbase::Session& s,
                                    const std::string& relation,
-                                   const exec::Tuple& tuple) {
-  const sql::Catalog& catalog = adapter_->catalog();
-  for (const sql::ViewDef* view : catalog.Views()) {
-    if (!InsertApplies(*view, relation)) continue;
+                                   const std::vector<Value>& row) {
+  const sql::WriteLayout* layout =
+      adapter_->catalog().FindWriteLayout(relation);
+  if (layout == nullptr) return Status::Ok();  // unknown relation: no views
+  std::vector<Value> view_row;
+  std::vector<Value> parent_pk;
+  exec::SlotRow parent;  // the ancestor the next hop starts from
+  exec::SlotRow next;
+  for (const sql::WriteLayout::ViewPath& view : layout->views) {
+    if (row.size() != view.to_view.size()) {
+      return Status::InvalidArgument(std::to_string(row.size()) +
+                                     " slots in a row of relation " + relation);
+    }
+    view_row.assign(view.width, Value());
+    for (size_t i = 0; i < view.to_view.size(); ++i) {
+      if (view.to_view[i] >= 0) {
+        view_row[static_cast<size_t>(view.to_view[i])] = row[i];
+      }
+    }
     // Walk the FK chain from the inserted (last) relation up to the view
-    // head, reading one ancestor tuple per hop.
-    exec::Tuple view_tuple = tuple;
-    exec::Tuple current = tuple;
+    // head, reading one ancestor row per hop. An ancestor's non-NULL
+    // columns overwrite same-named view columns.
+    const std::vector<Value>* child = &row;
     bool complete = true;
-    for (size_t i = view->relations.size() - 1; i >= 1; --i) {
-      const sql::ForeignKey& fk = view->edges[i];
-      std::vector<Value> parent_pk;
-      parent_pk.reserve(fk.columns.size());
-      bool missing_fk = false;
-      for (const std::string& col : fk.columns) {
-        auto it = current.find(col);
-        if (it == current.end() || it->second.is_null()) {
-          missing_fk = true;
+    for (const sql::WriteLayout::Hop& hop : view.hops) {
+      parent_pk.clear();
+      for (const int slot : hop.fk_slots) {
+        if (slot < 0 || (*child)[static_cast<size_t>(slot)].is_null()) {
+          complete = false;
           break;
         }
-        parent_pk.push_back(it->second);
+        parent_pk.push_back((*child)[static_cast<size_t>(slot)]);
       }
-      if (missing_fk) {
-        complete = false;
-        break;
-      }
+      if (!complete) break;
       SYNERGY_ASSIGN_OR_RETURN(
-          parent, adapter_->GetByPk(s, view->relations[i - 1], parent_pk));
-      if (!parent.has_value()) {
+          found, adapter_->GetByPkSlots(s, hop.parent, parent_pk, &next));
+      if (!found) {
         complete = false;  // FK constraints are not enforced (§IV)
         break;
       }
-      for (const auto& [col, value] : parent->tuple) view_tuple[col] = value;
-      current = parent->tuple;
+      for (size_t i = 0; i < hop.to_view.size(); ++i) {
+        if (hop.to_view[i] >= 0 && !next.values[i].is_null()) {
+          view_row[static_cast<size_t>(hop.to_view[i])] = next.values[i];
+        }
+      }
+      std::swap(parent, next);
+      child = &parent.values;
     }
     if (!complete) continue;
-    SYNERGY_RETURN_IF_ERROR(adapter_->Insert(s, view->name, view_tuple));
+    SYNERGY_RETURN_IF_ERROR(adapter_->InsertRow(s, view.name, view_row));
   }
   return Status::Ok();
+}
+
+Status ViewMaintainer::InsertWithViews(hbase::Session& s,
+                                       const std::string& relation,
+                                       const exec::Tuple& tuple) {
+  const sql::RelationDef* rel = adapter_->catalog().FindRelation(relation);
+  if (rel == nullptr) return Status::NotFound("relation " + relation);
+  const std::vector<Value> row = exec::TupleToSlots(*rel, tuple);
+  SYNERGY_RETURN_IF_ERROR(adapter_->InsertRow(s, relation, row));
+  return ApplyInsert(s, relation, row);
 }
 
 Status ViewMaintainer::ApplyDelete(hbase::Session& s,
                                    const std::string& relation,
                                    const std::vector<Value>& pk_values) {
-  const sql::Catalog& catalog = adapter_->catalog();
-  for (const sql::ViewDef* view : catalog.Views()) {
-    if (!DeleteApplies(*view, relation)) continue;
-    SYNERGY_RETURN_IF_ERROR(adapter_->DeleteByPk(s, view->name, pk_values));
+  const sql::WriteLayout* layout =
+      adapter_->catalog().FindWriteLayout(relation);
+  if (layout == nullptr) return Status::Ok();  // unknown relation: no views
+  for (const sql::WriteLayout::ViewPath& view : layout->views) {
+    SYNERGY_RETURN_IF_ERROR(adapter_->DeleteByPk(s, view.name, pk_values));
   }
   return Status::Ok();
 }

@@ -1,5 +1,5 @@
-// View maintenance (§VII): applicability tests and tuple/key construction
-// for insert, delete and update statements against base tables.
+// View maintenance (§VII): applicability and row/key construction for
+// insert, delete and update statements against base tables.
 #pragma once
 
 #include <string>
@@ -14,28 +14,28 @@ class ViewMaintainer {
  public:
   explicit ViewMaintainer(exec::TableAdapter* adapter) : adapter_(adapter) {}
 
-  /// §VII-A applicability: a base insert into R applies to view V iff R is
-  /// the last relation of V.
-  static bool InsertApplies(const sql::ViewDef& view,
-                            const std::string& relation) {
-    return !view.relations.empty() && view.relations.back() == relation;
-  }
-  /// §VII-B: same applicability as insert (no cascading deletes).
-  static bool DeleteApplies(const sql::ViewDef& view,
-                            const std::string& relation) {
-    return InsertApplies(view, relation);
-  }
   /// §VII-C: an update applies iff R is anywhere in V's relation sequence.
+  /// (An insert or delete into R applies iff R is V's last relation; the
+  /// catalog lists those views in R's sql::WriteLayout.)
   static bool UpdateApplies(const sql::ViewDef& view,
                             const std::string& relation);
 
-  /// Propagates a base-table insert to every applicable view: reads the
-  /// k-1 ancestor tuples along the FK chain and inserts the joined tuple
-  /// (linear in view length, independent of cardinality ratios).
+  /// Propagates a base-table insert to every applicable view (§VII-A):
+  /// reads the k-1 ancestor rows along the FK chain and inserts the joined
+  /// row (linear in view length, independent of cardinality ratios). `row`
+  /// is the inserted row in slot form; the path is the catalog's
+  /// sql::WriteLayout::ViewPath. A NULL FK or a missing ancestor skips
+  /// that view only.
   Status ApplyInsert(hbase::Session& s, const std::string& relation,
-                     const exec::Tuple& tuple);
+                     const std::vector<Value>& row);
 
-  /// Propagates a base-table delete: the view key equals the base key
+  /// Inserts a base tuple and its index rows, then ApplyInsert: the tuple
+  /// is put in slot form once for both.
+  Status InsertWithViews(hbase::Session& s, const std::string& relation,
+                         const exec::Tuple& tuple);
+
+  /// Propagates a base-table delete to the same views as an insert, with
+  /// no cascading deletes (§VII-B): the view key equals the base key
   /// (PK(V) = PK of the last relation); view-index rows are removed via the
   /// read-then-delete key construction inside the adapter.
   Status ApplyDelete(hbase::Session& s, const std::string& relation,

@@ -111,15 +111,13 @@ Status MvccSystem::Setup(const tpcw::ScaleConfig& scale) {
         scale, [&](int tid, const std::string& relation,
                    const exec::Tuple& tuple) {
           hbase::Session& s = *sessions[static_cast<size_t>(tid)];
-          SYNERGY_RETURN_IF_ERROR(adapter_->Insert(s, relation, tuple));
-          return maintainer_->ApplyInsert(s, relation, tuple);
+          return maintainer_->InsertWithViews(s, relation, tuple);
         }));
   } else {
     hbase::Session load(cluster_.get());
     SYNERGY_RETURN_IF_ERROR(tpcw::GenerateDatabase(
         scale, [&](const std::string& relation, const exec::Tuple& tuple) {
-          SYNERGY_RETURN_IF_ERROR(adapter_->Insert(load, relation, tuple));
-          return maintainer_->ApplyInsert(load, relation, tuple);
+          return maintainer_->InsertWithViews(load, relation, tuple);
         }));
   }
   cluster_->MajorCompactAll();
@@ -130,8 +128,7 @@ Status MvccSystem::ExecuteWriteBody(hbase::Session& s,
                                     const exec::BoundWrite& write) {
   switch (write.kind) {
     case exec::BoundWrite::Kind::kInsert:
-      SYNERGY_RETURN_IF_ERROR(adapter_->Insert(s, write.relation, write.tuple));
-      return maintainer_->ApplyInsert(s, write.relation, write.tuple);
+      return maintainer_->InsertWithViews(s, write.relation, write.tuple);
     case exec::BoundWrite::Kind::kDelete:
       SYNERGY_RETURN_IF_ERROR(
           maintainer_->ApplyDelete(s, write.relation, write.pk_values));

@@ -48,52 +48,89 @@ TEST(RowCodecTest, MissingColumnsDecodeAsAbsent) {
   EXPECT_FALSE(decoded->contains("name"));
 }
 
-TEST(RowCodecTest, IndexKeyIncludesPkSuffix) {
+// Rel()'s write layout with one index on `name`, as the catalog resolves
+// it when the index registers.
+sql::WriteLayout LayoutWithNameIndex(std::vector<std::string> covered) {
+  sql::Catalog catalog;
+  EXPECT_TRUE(catalog.AddRelation(Rel()).ok());
+  EXPECT_TRUE(catalog
+                  .AddIndex({.name = "ix_name",
+                             .relation = "T",
+                             .indexed_columns = {"name"},
+                             .covered_columns = std::move(covered)})
+                  .ok());
+  return *catalog.FindWriteLayout("T");
+}
+
+std::string Encode(const std::vector<Value>& row,
+                   const std::vector<int>& slots) {
+  std::string out;
+  EncodeSlots(row, slots, &out);
+  return out;
+}
+
+TEST(RowCodecTest, SlotFormFollowsSchemaOrder) {
   auto rel = Rel();
-  sql::IndexDef ix{.name = "ix_name",
-                   .relation = "T",
-                   .indexed_columns = {"name"},
-                   .covered_columns = {"name", "id"}};
-  Tuple a{{"id", Value(1)}, {"name", Value("bob")}};
-  Tuple b{{"id", Value(2)}, {"name", Value("bob")}};
-  auto ka = EncodeIndexKey(ix, rel, a);
-  auto kb = EncodeIndexKey(ix, rel, b);
-  ASSERT_TRUE(ka.ok());
-  ASSERT_TRUE(kb.ok());
-  EXPECT_NE(*ka, *kb);  // same indexed value, different PK
-  EXPECT_LT(*ka, *kb);
+  Tuple t{{"score", Value(2.5)}, {"id", Value(1)}, {"other", Value(9)}};
+  const std::vector<Value> row = TupleToSlots(rel, t);
+  ASSERT_EQ(row.size(), 3u);  // "other" is not a column of T
+  EXPECT_EQ(row[0], Value(1));
+  EXPECT_TRUE(row[1].is_null());
+  EXPECT_EQ(row[2], Value(2.5));
+  EXPECT_EQ(EncodeRowSlots(row), EncodeRowValue(rel, t));
+}
+
+TEST(RowCodecTest, PkSlotsEncodeTheRowKey) {
+  const sql::WriteLayout layout = LayoutWithNameIndex({});
+  const std::vector<Value> row = {Value(7), Value("x"), Value()};
+  EXPECT_EQ(Encode(row, layout.pk_slots), EncodePkKeyFromValues({Value(7)}));
+}
+
+TEST(RowCodecTest, IndexKeyIncludesPkSuffix) {
+  const sql::WriteLayout layout = LayoutWithNameIndex({"name", "id"});
+  const sql::WriteLayout::Index& ix = layout.indexes.at(0);
+  const std::string ka =
+      Encode({Value(1), Value("bob"), Value()}, ix.key_slots);
+  const std::string kb =
+      Encode({Value(2), Value("bob"), Value()}, ix.key_slots);
+  EXPECT_NE(ka, kb);  // same indexed value, different PK
+  EXPECT_LT(ka, kb);
+  EXPECT_EQ(ka, codec::EncodeKey({Value("bob"), Value(1)}));
 }
 
 TEST(RowCodecTest, IndexPrefixRangeCoversAllPks) {
-  auto rel = Rel();
-  sql::IndexDef ix{.name = "ix_name",
-                   .relation = "T",
-                   .indexed_columns = {"name"},
-                   .covered_columns = {"name", "id"}};
+  const sql::WriteLayout layout = LayoutWithNameIndex({"name", "id"});
+  const sql::WriteLayout::Index& ix = layout.indexes.at(0);
   auto [start, stop] = IndexPrefixRange({Value("bob")});
   for (int id : {1, 50, 999}) {
-    Tuple t{{"id", Value(id)}, {"name", Value("bob")}};
-    auto key = EncodeIndexKey(ix, rel, t);
-    ASSERT_TRUE(key.ok());
-    EXPECT_GE(*key, start);
-    EXPECT_LT(*key, stop);
+    const std::string key =
+        Encode({Value(id), Value("bob"), Value()}, ix.key_slots);
+    EXPECT_GE(key, start);
+    EXPECT_LT(key, stop);
   }
-  Tuple other{{"id", Value(1)}, {"name", Value("carol")}};
-  auto key = EncodeIndexKey(ix, rel, other);
-  ASSERT_TRUE(key.ok());
-  EXPECT_GE(*key, stop);
+  EXPECT_GE(Encode({Value(1), Value("carol"), Value()}, ix.key_slots), stop);
 }
 
-TEST(RowCodecTest, ProjectedValueUsesGivenOrder) {
-  auto rel = Rel();
-  Tuple t{{"id", Value(3)}, {"name", Value("x")}, {"score", Value(1.0)}};
-  std::vector<std::string> cols = {"score", "id"};
-  std::string bytes = EncodeProjectedValue(cols, rel, t);
-  auto decoded = DecodeRowValue(ProjectColumns(rel, cols), bytes);
+TEST(RowCodecTest, CoveredValueUsesCoveredOrder) {
+  // The catalog appends the indexed column the covered list lacks.
+  const sql::WriteLayout layout = LayoutWithNameIndex({"score", "id"});
+  const sql::WriteLayout::Index& ix = layout.indexes.at(0);
+  const std::vector<std::string> covered = {"score", "id", "name"};
+  const std::string bytes =
+      Encode({Value(3), Value("x"), Value(1.0)}, ix.covered_slots);
+  auto decoded = DecodeRowValue(ProjectColumns(Rel(), covered), bytes);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->at("score"), Value(1.0));
   EXPECT_EQ(decoded->at("id"), Value(3));
-  EXPECT_FALSE(decoded->contains("name"));
+  EXPECT_EQ(decoded->at("name"), Value("x"));
+}
+
+TEST(RowCodecTest, CoveredColumnOutsideTheRelationEncodesNull) {
+  const sql::WriteLayout layout = LayoutWithNameIndex({"name", "gone", "id"});
+  const sql::WriteLayout::Index& ix = layout.indexes.at(0);
+  EXPECT_EQ(ix.covered_slots, (std::vector<int>{1, -1, 0}));
+  EXPECT_EQ(Encode({Value(3), Value("x"), Value()}, ix.covered_slots),
+            codec::EncodeKey({Value("x"), Value(), Value(3)}));
 }
 
 }  // namespace

@@ -41,6 +41,19 @@ TEST(RegionTest, CheckAndPutSucceedsOnMatch) {
   EXPECT_EQ(row->columns.at("lock"), "0");
 }
 
+// A failed check leaves no empty row behind: one would count in the row
+// count and the size, and every full scan would be charged for it.
+TEST(RegionTest, FailedCheckAndPutOnAbsentRowCreatesNoRow) {
+  Region r(&clock);
+  EXPECT_FALSE(r.CheckAndPut("k", "lock", "0", "1"));
+  EXPECT_EQ(r.ApproxRowCount(), 0u);
+  EXPECT_EQ(r.ByteSize(), 0u);
+  EXPECT_FALSE(r.Get("k", Now()).has_value());
+  EXPECT_EQ(r.ScanBatch("", "", 10, Now()).rows_examined, 0u);
+  EXPECT_TRUE(r.CheckAndPut("k", "lock", std::nullopt, "0"));
+  EXPECT_EQ(r.ApproxRowCount(), 1u);
+}
+
 TEST(RegionTest, CheckAndPutIsMutuallyExclusiveUnderThreads) {
   Region r(&clock);
   r.Put("k", {{"lock", "0"}}, 1);

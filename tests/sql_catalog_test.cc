@@ -117,6 +117,67 @@ TEST(CatalogTest, ViewsAreRelationsWithMetadata) {
   EXPECT_EQ(cat.Relations().size(), 3u);
 }
 
+TEST(CatalogTest, WriteLayoutIsResolvedAtRegistration) {
+  Catalog cat;
+  ASSERT_TRUE(cat.AddRelation(Customer()).ok());
+  ASSERT_TRUE(cat.AddRelation(Orders()).ok());
+  // Registered out of name order; the layout lists them as IndexesFor does.
+  ASSERT_TRUE(cat.AddIndex({.name = "ix_z", .relation = "Orders",
+                            .indexed_columns = {"o_c_id"},
+                            .covered_columns = {"gone"}})
+                  .ok());
+  ASSERT_TRUE(cat.AddIndex({.name = "ix_a", .relation = "Orders",
+                            .indexed_columns = {"o_c_id"}})
+                  .ok());
+  const WriteLayout* orders = cat.FindWriteLayout("Orders");
+  ASSERT_NE(orders, nullptr);
+  EXPECT_EQ(orders->pk_slots, std::vector<int>{0});
+  ASSERT_EQ(orders->indexes.size(), 2u);
+  EXPECT_EQ(orders->indexes[0].name, "ix_a");
+  EXPECT_EQ(orders->indexes[1].name, "ix_z");
+  EXPECT_EQ(orders->indexes[1].key_slots, (std::vector<int>{1, 0}));
+  // The covered list gains the indexed column and the PK; an unknown
+  // covered column resolves to -1 (encoded as NULL).
+  EXPECT_EQ(orders->indexes[1].covered_slots, (std::vector<int>{-1, 1, 0}));
+  EXPECT_EQ(cat.FindWriteLayout("nope"), nullptr);
+
+  ASSERT_TRUE(cat.AddView({.name = "Customer-Orders",
+                           .relations = {"Customer", "Orders"},
+                           .edges = {{}, {{"o_c_id"}, "Customer"}},
+                           .root = "Customer"},
+                          {.name = "Customer-Orders",
+                           .columns = {{"o_id", DataType::kInt},
+                                       {"c_uname", DataType::kString},
+                                       {"c_id", DataType::kInt}},
+                           .primary_key = {"o_id"}})
+                  .ok());
+  ASSERT_EQ(orders->views.size(), 1u);
+  const WriteLayout::ViewPath& path = orders->views[0];
+  EXPECT_EQ(path.name, "Customer-Orders");
+  EXPECT_EQ(path.width, 3u);
+  EXPECT_EQ(path.to_view, (std::vector<int>{0, -1}));
+  ASSERT_EQ(path.hops.size(), 1u);
+  EXPECT_EQ(path.hops[0].parent, "Customer");
+  EXPECT_EQ(path.hops[0].fk_slots, std::vector<int>{1});
+  EXPECT_EQ(path.hops[0].to_view, (std::vector<int>{2, 1}));
+  EXPECT_TRUE(cat.FindWriteLayout("Customer")->views.empty());
+}
+
+TEST(CatalogTest, ViewOverAnUnregisteredRelationFails) {
+  Catalog cat;
+  ASSERT_TRUE(cat.AddRelation(Orders()).ok());
+  EXPECT_EQ(cat.AddView({.name = "Customer-Orders",
+                         .relations = {"Customer", "Orders"},
+                         .edges = {{}, {{"o_c_id"}, "Customer"}},
+                         .root = "Customer"},
+                        {.name = "Customer-Orders",
+                         .columns = {{"o_id", DataType::kInt}},
+                         .primary_key = {"o_id"}})
+                .code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(cat.FindRelation("Customer-Orders"), nullptr);
+}
+
 TEST(CatalogTest, PrimaryKeyTypes) {
   Catalog cat;
   ASSERT_TRUE(cat.AddRelation(Customer()).ok());

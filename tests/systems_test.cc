@@ -1,9 +1,13 @@
 // Integration tests across the five evaluated systems at small scale:
-// every workload statement runs on every system, every SELECT plan is
-// pinned, and the paper's headline orderings hold.
+// every workload statement runs on every system, every SELECT plan and the
+// bytes every system stores are pinned, and the paper's headline orderings
+// hold.
 #include "systems/evaluated_system.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <map>
 
 #include "exec/planner.h"
 #include "hbase/retry_policy.h"
@@ -14,6 +18,7 @@
 #include "testing/fault_injector.h"
 #include "tpcw/workload.h"
 #include "tpcw_plans.h"
+#include "tpcw_store_digest.h"
 
 namespace synergy::systems {
 namespace {
@@ -53,6 +58,88 @@ TEST(TpcwPlansTest, EverySelectPlanMatchesThePinnedText) {
     }
   }
   EXPECT_TRUE(plans == kTpcwPlans) << "this tree's plans:\n" << plans;
+}
+
+// FNV-1a 64 over every row a full scan of `table` returns: the row key,
+// then each cell's qualifier and value, each preceded by its length.
+uint64_t ScanDigest(hbase::Cluster& cluster, const std::string& table) {
+  uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](std::string_view bytes) {
+    const uint64_t n = bytes.size();
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((n >> (8 * i)) & 0xff)) * 1099511628211ull;
+    }
+    for (const char c : bytes) {
+      h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+    }
+  };
+  hbase::Session s(&cluster);
+  StatusOr<hbase::Scanner> scanner = cluster.OpenScanner(s, table);
+  EXPECT_TRUE(scanner.ok()) << table << ": " << scanner.status();
+  if (!scanner.ok()) return 0;
+  hbase::RowResult row;
+  while (scanner->Next(&row)) {
+    mix(row.row_key);
+    for (const auto& [qualifier, value] : row.columns) {
+      mix(qualifier);
+      mix(value);
+    }
+  }
+  EXPECT_TRUE(scanner->status().ok()) << table << ": " << scanner->status();
+  return h;
+}
+
+// "<table> rows=<ApproxRowCount> bytes=<SizeReport bytes> fnv=<ScanDigest>"
+// for every table of the cluster, keyed by table.
+std::map<std::string, std::string> StoreLines(hbase::Cluster& cluster) {
+  std::map<std::string, std::string> lines;
+  for (const hbase::TableSizeInfo& table : cluster.SizeReport()) {
+    char buf[96];
+    std::snprintf(buf, sizeof buf, " rows=%zu bytes=%zu fnv=%016llx\n",
+                  cluster.ApproxRowCount(table.name), table.bytes,
+                  static_cast<unsigned long long>(
+                      ScanDigest(cluster, table.name)));
+    lines[table.name] = table.name + buf;
+  }
+  return lines;
+}
+
+// The bytes each HBase-backed system stores at 40 customers, pinned against
+// tests/tpcw_store_digest.h: every table after Setup, then each W-statement
+// (run once with fixed-seed parameters) with its virtual_ms and the tables
+// it changed. view_audit checks what the views mean; this checks their
+// bytes. On a mismatch the test prints this tree's digest in the header's
+// format.
+TEST(TpcwStoreTest, LoadAndWritesMatchThePinnedDigest) {
+  tpcw::ScaleConfig scale;
+  scale.num_customers = 40;
+  std::string digest;
+  for (const SystemKind kind : HBaseBackedKinds()) {
+    const std::string name = SystemKindName(kind);
+    std::unique_ptr<EvaluatedSystem> system = MakeSystem(kind);
+    ASSERT_TRUE(system->Setup(scale).ok()) << name;
+    hbase::Cluster& cluster =
+        *static_cast<StoreBackedSystem&>(*system).cluster();
+    std::map<std::string, std::string> before = StoreLines(cluster);
+    digest += "== " + name + " setup\n";
+    for (const auto& [table, line] : before) digest += line;
+    tpcw::ParamProvider params(scale, /*seed=*/11);
+    for (const std::string& id : tpcw::WriteStatementIds()) {
+      StatusOr<std::vector<Value>> p = params.ParamsFor(id);
+      ASSERT_TRUE(p.ok()) << id << ": " << p.status();
+      StatusOr<StatementResult> r = system->Execute(id, *p);
+      ASSERT_TRUE(r.ok()) << name << " " << id << ": " << r.status();
+      char ms[48];
+      std::snprintf(ms, sizeof ms, " virtual_ms=%.17g\n", r->virtual_ms);
+      digest += "== " + name + " " + id + ms;
+      std::map<std::string, std::string> after = StoreLines(cluster);
+      for (const auto& [table, line] : after) {
+        if (before[table] != line) digest += line;
+      }
+      before = std::move(after);
+    }
+  }
+  EXPECT_TRUE(digest == kTpcwStoreDigest) << "this tree's digest:\n" << digest;
 }
 
 class SystemsTest : public ::testing::Test {

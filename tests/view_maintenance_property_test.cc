@@ -263,5 +263,116 @@ INSTANTIATE_TEST_SUITE_P(
     FaultSeeds, ViewConsistencyFaultPropertyTest,
     ::testing::ValuesIn(fault::TestSeedsFromEnv({7, 11, 23, 77, 2017})));
 
+// The insert path of §VII-A on a hand-built chain A <- B <- C whose members
+// all carry a `note` column, so the view rows show which member each
+// column came from: an ancestor's non-NULL columns overwrite same-named
+// view columns (the head's win), a NULL ancestor column does not, and a
+// NULL FK or a missing ancestor skips that view only. A column the
+// inserted relation lacks is not stored in its row, so it reaches no view
+// row either.
+TEST(ViewMaintainerTest, InsertCopiesAncestorsAndSkipsOnlyBrokenChains) {
+  sql::Catalog catalog;
+  ASSERT_TRUE(catalog
+                  .AddRelation({.name = "A",
+                                .columns = {{"a_id", DataType::kInt},
+                                            {"note", DataType::kString}},
+                                .primary_key = {"a_id"}})
+                  .ok());
+  ASSERT_TRUE(catalog
+                  .AddRelation({.name = "B",
+                                .columns = {{"b_id", DataType::kInt},
+                                            {"b_a_id", DataType::kInt},
+                                            {"note", DataType::kString}},
+                                .primary_key = {"b_id"},
+                                .foreign_keys = {{{"b_a_id"}, "A"}}})
+                  .ok());
+  ASSERT_TRUE(catalog
+                  .AddRelation({.name = "C",
+                                .columns = {{"c_id", DataType::kInt},
+                                            {"c_b_id", DataType::kInt},
+                                            {"note", DataType::kString}},
+                                .primary_key = {"c_id"},
+                                .foreign_keys = {{{"c_b_id"}, "B"}}})
+                  .ok());
+  const sql::ForeignKey b_to_a{{"b_a_id"}, "A"};
+  const sql::ForeignKey c_to_b{{"c_b_id"}, "B"};
+  ASSERT_TRUE(catalog
+                  .AddView({.name = "A-B-C",
+                            .relations = {"A", "B", "C"},
+                            .edges = {{}, b_to_a, c_to_b},
+                            .root = "A"},
+                           {.name = "A-B-C",
+                            .columns = {{"a_id", DataType::kInt},
+                                        {"note", DataType::kString},
+                                        {"b_id", DataType::kInt},
+                                        {"c_id", DataType::kInt}},
+                            .primary_key = {"c_id"}})
+                  .ok());
+  ASSERT_TRUE(catalog
+                  .AddView({.name = "B-C",
+                            .relations = {"B", "C"},
+                            .edges = {{}, c_to_b},
+                            .root = "B"},
+                           {.name = "B-C",
+                            .columns = {{"b_a_id", DataType::kInt},
+                                        {"c_id", DataType::kInt},
+                                        {"note", DataType::kString}},
+                            .primary_key = {"c_id"}})
+                  .ok());
+  hbase::Cluster cluster;
+  exec::TableAdapter adapter(&cluster, &catalog);
+  for (const sql::RelationDef* rel : catalog.Relations()) {
+    ASSERT_TRUE(adapter.CreateStorage(rel->name).ok());
+  }
+  ViewMaintainer maintainer(&adapter);
+  hbase::Session s(&cluster);
+  auto insert = [&](const std::string& relation, const exec::Tuple& tuple) {
+    ASSERT_TRUE(maintainer.InsertWithViews(s, relation, tuple).ok());
+  };
+  insert("A", {{"a_id", Value(1)}, {"note", Value("a1")}});
+  insert("A", {{"a_id", Value(2)}});
+  insert("B", {{"b_id", Value(1)},
+              {"b_a_id", Value(1)},
+              {"note", Value("b1")}});
+  insert("B", {{"b_id", Value(2)},
+              {"b_a_id", Value(2)},
+              {"note", Value("b2")}});
+  insert("B", {{"b_id", Value(3)}, {"b_a_id", Value(99)}});
+  insert("B", {{"b_id", Value(4)}});
+  insert("C", {{"c_id", Value(1)},
+              {"c_b_id", Value(1)},
+              {"note", Value("c1")}});
+  insert("C", {{"c_id", Value(2)},
+              {"c_b_id", Value(2)},
+              {"note", Value("c2")}});
+  insert("C", {{"c_id", Value(3)},
+              {"c_b_id", Value(3)},
+              {"note", Value("c3")}});
+  insert("C", {{"c_id", Value(4)}, {"c_b_id", Value(4)}});
+  insert("C", {{"c_id", Value(5)}, {"note", Value("c5")}});
+  insert("C", {{"c_id", Value(6)}, {"c_b_id", Value(77)}});
+  insert("C", {{"c_id", Value(7)},  // b_a_id is B's column, not C's
+              {"c_b_id", Value(4)},
+              {"b_a_id", Value(5)}});
+
+  // The view row of c_id, as slots in view column order; empty if absent.
+  auto row = [&](const std::string& view, int c_id) {
+    exec::SlotRow out;
+    StatusOr<bool> found = adapter.GetByPkSlots(s, view, {Value(c_id)}, &out);
+    EXPECT_TRUE(found.ok()) << found.status();
+    return found.ok() && *found ? out.values : std::vector<Value>{};
+  };
+  using Row = std::vector<Value>;
+  EXPECT_EQ(row("A-B-C", 1), (Row{Value(1), Value("a1"), Value(1), Value(1)}));
+  EXPECT_EQ(row("A-B-C", 2), (Row{Value(2), Value("b2"), Value(2), Value(2)}));
+  for (int c_id : {3, 4, 5, 6}) EXPECT_EQ(row("A-B-C", c_id), Row{}) << c_id;
+  EXPECT_EQ(row("B-C", 1), (Row{Value(1), Value(1), Value("b1")}));
+  EXPECT_EQ(row("B-C", 2), (Row{Value(2), Value(2), Value("b2")}));
+  EXPECT_EQ(row("B-C", 3), (Row{Value(99), Value(3), Value("c3")}));
+  EXPECT_EQ(row("B-C", 4), (Row{Value(), Value(4), Value()}));
+  EXPECT_EQ(row("B-C", 7), (Row{Value(), Value(7), Value()}));
+  for (int c_id : {5, 6}) EXPECT_EQ(row("B-C", c_id), Row{}) << c_id;
+}
+
 }  // namespace
 }  // namespace synergy::core
