@@ -82,14 +82,17 @@ StatusOr<Tuple> DecodeRowValue(const std::vector<sql::Column>& columns,
 }
 
 Status DecodeRowSlots(const std::vector<sql::Column>& columns,
-                      const std::vector<int>& slot_map, size_t num_slots,
-                      std::string_view bytes, std::vector<Value>* out) {
+                      std::span<const int> slot_map, std::string_view bytes,
+                      std::vector<Value>* out) {
   out->clear();
-  out->resize(num_slots);  // all slots NULL
+  out->resize(columns.size());  // all slots NULL
   const bool identity = slot_map.empty();
-  for (size_t i = 0; i < columns.size(); ++i) {
-    SYNERGY_ASSIGN_OR_RETURN(v, codec::DecodeValue(&bytes, columns[i].type));
+  const size_t stored = identity ? columns.size() : slot_map.size();
+  for (size_t i = 0; i < stored; ++i) {
     const int slot = identity ? static_cast<int>(i) : slot_map[i];
+    const DataType type = slot < 0 ? DataType::kString
+                                   : columns[static_cast<size_t>(slot)].type;
+    SYNERGY_ASSIGN_OR_RETURN(v, codec::DecodeValue(&bytes, type));
     if (slot >= 0) (*out)[static_cast<size_t>(slot)] = std::move(v);
   }
   if (!bytes.empty()) {
@@ -101,17 +104,6 @@ Status DecodeRowSlots(const std::vector<sql::Column>& columns,
 void EncodePkKeyFromValuesInto(const std::vector<Value>& pk_values,
                                std::string* out) {
   codec::EncodeKeyInto(pk_values, out);
-}
-
-std::vector<sql::Column> ProjectColumns(const sql::RelationDef& rel,
-                                        const std::vector<std::string>& names) {
-  std::vector<sql::Column> out;
-  out.reserve(names.size());
-  for (const std::string& name : names) {
-    out.push_back(
-        sql::Column{name, rel.ColumnType(name).value_or(DataType::kString)});
-  }
-  return out;
 }
 
 }  // namespace synergy::exec

@@ -10,6 +10,7 @@
 
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,21 +62,19 @@ std::string EncodeRowSlots(const std::vector<Value>& row);
 StatusOr<Tuple> DecodeRowValue(const std::vector<sql::Column>& columns,
                                std::string_view bytes);
 
-/// Slot-decoding fast path: decodes the value encoded with `columns` directly
-/// into `out`, which is resized to `num_slots` and NULL-filled first. The
-/// i-th decoded column lands in slot `slot_map[i]` (a negative slot discards
-/// it); an empty `slot_map` means identity (base rows in schema order).
-/// Reuses `out`'s capacity — no per-row map or node allocations.
+/// Slot-decoding fast path: decodes a stored value into `out`, which is
+/// resized to `columns.size()` (a relation's columns) and NULL-filled first.
+/// The i-th stored value lands in slot `slot_map[i]` and decodes as that
+/// column's type; an empty `slot_map` means identity (base rows in schema
+/// order), and an index row's map is its WriteLayout::Index::covered_slots.
+/// A negative slot, a covered column the relation lacks, holds NULL and is
+/// discarded. Reuses `out`'s capacity — no per-row map or node allocations.
 Status DecodeRowSlots(const std::vector<sql::Column>& columns,
-                      const std::vector<int>& slot_map, size_t num_slots,
-                      std::string_view bytes, std::vector<Value>* out);
+                      std::span<const int> slot_map, std::string_view bytes,
+                      std::vector<Value>* out);
 
 /// Like EncodePkKeyFromValues but reuses `out`'s capacity (cleared first).
 void EncodePkKeyFromValuesInto(const std::vector<Value>& pk_values,
                                std::string* out);
-
-/// Column definitions for a projected (index) encoding.
-std::vector<sql::Column> ProjectColumns(
-    const sql::RelationDef& rel, const std::vector<std::string>& names);
 
 }  // namespace synergy::exec

@@ -3,17 +3,6 @@
 namespace synergy::exec {
 namespace {
 
-/// Maps each covered column of `ix` to its slot in `rel.columns` order.
-std::vector<int> CoveredSlotMap(const sql::IndexDef& ix,
-                                const sql::RelationDef& rel) {
-  std::vector<int> map;
-  map.reserve(ix.covered_columns.size());
-  for (const std::string& name : ix.covered_columns) {
-    map.push_back(rel.ColumnIndex(name));
-  }
-  return map;
-}
-
 std::string IndexKey(const sql::WriteLayout::Index& ix,
                      const std::vector<Value>& row) {
   std::string key;
@@ -31,18 +20,17 @@ std::string CoveredValue(const sql::WriteLayout::Index& ix,
 }  // namespace
 
 StatusOr<bool> TupleScanner::Next(TupleWithMeta* out) {
-  hbase::RowResult row;
-  while (scanner_.Next(&row)) {
-    auto data = row.columns.find(kDataQualifier);
-    if (data == row.columns.end()) continue;  // e.g. mark-only residue
-    SYNERGY_ASSIGN_OR_RETURN(tuple, DecodeRowValue(columns_, data->second));
-    out->tuple = std::move(tuple);
-    auto mark = row.columns.find(kMarkQualifier);
-    out->marked = mark != row.columns.end() && mark->second == "1";
-    return true;
+  SlotRow row;
+  SYNERGY_ASSIGN_OR_RETURN(more, NextSlots(&row));
+  if (!more) return false;
+  out->tuple.clear();
+  for (size_t i = 0; i < row.values.size(); ++i) {
+    if (!row.values[i].is_null()) {
+      out->tuple.emplace((*columns_)[i].name, std::move(row.values[i]));
+    }
   }
-  SYNERGY_RETURN_IF_ERROR(scanner_.status());
-  return false;
+  out->marked = row.marked;
+  return true;
 }
 
 StatusOr<bool> TupleScanner::NextSlots(SlotRow* out) {
@@ -59,8 +47,8 @@ StatusOr<bool> TupleScanner::NextSlots(SlotRow* out) {
       }
     }
     if (data == nullptr) continue;  // e.g. mark-only residue
-    SYNERGY_RETURN_IF_ERROR(DecodeRowSlots(columns_, slot_map_, num_slots_,
-                                           *data, &out->values));
+    SYNERGY_RETURN_IF_ERROR(
+        DecodeRowSlots(*columns_, slot_map_, *data, &out->values));
     return true;
   }
   SYNERGY_RETURN_IF_ERROR(scanner_.status());
@@ -149,9 +137,9 @@ StatusOr<bool> TableAdapter::GetByPkSlots(hbase::Session& s,
   }
   auto data = row->columns.find(kDataQualifier);
   if (data == row->columns.end()) return false;
-  SYNERGY_RETURN_IF_ERROR(DecodeRowSlots(rel->columns, /*slot_map=*/{},
-                                         rel->columns.size(), data->second,
-                                         &out->values));
+  SYNERGY_RETURN_IF_ERROR(
+      DecodeRowSlots(rel->columns, /*slot_map=*/{}, data->second,
+                     &out->values));
   auto mark = row->columns.find(kMarkQualifier);
   out->marked = mark != row->columns.end() && mark->second == "1";
   return true;
@@ -218,8 +206,7 @@ StatusOr<TupleScanner> TableAdapter::ScanAll(hbase::Session& s,
   const sql::RelationDef* rel = catalog_->FindRelation(relation);
   if (rel == nullptr) return Status::NotFound("relation " + relation);
   SYNERGY_ASSIGN_OR_RETURN(scanner, cluster_->OpenScanner(s, relation));
-  return TupleScanner(std::move(scanner), rel->columns, /*slot_map=*/{},
-                      rel->columns.size());
+  return TupleScanner(std::move(scanner), &rel->columns);
 }
 
 StatusOr<TupleScanner> TableAdapter::ScanIndexPrefix(
@@ -229,12 +216,17 @@ StatusOr<TupleScanner> TableAdapter::ScanIndexPrefix(
   if (ix == nullptr) return Status::NotFound("index " + index_name);
   const sql::RelationDef* rel = catalog_->FindRelation(ix->relation);
   if (rel == nullptr) return Status::NotFound("relation " + ix->relation);
+  const sql::WriteLayout::Index* layout = nullptr;
+  for (const sql::WriteLayout::Index& each :
+       catalog_->FindWriteLayout(ix->relation)->indexes) {
+    if (each.name == index_name) layout = &each;
+  }
+  if (layout == nullptr) return Status::NotFound("layout of " + index_name);
   auto [start, stop] = IndexPrefixRange(prefix);
   SYNERGY_ASSIGN_OR_RETURN(scanner,
                            cluster_->OpenScanner(s, index_name, start, stop));
-  return TupleScanner(std::move(scanner),
-                      ProjectColumns(*rel, ix->covered_columns),
-                      CoveredSlotMap(*ix, *rel), rel->columns.size());
+  return TupleScanner(std::move(scanner), &rel->columns,
+                      layout->covered_slots);
 }
 
 StatusOr<TupleScanner> TableAdapter::ScanPkPrefix(
@@ -245,8 +237,7 @@ StatusOr<TupleScanner> TableAdapter::ScanPkPrefix(
   auto [start, stop] = IndexPrefixRange(prefix);
   SYNERGY_ASSIGN_OR_RETURN(scanner,
                            cluster_->OpenScanner(s, relation, start, stop));
-  return TupleScanner(std::move(scanner), rel->columns, /*slot_map=*/{},
-                      rel->columns.size());
+  return TupleScanner(std::move(scanner), &rel->columns);
 }
 
 Status TableAdapter::MarkRow(hbase::Session& s, const std::string& relation,

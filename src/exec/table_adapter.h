@@ -44,20 +44,17 @@ class TupleScanner {
 
  private:
   friend class TableAdapter;
-  /// `slot_map[i]` is the output slot of the i-th stored column (identity
-  /// for base-table scans, covered->relation mapping for index scans);
-  /// `num_slots` is the relation's column count.
-  TupleScanner(hbase::Scanner scanner, std::vector<sql::Column> columns,
-               std::vector<int> slot_map, size_t num_slots)
-      : scanner_(std::move(scanner)),
-        columns_(std::move(columns)),
-        slot_map_(std::move(slot_map)),
-        num_slots_(num_slots) {}
+  /// `columns` are the owning relation's; `slot_map[i]` is the relation
+  /// slot of the i-th stored value (empty for base-table scans, an index's
+  /// covered_slots for index scans). Both live in the catalog, which
+  /// outlives every scan.
+  TupleScanner(hbase::Scanner scanner, const std::vector<sql::Column>* columns,
+               std::span<const int> slot_map = {})
+      : scanner_(std::move(scanner)), columns_(columns), slot_map_(slot_map) {}
 
   hbase::Scanner scanner_;
-  std::vector<sql::Column> columns_;
-  std::vector<int> slot_map_;
-  size_t num_slots_;
+  const std::vector<sql::Column>* columns_;
+  std::span<const int> slot_map_;
 };
 
 class TableAdapter {

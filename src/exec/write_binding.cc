@@ -22,10 +22,13 @@ StatusOr<BoundWrite> BindWriteStatement(const sql::Statement& bound_stmt,
   if (const auto* ins = std::get_if<sql::InsertStatement>(&bound_stmt)) {
     out.kind = BoundWrite::Kind::kInsert;
     out.relation = ins->table;
-    if (catalog.FindRelation(ins->table) == nullptr) {
-      return Status::NotFound("relation " + ins->table);
-    }
+    const sql::RelationDef* rel = catalog.FindRelation(ins->table);
+    if (rel == nullptr) return Status::NotFound("relation " + ins->table);
     for (size_t i = 0; i < ins->columns.size(); ++i) {
+      if (!rel->HasColumn(ins->columns[i])) {
+        return Status::InvalidArgument("unknown column " + ins->columns[i] +
+                                       " of relation " + ins->table);
+      }
       SYNERGY_ASSIGN_OR_RETURN(v, ResolveConstOperand(ins->values[i], {}));
       if (!v.is_null()) out.tuple[ins->columns[i]] = std::move(v);
     }

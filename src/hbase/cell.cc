@@ -1,63 +1,6 @@
 #include "hbase/cell.h"
 
-#include <algorithm>
-
 namespace synergy::hbase {
-
-void Cell::AddVersion(CellVersion v) {
-  auto it = std::lower_bound(
-      versions_.begin(), versions_.end(), v.timestamp,
-      [](const CellVersion& a, int64_t ts) { return a.timestamp > ts; });
-  if (it != versions_.end() && it->timestamp == v.timestamp) {
-    *it = std::move(v);
-  } else {
-    versions_.insert(it, std::move(v));
-  }
-}
-
-std::optional<std::string> Cell::Latest() const {
-  if (versions_.empty() || versions_.front().tombstone) return std::nullopt;
-  return versions_.front().value;
-}
-
-std::optional<std::string> Cell::LatestVisible(
-    int64_t ts, const std::vector<int64_t>* exclude_ids) const {
-  for (const CellVersion& v : versions_) {
-    if (v.timestamp > ts) continue;
-    if (exclude_ids != nullptr &&
-        std::find(exclude_ids->begin(), exclude_ids->end(), v.timestamp) !=
-            exclude_ids->end()) {
-      continue;  // version written by an invalid/in-flight transaction
-    }
-    if (v.tombstone) return std::nullopt;
-    return v.value;
-  }
-  return std::nullopt;
-}
-
-void Cell::RemoveVersion(int64_t ts) {
-  auto it = std::find_if(
-      versions_.begin(), versions_.end(),
-      [ts](const CellVersion& v) { return v.timestamp == ts; });
-  if (it != versions_.end()) versions_.erase(it);
-}
-
-void Cell::Compact(int max_versions) {
-  // Survivors are a prefix: the newest max_versions, cut at the first
-  // tombstone (which hides everything older). Erase the rest in place.
-  const auto limit = versions_.begin() +
-                     std::clamp<std::ptrdiff_t>(max_versions, 0,
-                                                std::ssize(versions_));
-  versions_.erase(std::find_if(versions_.begin(), limit,
-                               [](const CellVersion& v) { return v.tombstone; }),
-                  versions_.end());
-}
-
-size_t Cell::ByteSize() const {
-  size_t total = 0;
-  for (const CellVersion& v : versions_) total += v.value.size() + 16;
-  return total;
-}
 
 size_t RowResult::PayloadBytes() const {
   size_t total = row_key.size();

@@ -1,14 +1,13 @@
-// Cells, versions and rows for the column-family store.
+// Client-visible rows of the column-family store.
 //
 // Mirrors HBase's data model: a row is a set of (column qualifier -> cell)
-// entries, each cell holding multiple timestamped versions sorted newest
-// first. Deletes write tombstone versions that major compaction removes.
+// entries, each cell holding timestamped versions, newest first. Deletes
+// write tombstone versions that major compaction removes. A region stores
+// each row packed into one string (see region.cc); reads resolve the
+// versions and return the row as a RowResult.
 #pragma once
 
-#include <cstdint>
 #include <initializer_list>
-#include <map>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -17,50 +16,13 @@
 
 namespace synergy::hbase {
 
-struct CellVersion {
-  int64_t timestamp = 0;
-  std::string value;
-  bool tombstone = false;
-};
-
-/// Versions of one column, newest (highest timestamp) first.
-class Cell {
- public:
-  /// Inserts a version, keeping descending timestamp order. Equal timestamps
-  /// overwrite (HBase semantics: same coordinates replace).
-  void AddVersion(CellVersion v);
-
-  /// Latest non-tombstone version, or nullopt if deleted/absent.
-  std::optional<std::string> Latest() const;
-
-  /// Latest version visible at or below `ts` that passes `visible` (which may
-  /// be null). Tombstones hide older versions.
-  std::optional<std::string> LatestVisible(
-      int64_t ts, const std::vector<int64_t>* exclude_ids) const;
-
-  const std::vector<CellVersion>& versions() const { return versions_; }
-
-  /// Drops tombstones (and all they hide) and versions beyond `max_versions`.
-  void Compact(int max_versions);
-
-  /// Removes the version written at exactly `ts`, if any.
-  void RemoveVersion(int64_t ts);
-
-  size_t ByteSize() const;
-
- private:
-  std::vector<CellVersion> versions_;
-};
-
-/// A full row: qualifier -> cell. Row keys live in the enclosing Region map.
-using RowData = std::map<std::string, Cell>;
-
 /// Qualifier -> value container for client-visible rows: a flat vector of
 /// pairs with a map-like interface, kept in insertion order. Rows carry a
 /// handful of columns, so contiguous storage + linear find beats std::map's
 /// per-node allocations on the scan hot path (one RowResult per scanned
 /// row). No caller depends on qualifier-sorted iteration; store-produced
-/// rows arrive sorted anyway because RowData is a std::map.
+/// rows arrive sorted anyway because a packed row keeps its columns in
+/// qualifier order.
 class ColumnMap {
  public:
   using value_type = std::pair<std::string, std::string>;
@@ -105,7 +67,7 @@ class ColumnMap {
   }
 
   /// Unchecked append for callers that guarantee qualifier uniqueness
-  /// (e.g. iteration over a std::map) — skips the duplicate scan on the
+  /// (e.g. iteration over a packed row) — skips the duplicate scan on the
   /// per-scanned-row hot path.
   void Append(std::string qualifier, std::string value) {
     entries_.emplace_back(std::move(qualifier), std::move(value));

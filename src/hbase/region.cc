@@ -1,5 +1,6 @@
 #include "hbase/region.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstring>
 #include <mutex>
@@ -47,6 +48,23 @@ std::string_view GetBytes(std::string_view* in) {
   return bytes;
 }
 
+int64_t GetFixed64(std::string_view* in) {
+  int64_t v = 0;
+  std::memcpy(&v, in->data(), sizeof(v));
+  in->remove_prefix(sizeof(v));
+  return v;
+}
+
+void PutFixed64(std::string* out, int64_t v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+size_t VarintSize(uint64_t v) {
+  size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
 /// Decodes `log` in append order, calling fn(RegionEdit&) once per record.
 /// The edit is reused between calls; fn may move out of it.
 template <typename Fn>
@@ -55,8 +73,7 @@ void ForEachEdit(std::string_view log, Fn&& fn) {
   while (!log.empty()) {
     std::string_view body = GetBytes(&log);
     edit.row_key.assign(GetBytes(&body));
-    std::memcpy(&edit.ts, body.data(), sizeof(edit.ts));
-    body.remove_prefix(sizeof(edit.ts));
+    edit.ts = GetFixed64(&body);
     edit.tombstone = body.front() != 0;
     body.remove_prefix(1);
     edit.columns.clear();
@@ -68,16 +85,226 @@ void ForEachEdit(std::string_view log, Fn&& fn) {
   }
 }
 
-std::optional<RowResult> ResolveRow(const std::string& key, const RowData& row,
+// Packed row layout, HBase's KeyValue in spirit: a row is one string
+// holding its columns in ascending qualifier order, each `varint qualifier
+// length, qualifier, varint body length, body`. A body holds the column's
+// versions newest (highest timestamp) first, each `fixed64 timestamp, u8
+// tombstone, varint value length, value`. The body length lets a reader skip
+// a column, or stop at its newest version, without walking the older ones.
+
+struct Version {
+  int64_t ts = 0;
+  bool tombstone = false;
+  std::string_view value;
+};
+
+Version GetVersion(std::string_view* body) {
+  Version v;
+  v.ts = GetFixed64(body);
+  v.tombstone = body->front() != 0;
+  body->remove_prefix(1);
+  v.value = GetBytes(body);
+  return v;
+}
+
+size_t VersionSize(std::string_view value) {
+  return sizeof(int64_t) + 1 + VarintSize(value.size()) + value.size();
+}
+
+struct Column {
+  std::string_view qualifier;
+  std::string_view body;
+};
+
+/// Reads the column at the front of `*row` and advances past it.
+Column GetColumn(std::string_view* row) {
+  const std::string_view qualifier = GetBytes(row);
+  return Column{qualifier, GetBytes(row)};
+}
+
+/// Where a column sits in a packed row, as byte offsets.
+struct ColumnSpan {
+  size_t begin = 0;       // its qualifier length
+  size_t body_begin = 0;  // its newest version
+  size_t end = 0;         // one past its oldest version
+};
+
+/// Finds `qualifier`'s column in `row`. When the row has none, `span` is
+/// empty and sits where the column would go: before the first greater
+/// qualifier, or at the row's end.
+bool FindColumn(std::string_view row, std::string_view qualifier,
+                ColumnSpan* span) {
+  size_t at = 0;
+  while (at < row.size()) {
+    std::string_view rest = row.substr(at);
+    const std::string_view q = GetBytes(&rest);
+    const size_t body_size = GetVarint(&rest);
+    const size_t body_begin = row.size() - rest.size();
+    if (q == qualifier) {
+      *span = ColumnSpan{at, body_begin, body_begin + body_size};
+      return true;
+    }
+    if (q > qualifier) break;
+    at = body_begin + body_size;
+  }
+  *span = ColumnSpan{at, at, at};
+  return false;
+}
+
+std::string_view Body(std::string_view row, const ColumnSpan& span) {
+  return row.substr(span.body_begin, span.end - span.body_begin);
+}
+
+/// The newest version of `body` visible through `view`: none if every
+/// version is above read_ts or excluded, or if the first that is not is a
+/// tombstone (which hides everything older).
+std::optional<std::string_view> LatestVisible(std::string_view body,
+                                              const ReadView& view) {
+  while (!body.empty()) {
+    const Version v = GetVersion(&body);
+    if (v.ts > view.read_ts) continue;
+    if (view.exclude != nullptr &&
+        std::find(view.exclude->begin(), view.exclude->end(), v.ts) !=
+            view.exclude->end()) {
+      continue;  // version written by an invalid/in-flight transaction
+    }
+    if (v.tombstone) return std::nullopt;
+    return v.value;
+  }
+  return std::nullopt;
+}
+
+/// The latest value of `qualifier` in `row`, or nullopt if absent/deleted.
+std::optional<std::string_view> Latest(std::string_view row,
+                                       std::string_view qualifier) {
+  ColumnSpan span;
+  if (!FindColumn(row, qualifier, &span)) return std::nullopt;
+  return LatestVisible(Body(row, span), ReadView{});
+}
+
+/// Adds a version to `qualifier`'s column of `*row`, creating the column in
+/// qualifier order if absent. A version at an equal timestamp is replaced
+/// (HBase semantics: same coordinates replace). The new row is built at its
+/// exact size: the bytes before the column, the column's header and its
+/// versions newer than `ts`, the new version, then the older versions and
+/// every later column as one block. A new one-column row is thus encoded
+/// once, and a version newer than its column's newest copies the rest of
+/// the row in one piece. Growing rows in place with spare capacity instead
+/// took back most of the memory saved on write-heavy runs.
+void AddVersion(std::string* row, std::string_view qualifier, int64_t ts,
+                bool tombstone, std::string_view value) {
+  const std::string_view old = *row;
+  ColumnSpan span;
+  FindColumn(old, qualifier, &span);
+  size_t newer_end = span.body_begin;  // versions newer than ts end here
+  size_t tail = span.body_begin;       // the block after the new version
+  for (std::string_view versions = Body(old, span); !versions.empty();) {
+    const Version v = GetVersion(&versions);
+    const size_t next = span.end - versions.size();
+    if (v.ts > ts) {
+      newer_end = tail = next;
+      continue;
+    }
+    if (v.ts == ts) tail = next;
+    break;
+  }
+  const size_t newer = newer_end - span.body_begin;
+  const size_t body_size = newer + VersionSize(value) + (span.end - tail);
+  std::string out;
+  out.reserve(span.begin + VarintSize(qualifier.size()) + qualifier.size() +
+              VarintSize(body_size) + body_size + (old.size() - span.end));
+  out.append(old.substr(0, span.begin));
+  PutBytes(&out, qualifier);
+  PutVarint(&out, body_size);
+  out.append(old.substr(span.body_begin, newer));
+  PutFixed64(&out, ts);
+  out.push_back(tombstone ? 1 : 0);
+  PutBytes(&out, value);
+  out.append(old.substr(tail));
+  *row = std::move(out);
+}
+
+/// Removes the version of `qualifier` written at exactly `ts`, if any, and
+/// the column with it when that was its only version.
+void RemoveVersion(std::string* row, std::string_view qualifier, int64_t ts) {
+  ColumnSpan span;
+  if (!FindColumn(*row, qualifier, &span)) return;
+  const size_t body_size = span.end - span.body_begin;
+  std::string_view versions = Body(*row, span);
+  for (size_t at = span.body_begin; !versions.empty();) {
+    const Version v = GetVersion(&versions);
+    const size_t next = span.end - versions.size();
+    if (v.ts != ts) {
+      at = next;
+      continue;
+    }
+    if (next - at == body_size) {
+      row->erase(span.begin, span.end - span.begin);
+      return;
+    }
+    row->erase(at, next - at);
+    std::string length;
+    PutVarint(&length, body_size - (next - at));
+    const size_t length_size = VarintSize(body_size);
+    row->replace(span.body_begin - length_size, length_size, length);
+    return;
+  }
+}
+
+/// The newest `max_versions` versions of `body`, cut at the first tombstone
+/// (which hides everything older), as a byte count; `kept` is how many.
+size_t KeptBytes(std::string_view body, int max_versions, int* kept) {
+  std::string_view versions = body;
+  for (*kept = 0; *kept < max_versions && !versions.empty(); ++*kept) {
+    std::string_view after = versions;
+    if (GetVersion(&after).tombstone) break;
+    versions = after;
+  }
+  return body.size() - versions.size();
+}
+
+/// Compacts each column of `*row` to KeptBytes, dropping columns left
+/// empty; rebuilds the row only when that drops a version. Returns whether
+/// a column kept more than one version.
+bool CompactRow(std::string* row, int max_versions) {
+  bool multi_version = false;
+  size_t size = 0;
+  int kept = 0;
+  for (std::string_view rest = *row; !rest.empty();) {
+    const Column c = GetColumn(&rest);
+    const size_t bytes = KeptBytes(c.body, max_versions, &kept);
+    multi_version |= kept > 1;
+    if (bytes > 0) {
+      size += VarintSize(c.qualifier.size()) + c.qualifier.size() +
+              VarintSize(bytes) + bytes;
+    }
+  }
+  if (size == row->size()) return multi_version;  // dropped nothing
+  std::string out;
+  out.reserve(size);
+  for (std::string_view rest = *row; !rest.empty();) {
+    const Column c = GetColumn(&rest);
+    const size_t bytes = KeptBytes(c.body, max_versions, &kept);
+    if (bytes == 0) continue;
+    PutBytes(&out, c.qualifier);
+    PutBytes(&out, c.body.substr(0, bytes));
+  }
+  *row = std::move(out);
+  return multi_version;
+}
+
+std::optional<RowResult> ResolveRow(const std::string& key,
+                                    std::string_view row,
                                     const ReadView& view) {
   RowResult out;
-  out.row_key = key;
-  out.columns.reserve(row.size());
-  for (const auto& [qual, cell] : row) {
-    std::optional<std::string> v = cell.LatestVisible(view.read_ts, view.exclude);
-    if (v.has_value()) out.columns.Append(qual, std::move(*v));
+  for (std::string_view rest = row; !rest.empty();) {
+    const Column c = GetColumn(&rest);
+    if (std::optional<std::string_view> v = LatestVisible(c.body, view)) {
+      out.columns.Append(std::string(c.qualifier), std::string(*v));
+    }
   }
   if (out.columns.empty()) return std::nullopt;
+  out.row_key = key;
   return out;
 }
 
@@ -95,7 +322,7 @@ class Region::EditWriter {
       : region_(region), out_(&region->log_), start_(out_->size()) {
     ++region->log_entries_;
     PutBytes(out_, row_key);
-    out_->append(reinterpret_cast<const char*>(&ts), sizeof(ts));
+    PutFixed64(out_, ts);
     out_->push_back(tombstone ? 1 : 0);
   }
   EditWriter(const EditWriter&) = delete;
@@ -124,12 +351,13 @@ void Region::Put(
     std::optional<int64_t> ts) {
   std::unique_lock lock(mutex_);
   const int64_t t = AllocTs(ts);
-  RowData& row = rows_[row_key];
-  EditWriter edit(this, row_key, t, /*tombstone=*/false);
+  auto [it, inserted] = rows_.try_emplace(row_key);
   for (const auto& [qual, value] : columns) {
-    row[qual].AddVersion(CellVersion{t, value, /*tombstone=*/false});
-    edit.Column(qual, value);
+    AddVersion(&it->second, qual, t, /*tombstone=*/false, value);
   }
+  if (!inserted || columns.empty()) compactable_ = true;
+  EditWriter edit(this, row_key, t, /*tombstone=*/false);
+  for (const auto& [qual, value] : columns) edit.Column(qual, value);
 }
 
 void Region::Delete(const std::string& row_key, std::optional<int64_t> ts) {
@@ -137,11 +365,16 @@ void Region::Delete(const std::string& row_key, std::optional<int64_t> ts) {
   auto it = rows_.find(row_key);
   if (it == rows_.end()) return;
   const int64_t t = AllocTs(ts);
+  std::vector<std::string> qualifiers;
+  for (std::string_view rest = it->second; !rest.empty();) {
+    qualifiers.emplace_back(GetColumn(&rest).qualifier);
+  }
   EditWriter edit(this, row_key, t, /*tombstone=*/true);
-  for (auto& [qual, cell] : it->second) {
-    cell.AddVersion(CellVersion{t, "", /*tombstone=*/true});
+  for (const std::string& qual : qualifiers) {
+    AddVersion(&it->second, qual, t, /*tombstone=*/true, {});
     edit.Column(qual);
   }
+  compactable_ = true;
 }
 
 std::optional<RowResult> Region::Get(const std::string& row_key,
@@ -159,15 +392,17 @@ bool Region::CheckAndPut(const std::string& row_key,
   std::unique_lock lock(mutex_);
   // A failed check writes nothing, as in HBase: the row is created only
   // when the put happens.
-  std::optional<std::string> current;
-  if (auto rit = rows_.find(row_key); rit != rows_.end()) {
-    auto cit = rit->second.find(qualifier);
-    if (cit != rit->second.end()) current = cit->second.Latest();
-  }
+  auto it = rows_.find(row_key);
+  std::optional<std::string_view> current;
+  if (it != rows_.end()) current = Latest(it->second, qualifier);
   if (current != expected) return false;
   const int64_t t = AllocTs(std::nullopt);
-  rows_[row_key][qualifier].AddVersion(
-      CellVersion{t, new_value, /*tombstone=*/false});
+  if (it == rows_.end()) {
+    it = rows_.try_emplace(row_key).first;
+  } else {
+    compactable_ = true;
+  }
+  AddVersion(&it->second, qualifier, t, /*tombstone=*/false, new_value);
   EditWriter(this, row_key, t, /*tombstone=*/false)
       .Column(qualifier, new_value);
   return true;
@@ -177,23 +412,19 @@ StatusOr<int64_t> Region::Increment(const std::string& row_key,
                                     const std::string& qualifier,
                                     int64_t delta) {
   std::unique_lock lock(mutex_);
-  RowData& row = rows_[row_key];
+  auto [it, inserted] = rows_.try_emplace(row_key);
   int64_t current = 0;
-  auto cit = row.find(qualifier);
-  if (cit != row.end()) {
-    std::optional<std::string> v = cit->second.Latest();
-    if (v.has_value()) {
-      auto [ptr, ec] =
-          std::from_chars(v->data(), v->data() + v->size(), current);
-      if (ec != std::errc{}) {
-        return Status::InvalidArgument("Increment on non-integer column");
-      }
+  if (std::optional<std::string_view> v = Latest(it->second, qualifier)) {
+    auto [ptr, ec] = std::from_chars(v->data(), v->data() + v->size(), current);
+    if (ec != std::errc{}) {
+      return Status::InvalidArgument("Increment on non-integer column");
     }
   }
   const int64_t next = current + delta;
   const int64_t t = AllocTs(std::nullopt);
   const std::string encoded = std::to_string(next);
-  row[qualifier].AddVersion(CellVersion{t, encoded, /*tombstone=*/false});
+  AddVersion(&it->second, qualifier, t, /*tombstone=*/false, encoded);
+  if (!inserted) compactable_ = true;
   EditWriter(this, row_key, t, /*tombstone=*/false).Column(qualifier, encoded);
   return next;
 }
@@ -238,21 +469,13 @@ void Region::MajorCompact(int max_versions) {
   // Nor is a lost store compacted: without the versions the log names,
   // compaction would keep and drop the wrong ones.
   if (store_lost_.load(std::memory_order_relaxed)) return;
-  for (auto row_it = rows_.begin(); row_it != rows_.end();) {
-    RowData& row = row_it->second;
-    for (auto cell_it = row.begin(); cell_it != row.end();) {
-      cell_it->second.Compact(max_versions);
-      if (cell_it->second.versions().empty()) {
-        cell_it = row.erase(cell_it);
-      } else {
-        ++cell_it;
-      }
+  if (compactable_ || max_versions < 1) {
+    bool multi_version = false;
+    for (auto it = rows_.begin(); it != rows_.end();) {
+      multi_version |= CompactRow(&it->second, max_versions);
+      it = it->second.empty() ? rows_.erase(it) : std::next(it);
     }
-    if (row.empty()) {
-      row_it = rows_.erase(row_it);
-    } else {
-      ++row_it;
-    }
+    compactable_ = multi_version;
   }
   Flush();
 }
@@ -261,8 +484,8 @@ size_t Region::RowCount() const {
   std::shared_lock lock(mutex_);
   size_t live = 0;
   for (const auto& [key, row] : rows_) {
-    for (const auto& [qual, cell] : row) {
-      if (cell.Latest().has_value()) {
+    for (std::string_view rest = row; !rest.empty();) {
+      if (LatestVisible(GetColumn(&rest).body, ReadView{}).has_value()) {
         ++live;
         break;
       }
@@ -276,7 +499,13 @@ size_t Region::ByteSize() const {
   size_t total = 0;
   for (const auto& [key, row] : rows_) {
     total += key.size();
-    for (const auto& [qual, cell] : row) total += qual.size() + cell.ByteSize();
+    for (std::string_view rest = row; !rest.empty();) {
+      const Column c = GetColumn(&rest);
+      total += c.qualifier.size();
+      for (std::string_view versions = c.body; !versions.empty();) {
+        total += GetVersion(&versions).value.size() + 16;
+      }
+    }
   }
   return total;
 }
@@ -291,27 +520,24 @@ void Region::DropStore() {
   ForEachEdit(log_, [this](const RegionEdit& edit) {
     auto row_it = rows_.find(edit.row_key);
     if (row_it == rows_.end()) return;
-    RowData& row = row_it->second;
     for (const auto& [qual, value] : edit.columns) {
-      auto cell_it = row.find(qual);
-      if (cell_it == row.end()) continue;
-      cell_it->second.RemoveVersion(edit.ts);
-      if (cell_it->second.versions().empty()) row.erase(cell_it);
+      RemoveVersion(&row_it->second, qual, edit.ts);
     }
-    if (row.empty()) rows_.erase(row_it);
+    if (row_it->second.empty()) rows_.erase(row_it);
   });
+  compactable_ = true;
   store_lost_.store(true, std::memory_order_release);
 }
 
 void Region::ReplayEdits() {
   std::unique_lock lock(mutex_);
-  ForEachEdit(log_, [this](RegionEdit& edit) {
-    RowData& row = rows_[edit.row_key];
-    for (auto& [qual, value] : edit.columns) {
-      row[qual].AddVersion(
-          CellVersion{edit.ts, std::move(value), edit.tombstone});
+  ForEachEdit(log_, [this](const RegionEdit& edit) {
+    std::string& row = rows_[edit.row_key];
+    for (const auto& [qual, value] : edit.columns) {
+      AddVersion(&row, qual, edit.ts, edit.tombstone, value);
     }
   });
+  compactable_ = true;
   store_lost_.store(false, std::memory_order_release);
 }
 

@@ -68,8 +68,11 @@ class Region {
     server_id_.store(id, std::memory_order_release);
   }
 
-  /// ts == nullopt allocates from the clock inside the latch (the normal
-  /// path); explicit timestamps are for MVCC writes tagged with a txid.
+  /// ts == nullopt allocates from the clock inside the latch. Every write
+  /// in the store's callers does so, MvccSystem's included: its versions
+  /// carry clock timestamps, never a transaction's txid (which the same
+  /// clock allocates), so no version matches a ReadView::exclude entry.
+  /// Explicit timestamps are for tests, which write at chosen times.
   void Put(const std::string& row_key,
            const std::vector<std::pair<std::string, std::string>>& columns,
            std::optional<int64_t> ts = std::nullopt);
@@ -97,7 +100,8 @@ class Region {
                             size_t limit, const ReadView& view) const;
 
   /// Drops tombstones/excess versions; removes rows left empty; then
-  /// flushes. A region whose store is lost is not compacted.
+  /// flushes. A region whose store is lost is not compacted. A region with
+  /// nothing to drop (see compactable_) only flushes.
   void MajorCompact(int max_versions);
 
   /// Number of live rows (rows whose cells are all tombstoned don't count).
@@ -149,7 +153,14 @@ class Region {
   std::atomic<int> server_id_{0};
   std::atomic<bool> store_lost_{false};
   mutable std::shared_mutex mutex_;
-  std::map<std::string, RowData> rows_;
+  // Row key -> the packed row: every column's versions in one string (the
+  // layout is described in region.cc).
+  std::map<std::string, std::string> rows_;
+  // False only while every cell holds one non-tombstone version and no row
+  // is empty, so MajorCompact has nothing to drop. A write that adds a
+  // version to an existing row, any tombstone, an empty Put, DropStore and
+  // ReplayEdits set it; MajorCompact sets it iff a cell kept two versions.
+  bool compactable_ = false;
   // Region WAL since the last flush: serialized RegionEdits back to back.
   std::string log_;
   size_t log_entries_ = 0;

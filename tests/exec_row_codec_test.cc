@@ -115,22 +115,27 @@ TEST(RowCodecTest, CoveredValueUsesCoveredOrder) {
   // The catalog appends the indexed column the covered list lacks.
   const sql::WriteLayout layout = LayoutWithNameIndex({"score", "id"});
   const sql::WriteLayout::Index& ix = layout.indexes.at(0);
-  const std::vector<std::string> covered = {"score", "id", "name"};
+  EXPECT_EQ(ix.covered_slots, (std::vector<int>{2, 0, 1}));
   const std::string bytes =
       Encode({Value(3), Value("x"), Value(1.0)}, ix.covered_slots);
-  auto decoded = DecodeRowValue(ProjectColumns(Rel(), covered), bytes);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->at("score"), Value(1.0));
-  EXPECT_EQ(decoded->at("id"), Value(3));
-  EXPECT_EQ(decoded->at("name"), Value("x"));
+  EXPECT_EQ(bytes, codec::EncodeKey({Value(1.0), Value(3), Value("x")}));
+  std::vector<Value> decoded;
+  ASSERT_TRUE(
+      DecodeRowSlots(Rel().columns, ix.covered_slots, bytes, &decoded).ok());
+  EXPECT_EQ(decoded, (std::vector<Value>{Value(3), Value("x"), Value(1.0)}));
 }
 
 TEST(RowCodecTest, CoveredColumnOutsideTheRelationEncodesNull) {
   const sql::WriteLayout layout = LayoutWithNameIndex({"name", "gone", "id"});
   const sql::WriteLayout::Index& ix = layout.indexes.at(0);
   EXPECT_EQ(ix.covered_slots, (std::vector<int>{1, -1, 0}));
-  EXPECT_EQ(Encode({Value(3), Value("x"), Value()}, ix.covered_slots),
-            codec::EncodeKey({Value("x"), Value(), Value(3)}));
+  const std::string bytes =
+      Encode({Value(3), Value("x"), Value()}, ix.covered_slots);
+  EXPECT_EQ(bytes, codec::EncodeKey({Value("x"), Value(), Value(3)}));
+  std::vector<Value> decoded;
+  ASSERT_TRUE(
+      DecodeRowSlots(Rel().columns, ix.covered_slots, bytes, &decoded).ok());
+  EXPECT_EQ(decoded, (std::vector<Value>{Value(3), Value("x"), Value()}));
 }
 
 }  // namespace

@@ -125,6 +125,47 @@ TEST(RegionTest, MajorCompactRemovesDeletedRows) {
   EXPECT_EQ(r.RowCount(), 0u);
 }
 
+// A store whose every cell holds one live version, as a load leaves it,
+// has nothing to drop: compaction that keeps a version leaves every row and
+// byte as it was, and only flushes the edit log.
+TEST(RegionTest, OneVersionStoreCompactsToTheIdenticalStore) {
+  Region r(&clock);
+  for (int i = 0; i < 100; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    r.Put(key, {{"d", "value" + std::to_string(i)}});
+    if (i % 3 == 0) {
+      EXPECT_TRUE(r.CheckAndPut("m" + key, "m", std::nullopt, "0"));
+    }
+    if (i % 7 == 0) {
+      ASSERT_TRUE(r.Increment("n" + key, "n", i).ok());
+    }
+  }
+  auto snapshot = [&r] {
+    std::string rows;
+    for (const RowResult& row : r.ScanBatch("", "", 1000, Now()).rows) {
+      rows += row.row_key;
+      for (const auto& [qual, value] : row.columns) {
+        rows += " " + qual + "=" + value;
+      }
+      rows += "\n";
+    }
+    return rows + std::to_string(r.RowCount()) + " " +
+           std::to_string(r.ApproxRowCount()) + " " +
+           std::to_string(r.ByteSize());
+  };
+  const std::string before = snapshot();
+  ASSERT_GT(r.EditLogSize(), 0u);
+  for (int max_versions : {3, 1}) {
+    r.MajorCompact(max_versions);
+    EXPECT_EQ(snapshot(), before);
+    EXPECT_EQ(r.EditLogSize(), 0u);
+  }
+  // Keeping no version empties even such a store.
+  r.MajorCompact(0);
+  EXPECT_EQ(r.ApproxRowCount(), 0u);
+  EXPECT_EQ(r.ByteSize(), 0u);
+}
+
 // Each row written below logs a record of a little over 1 KiB, so a flush
 // at 1 MiB comes after the 1001st to the 1024th record since the last one.
 TEST(RegionTest, EditLogFlushesAtOneMebibyteAndKeepsEveryVersion) {

@@ -2,6 +2,8 @@
 
 #include <map>
 
+#include "exec/write_binding.h"
+#include "sql/parser.h"
 #include "tpcw/generator.h"
 #include "tpcw/schema.h"
 #include "tpcw/workload.h"
@@ -49,6 +51,23 @@ TEST(TpcwWorkloadTest, AllStatementsParse) {
     ASSERT_NE(w.Find(id), nullptr) << id;
     EXPECT_FALSE(sql::IsReadStatement(w.Find(id)->ast)) << id;
   }
+}
+
+// An INSERT naming a column its relation lacks fails at bind, naming the
+// column and the relation, rather than writing the row without it.
+TEST(TpcwWorkloadTest, InsertOfUnknownColumnFailsToBind) {
+  const sql::Catalog cat = BuildCatalog();
+  StatusOr<exec::BoundWrite> bogus = exec::BindWriteStatement(
+      sql::MustParse("INSERT INTO Customer (c_id, bogus) VALUES (1, 2)"), cat);
+  ASSERT_FALSE(bogus.ok());
+  EXPECT_EQ(bogus.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bogus.status().message().find("bogus"), std::string::npos);
+  EXPECT_NE(bogus.status().message().find("Customer"), std::string::npos);
+  EXPECT_TRUE(exec::BindWriteStatement(
+                  sql::MustParse(
+                      "INSERT INTO Customer (c_id, c_uname) VALUES (1, 'u')"),
+                  cat)
+                  .ok());
 }
 
 TEST(TpcwGeneratorTest, CardinalitiesFollowPaper) {
