@@ -5,6 +5,7 @@
 // number of locks in multiples of 10 starting at 10 (paper: 342 ms at 10,
 // 571 ms at 100, 2182 ms at 1000 — a fixed client/HTable setup term plus a
 // per-lock round-trip pair).
+#include <cmath>
 #include <cstdio>
 
 #include "common/stats.h"
@@ -22,6 +23,7 @@ int main() {
       reps);
   systems::TablePrinter table({"locks", "overhead_ms", "paper_ms"});
   const double paper[] = {342, 571, 2182};
+  double mean_ms[3] = {};
   int row = 0;
   for (int locks = 10; locks <= 1000; locks *= 10, ++row) {
     RunningStats overhead;
@@ -48,13 +50,26 @@ int main() {
       }
       overhead.Add(s.meter().millis());
     }
+    mean_ms[row] = overhead.mean();
     table.AddRow({std::to_string(locks),
                   systems::FormatMs(overhead.mean()),
                   systems::FormatMs(paper[row])});
   }
   table.Print();
+
+  // The paper's shape, each part checked on the means printed above.
+  auto verdict = [](bool holds) { return holds ? "HOLDS" : "VIOLATED"; };
+  const double setup_ms = sim::CostModel().lock_client_setup_us / 1000.0;
+  const double slope_low = (mean_ms[1] - mean_ms[0]) / 90.0;
+  const double slope_high = (mean_ms[2] - mean_ms[1]) / 900.0;
   std::printf(
-      "\nShape check: a fixed setup term dominates at 10 locks; growth is\n"
-      "linear in the lock count — motivating one lock per transaction.\n");
+      "\nShape check: the fixed setup term (%.0f ms) is over half the "
+      "10-lock overhead: %s\n",
+      setup_ms, verdict(setup_ms > mean_ms[0] / 2.0));
+  std::printf(
+      "Shape check: growth is linear in the lock count (%.2f ms per lock "
+      "from 10 to 100, %.2f from 100 to 1000, within 5%%): %s\n",
+      slope_low, slope_high,
+      verdict(std::abs(slope_high / slope_low - 1.0) <= 0.05));
   return 0;
 }

@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "common/codec.h"
+#include "common/rng.h"
 #include "exec/executor.h"
 #include "hbase/cluster.h"
 #include "sql/parser.h"
@@ -231,6 +232,64 @@ void BM_RegionScan1k(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RegionScan1k);
+
+// The two Region read rungs at TPC-W's region size: Order_line and each of
+// its views and indexes hold about 30 000 rows at 1000 customers, put in no
+// particular key order. Unlike the 10 000- and 1000-row rungs, the region's
+// index and rows then outgrow the caches, as they do in bench_e2e.
+constexpr int kTpcwRegionRows = 30000;
+
+std::string RungKey(int i) {
+  char key[16];
+  std::snprintf(key, sizeof(key), "k%06d", i);
+  return key;
+}
+
+/// RungKey(0) to RungKey(kTpcwRegionRows - 1), in seeded random order.
+std::vector<std::string> ShuffledKeys() {
+  std::vector<std::string> keys;
+  for (int i = 0; i < kTpcwRegionRows; ++i) keys.push_back(RungKey(i));
+  Rng rng(42);
+  for (size_t i = keys.size(); i > 1; --i) {
+    std::swap(keys[i - 1], keys[rng.Next() % i]);
+  }
+  return keys;
+}
+
+// Gets the rows in the order they were put, so each lands somewhere else.
+void BM_RegionGet30k(benchmark::State& state) {
+  std::atomic<int64_t> clock{0};
+  hbase::Region region(&clock);
+  const std::vector<std::string> keys = ShuffledKeys();
+  for (const std::string& key : keys) region.Put(key, {{"d", "payload"}});
+  size_t i = 0;
+  for (auto _ : state) {
+    auto row = region.Get(keys[i++ % keys.size()], hbase::ReadView{});
+    benchmark::DoNotOptimize(row);
+  }
+}
+BENCHMARK(BM_RegionGet30k);
+
+// Scans 1000 rows from a different put key each time (one with 1000 rows
+// after it).
+void BM_RegionScan1kOf30k(benchmark::State& state) {
+  std::atomic<int64_t> clock{0};
+  hbase::Region region(&clock);
+  const std::vector<std::string> keys = ShuffledKeys();
+  const std::string last_start = RungKey(kTpcwRegionRows - 1000);
+  std::vector<std::string> starts;
+  for (const std::string& key : keys) {
+    region.Put(key, {{"d", "payload-value"}});
+    if (key <= last_start) starts.push_back(key);
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    auto batch = region.ScanBatch(starts[i++ % starts.size()], "", 1000,
+                                  hbase::ReadView{});
+    benchmark::DoNotOptimize(batch);
+  }
+}
+BENCHMARK(BM_RegionScan1kOf30k);
 
 void BM_SqlParseJoin(benchmark::State& state) {
   const std::string sql =

@@ -18,7 +18,19 @@ constexpr size_t kFlushLogBytes = size_t{1} << 20;
 // varint-prefixed row key, the fixed64 timestamp, a tombstone byte, and one
 // varint-prefixed qualifier and value per column until the body ends.
 
-void PutVarint(std::string* out, uint64_t v) {
+/// The Put* functions write to a std::string (the edit log) or to this: a
+/// stored row's bytes, allocated at their exact size first, through the two
+/// calls they make on a std::string.
+struct RowWriter {
+  char* at;
+  void push_back(char c) { *at++ = c; }
+  void append(std::string_view bytes) {
+    at = std::copy(bytes.begin(), bytes.end(), at);
+  }
+};
+
+template <typename Out>
+void PutVarint(Out* out, uint64_t v) {
   while (v >= 0x80) {
     out->push_back(static_cast<char>(v | 0x80));
     v >>= 7;
@@ -26,7 +38,8 @@ void PutVarint(std::string* out, uint64_t v) {
   out->push_back(static_cast<char>(v));
 }
 
-void PutBytes(std::string* out, std::string_view bytes) {
+template <typename Out>
+void PutBytes(Out* out, std::string_view bytes) {
   PutVarint(out, bytes.size());
   out->append(bytes);
 }
@@ -55,8 +68,9 @@ int64_t GetFixed64(std::string_view* in) {
   return v;
 }
 
-void PutFixed64(std::string* out, int64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+template <typename Out>
+void PutFixed64(Out* out, int64_t v) {
+  out->append(std::string_view(reinterpret_cast<const char*>(&v), sizeof(v)));
 }
 
 size_t VarintSize(uint64_t v) {
@@ -85,12 +99,13 @@ void ForEachEdit(std::string_view log, Fn&& fn) {
   }
 }
 
-// Packed row layout, HBase's KeyValue in spirit: a row is one string
-// holding its columns in ascending qualifier order, each `varint qualifier
-// length, qualifier, varint body length, body`. A body holds the column's
-// versions newest (highest timestamp) first, each `fixed64 timestamp, u8
-// tombstone, varint value length, value`. The body length lets a reader skip
-// a column, or stop at its newest version, without walking the older ones.
+// Packed row layout, HBase's KeyValue in spirit: a row (a StoredRow's row
+// bytes) holds its columns in ascending qualifier order, each `varint
+// qualifier length, qualifier, varint body length, body`. A body holds the
+// column's versions newest (highest timestamp) first, each `fixed64
+// timestamp, u8 tombstone, varint value length, value`. The body length lets
+// a reader skip a column, or stop at its newest version, without walking
+// the older ones.
 
 struct Version {
   int64_t ts = 0;
@@ -182,18 +197,19 @@ std::optional<std::string_view> Latest(std::string_view row,
   return LatestVisible(Body(row, span), ReadView{});
 }
 
-/// Adds a version to `qualifier`'s column of `*row`, creating the column in
-/// qualifier order if absent. A version at an equal timestamp is replaced
-/// (HBase semantics: same coordinates replace). The new row is built at its
-/// exact size: the bytes before the column, the column's header and its
-/// versions newer than `ts`, the new version, then the older versions and
-/// every later column as one block. A new one-column row is thus encoded
-/// once, and a version newer than its column's newest copies the rest of
-/// the row in one piece. Growing rows in place with spare capacity instead
-/// took back most of the memory saved on write-heavy runs.
-void AddVersion(std::string* row, std::string_view qualifier, int64_t ts,
-                bool tombstone, std::string_view value) {
-  const std::string_view old = *row;
+/// `key`'s row `old` (empty for a new row) with a version added to
+/// `qualifier`'s column, which is created in qualifier order if absent. A
+/// version at an equal timestamp is replaced (HBase semantics: same
+/// coordinates replace). The new row is one allocation of its exact size:
+/// the bytes before the column, the column's header and its versions newer
+/// than `ts`, the new version, then the older versions and every later
+/// column as one block. A new one-column row is thus encoded once, and a
+/// version newer than its column's newest copies the rest of the row in one
+/// piece. Growing rows in place with spare capacity instead took back most
+/// of the memory saved on write-heavy runs.
+StoredRow AddVersion(std::string_view key, std::string_view old,
+                     std::string_view qualifier, int64_t ts, bool tombstone,
+                     std::string_view value) {
   ColumnSpan span;
   FindColumn(old, qualifier, &span);
   size_t newer_end = span.body_begin;  // versions newer than ts end here
@@ -210,27 +226,69 @@ void AddVersion(std::string* row, std::string_view qualifier, int64_t ts,
   }
   const size_t newer = newer_end - span.body_begin;
   const size_t body_size = newer + VersionSize(value) + (span.end - tail);
-  std::string out;
-  out.reserve(span.begin + VarintSize(qualifier.size()) + qualifier.size() +
-              VarintSize(body_size) + body_size + (old.size() - span.end));
-  out.append(old.substr(0, span.begin));
-  PutBytes(&out, qualifier);
-  PutVarint(&out, body_size);
-  out.append(old.substr(span.body_begin, newer));
-  PutFixed64(&out, ts);
-  out.push_back(tombstone ? 1 : 0);
-  PutBytes(&out, value);
-  out.append(old.substr(tail));
-  *row = std::move(out);
+  StoredRow out(key, span.begin + VarintSize(qualifier.size()) +
+                         qualifier.size() + VarintSize(body_size) + body_size +
+                         (old.size() - span.end));
+  RowWriter w{out.row_data()};
+  w.append(old.substr(0, span.begin));
+  PutBytes(&w, qualifier);
+  PutVarint(&w, body_size);
+  w.append(old.substr(span.body_begin, newer));
+  PutFixed64(&w, ts);
+  w.push_back(tombstone ? 1 : 0);
+  PutBytes(&w, value);
+  w.append(old.substr(tail));
+  return out;
+}
+
+std::string_view RowBytes(const StoredRow* row) {
+  return row == nullptr ? std::string_view() : row->row();
+}
+
+/// Puts `row` in `at`'s place, or inserts it into `rows` when `at` is null
+/// (its key has no row yet). Returns where it went.
+StoredRow* Store(RowBlocks* rows, StoredRow* at, StoredRow row) {
+  if (at == nullptr) return rows->Insert(std::move(row));
+  *at = std::move(row);
+  return at;
+}
+
+/// Adds one version per column at `ts` to `key`'s row, creating the row
+/// (empty when there are no columns) if it is absent. Returns whether it
+/// was absent.
+bool WriteRow(RowBlocks* rows, std::string_view key,
+              const std::vector<std::pair<std::string, std::string>>& columns,
+              int64_t ts, bool tombstone) {
+  StoredRow* row = rows->Find(key);
+  const bool inserted = row == nullptr;
+  for (const auto& [qual, value] : columns) {
+    row = Store(rows, row,
+                AddVersion(key, RowBytes(row), qual, ts, tombstone, value));
+  }
+  if (row == nullptr) rows->Insert(StoredRow(key, 0));
+  return inserted;
+}
+
+/// `row` with its bytes [begin, end) replaced by `with`, as a new row.
+StoredRow Spliced(const StoredRow& row, size_t begin, size_t end,
+                  std::string_view with) {
+  const std::string_view old = row.row();
+  StoredRow out(row.key(), old.size() - (end - begin) + with.size());
+  RowWriter w{out.row_data()};
+  w.append(old.substr(0, begin));
+  w.append(with);
+  w.append(old.substr(end));
+  return out;
 }
 
 /// Removes the version of `qualifier` written at exactly `ts`, if any, and
 /// the column with it when that was its only version.
-void RemoveVersion(std::string* row, std::string_view qualifier, int64_t ts) {
+void RemoveVersion(StoredRow* row, std::string_view qualifier, int64_t ts) {
+  const std::string_view old = row->row();
   ColumnSpan span;
-  if (!FindColumn(*row, qualifier, &span)) return;
+  if (!FindColumn(old, qualifier, &span)) return;
   const size_t body_size = span.end - span.body_begin;
-  std::string_view versions = Body(*row, span);
+  std::string_view versions = Body(old, span);
   for (size_t at = span.body_begin; !versions.empty();) {
     const Version v = GetVersion(&versions);
     const size_t next = span.end - versions.size();
@@ -238,15 +296,15 @@ void RemoveVersion(std::string* row, std::string_view qualifier, int64_t ts) {
       at = next;
       continue;
     }
-    if (next - at == body_size) {
-      row->erase(span.begin, span.end - span.begin);
-      return;
+    // What replaces the column up to the version's end: its header with the
+    // shorter body length and its newer versions, or nothing.
+    std::string column;
+    if (next - at < body_size) {
+      PutBytes(&column, qualifier);
+      PutVarint(&column, body_size - (next - at));
+      column.append(old.substr(span.body_begin, at - span.body_begin));
     }
-    row->erase(at, next - at);
-    std::string length;
-    PutVarint(&length, body_size - (next - at));
-    const size_t length_size = VarintSize(body_size);
-    row->replace(span.body_begin - length_size, length_size, length);
+    *row = Spliced(*row, span.begin, next, column);
     return;
   }
 }
@@ -266,11 +324,11 @@ size_t KeptBytes(std::string_view body, int max_versions, int* kept) {
 /// Compacts each column of `*row` to KeptBytes, dropping columns left
 /// empty; rebuilds the row only when that drops a version. Returns whether
 /// a column kept more than one version.
-bool CompactRow(std::string* row, int max_versions) {
+bool CompactRow(StoredRow* row, int max_versions) {
   bool multi_version = false;
   size_t size = 0;
   int kept = 0;
-  for (std::string_view rest = *row; !rest.empty();) {
+  for (std::string_view rest = row->row(); !rest.empty();) {
     const Column c = GetColumn(&rest);
     const size_t bytes = KeptBytes(c.body, max_versions, &kept);
     multi_version |= kept > 1;
@@ -279,32 +337,31 @@ bool CompactRow(std::string* row, int max_versions) {
               VarintSize(bytes) + bytes;
     }
   }
-  if (size == row->size()) return multi_version;  // dropped nothing
-  std::string out;
-  out.reserve(size);
-  for (std::string_view rest = *row; !rest.empty();) {
+  if (size == row->row().size()) return multi_version;  // dropped nothing
+  StoredRow out(row->key(), size);
+  RowWriter w{out.row_data()};
+  for (std::string_view rest = row->row(); !rest.empty();) {
     const Column c = GetColumn(&rest);
     const size_t bytes = KeptBytes(c.body, max_versions, &kept);
     if (bytes == 0) continue;
-    PutBytes(&out, c.qualifier);
-    PutBytes(&out, c.body.substr(0, bytes));
+    PutBytes(&w, c.qualifier);
+    PutBytes(&w, c.body.substr(0, bytes));
   }
   *row = std::move(out);
   return multi_version;
 }
 
-std::optional<RowResult> ResolveRow(const std::string& key,
-                                    std::string_view row,
+std::optional<RowResult> ResolveRow(const StoredRow& row,
                                     const ReadView& view) {
   RowResult out;
-  for (std::string_view rest = row; !rest.empty();) {
+  for (std::string_view rest = row.row(); !rest.empty();) {
     const Column c = GetColumn(&rest);
     if (std::optional<std::string_view> v = LatestVisible(c.body, view)) {
       out.columns.Append(std::string(c.qualifier), std::string(*v));
     }
   }
   if (out.columns.empty()) return std::nullopt;
-  out.row_key = key;
+  out.row_key = row.key();
   return out;
 }
 
@@ -351,10 +408,8 @@ void Region::Put(
     std::optional<int64_t> ts) {
   std::unique_lock lock(mutex_);
   const int64_t t = AllocTs(ts);
-  auto [it, inserted] = rows_.try_emplace(row_key);
-  for (const auto& [qual, value] : columns) {
-    AddVersion(&it->second, qual, t, /*tombstone=*/false, value);
-  }
+  const bool inserted =
+      WriteRow(&rows_, row_key, columns, t, /*tombstone=*/false);
   if (!inserted || columns.empty()) compactable_ = true;
   EditWriter edit(this, row_key, t, /*tombstone=*/false);
   for (const auto& [qual, value] : columns) edit.Column(qual, value);
@@ -362,16 +417,16 @@ void Region::Put(
 
 void Region::Delete(const std::string& row_key, std::optional<int64_t> ts) {
   std::unique_lock lock(mutex_);
-  auto it = rows_.find(row_key);
-  if (it == rows_.end()) return;
+  StoredRow* row = rows_.Find(row_key);
+  if (row == nullptr) return;
   const int64_t t = AllocTs(ts);
   std::vector<std::string> qualifiers;
-  for (std::string_view rest = it->second; !rest.empty();) {
+  for (std::string_view rest = row->row(); !rest.empty();) {
     qualifiers.emplace_back(GetColumn(&rest).qualifier);
   }
   EditWriter edit(this, row_key, t, /*tombstone=*/true);
   for (const std::string& qual : qualifiers) {
-    AddVersion(&it->second, qual, t, /*tombstone=*/true, {});
+    *row = AddVersion(row_key, row->row(), qual, t, /*tombstone=*/true, {});
     edit.Column(qual);
   }
   compactable_ = true;
@@ -380,9 +435,9 @@ void Region::Delete(const std::string& row_key, std::optional<int64_t> ts) {
 std::optional<RowResult> Region::Get(const std::string& row_key,
                                      const ReadView& view) const {
   std::shared_lock lock(mutex_);
-  auto it = rows_.find(row_key);
-  if (it == rows_.end()) return std::nullopt;
-  return ResolveRow(row_key, it->second, view);
+  const StoredRow* row = rows_.Find(row_key);
+  if (row == nullptr) return std::nullopt;
+  return ResolveRow(*row, view);
 }
 
 bool Region::CheckAndPut(const std::string& row_key,
@@ -392,17 +447,13 @@ bool Region::CheckAndPut(const std::string& row_key,
   std::unique_lock lock(mutex_);
   // A failed check writes nothing, as in HBase: the row is created only
   // when the put happens.
-  auto it = rows_.find(row_key);
-  std::optional<std::string_view> current;
-  if (it != rows_.end()) current = Latest(it->second, qualifier);
-  if (current != expected) return false;
+  StoredRow* row = rows_.Find(row_key);
+  if (Latest(RowBytes(row), qualifier) != expected) return false;
   const int64_t t = AllocTs(std::nullopt);
-  if (it == rows_.end()) {
-    it = rows_.try_emplace(row_key).first;
-  } else {
-    compactable_ = true;
-  }
-  AddVersion(&it->second, qualifier, t, /*tombstone=*/false, new_value);
+  if (row != nullptr) compactable_ = true;
+  Store(&rows_, row,
+        AddVersion(row_key, RowBytes(row), qualifier, t, /*tombstone=*/false,
+                   new_value));
   EditWriter(this, row_key, t, /*tombstone=*/false)
       .Column(qualifier, new_value);
   return true;
@@ -412,9 +463,9 @@ StatusOr<int64_t> Region::Increment(const std::string& row_key,
                                     const std::string& qualifier,
                                     int64_t delta) {
   std::unique_lock lock(mutex_);
-  auto [it, inserted] = rows_.try_emplace(row_key);
+  StoredRow* row = rows_.Find(row_key);
   int64_t current = 0;
-  if (std::optional<std::string_view> v = Latest(it->second, qualifier)) {
+  if (std::optional<std::string_view> v = Latest(RowBytes(row), qualifier)) {
     auto [ptr, ec] = std::from_chars(v->data(), v->data() + v->size(), current);
     if (ec != std::errc{}) {
       return Status::InvalidArgument("Increment on non-integer column");
@@ -423,8 +474,10 @@ StatusOr<int64_t> Region::Increment(const std::string& row_key,
   const int64_t next = current + delta;
   const int64_t t = AllocTs(std::nullopt);
   const std::string encoded = std::to_string(next);
-  AddVersion(&it->second, qualifier, t, /*tombstone=*/false, encoded);
-  if (!inserted) compactable_ = true;
+  if (row != nullptr) compactable_ = true;
+  Store(&rows_, row,
+        AddVersion(row_key, RowBytes(row), qualifier, t, /*tombstone=*/false,
+                   encoded));
   EditWriter(this, row_key, t, /*tombstone=*/false).Column(qualifier, encoded);
   return next;
 }
@@ -437,9 +490,9 @@ ScanBatchResult Region::ScanBatch(const std::string& from,
   out.rows.reserve(std::min(limit, rows_.size()));
   auto it = rows_.lower_bound(from);
   for (; it != rows_.end(); ++it) {
-    if (!stop.empty() && it->first >= stop) break;
+    if (!stop.empty() && it->key() >= stop) break;
     ++out.rows_examined;
-    std::optional<RowResult> row = ResolveRow(it->first, it->second, view);
+    std::optional<RowResult> row = ResolveRow(*it, view);
     if (row.has_value()) {
       out.rows.push_back(std::move(*row));
       if (out.rows.size() >= limit) {
@@ -448,10 +501,10 @@ ScanBatchResult Region::ScanBatch(const std::string& from,
       }
     }
   }
-  if (it == rows_.end() || (!stop.empty() && it->first >= stop)) {
+  if (it == rows_.end() || (!stop.empty() && it->key() >= stop)) {
     out.exhausted = true;
   } else {
-    out.next_start_key = it->first;
+    out.next_start_key = it->key();
   }
   return out;
 }
@@ -471,10 +524,10 @@ void Region::MajorCompact(int max_versions) {
   if (store_lost_.load(std::memory_order_relaxed)) return;
   if (compactable_ || max_versions < 1) {
     bool multi_version = false;
-    for (auto it = rows_.begin(); it != rows_.end();) {
-      multi_version |= CompactRow(&it->second, max_versions);
-      it = it->second.empty() ? rows_.erase(it) : std::next(it);
-    }
+    rows_.Retain([&](StoredRow& row) {
+      multi_version |= CompactRow(&row, max_versions);
+      return !row.row().empty();
+    });
     compactable_ = multi_version;
   }
   Flush();
@@ -483,8 +536,8 @@ void Region::MajorCompact(int max_versions) {
 size_t Region::RowCount() const {
   std::shared_lock lock(mutex_);
   size_t live = 0;
-  for (const auto& [key, row] : rows_) {
-    for (std::string_view rest = row; !rest.empty();) {
+  for (const StoredRow& row : rows_) {
+    for (std::string_view rest = row.row(); !rest.empty();) {
       if (LatestVisible(GetColumn(&rest).body, ReadView{}).has_value()) {
         ++live;
         break;
@@ -497,9 +550,9 @@ size_t Region::RowCount() const {
 size_t Region::ByteSize() const {
   std::shared_lock lock(mutex_);
   size_t total = 0;
-  for (const auto& [key, row] : rows_) {
-    total += key.size();
-    for (std::string_view rest = row; !rest.empty();) {
+  for (const StoredRow& row : rows_) {
+    total += row.key().size();
+    for (std::string_view rest = row.row(); !rest.empty();) {
       const Column c = GetColumn(&rest);
       total += c.qualifier.size();
       for (std::string_view versions = c.body; !versions.empty();) {
@@ -518,12 +571,12 @@ size_t Region::ApproxRowCount() const {
 void Region::DropStore() {
   std::unique_lock lock(mutex_);
   ForEachEdit(log_, [this](const RegionEdit& edit) {
-    auto row_it = rows_.find(edit.row_key);
-    if (row_it == rows_.end()) return;
+    StoredRow* row = rows_.Find(edit.row_key);
+    if (row == nullptr) return;
     for (const auto& [qual, value] : edit.columns) {
-      RemoveVersion(&row_it->second, qual, edit.ts);
+      RemoveVersion(row, qual, edit.ts);
     }
-    if (row_it->second.empty()) rows_.erase(row_it);
+    if (row->row().empty()) rows_.Erase(edit.row_key);
   });
   compactable_ = true;
   store_lost_.store(true, std::memory_order_release);
@@ -532,10 +585,7 @@ void Region::DropStore() {
 void Region::ReplayEdits() {
   std::unique_lock lock(mutex_);
   ForEachEdit(log_, [this](const RegionEdit& edit) {
-    std::string& row = rows_[edit.row_key];
-    for (const auto& [qual, value] : edit.columns) {
-      AddVersion(&row, qual, edit.ts, edit.tombstone, value);
-    }
+    WriteRow(&rows_, edit.row_key, edit.columns, edit.ts, edit.tombstone);
   });
   compactable_ = true;
   store_lost_.store(false, std::memory_order_release);

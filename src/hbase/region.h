@@ -8,7 +8,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <shared_mutex>
@@ -17,6 +16,7 @@
 
 #include "common/status.h"
 #include "hbase/cell.h"
+#include "hbase/row_blocks.h"
 
 namespace synergy::hbase {
 
@@ -153,9 +153,11 @@ class Region {
   std::atomic<int> server_id_{0};
   std::atomic<bool> store_lost_{false};
   mutable std::shared_mutex mutex_;
-  // Row key -> the packed row: every column's versions in one string (the
-  // layout is described in region.cc).
-  std::map<std::string, std::string> rows_;
+  // The rows in key order: sorted blocks of at most 64 under an index keyed
+  // by each block's first key (row_blocks.h). Each row is one allocation
+  // holding its key and the packed row, every column's versions in one
+  // string (the layout is described in region.cc).
+  RowBlocks rows_;
   // False only while every cell holds one non-tombstone version and no row
   // is empty, so MajorCompact has nothing to drop. A write that adds a
   // version to an existing row, any tombstone, an empty Put, DropStore and

@@ -93,27 +93,36 @@ ViewMaintainer::FindAffected(hbase::Session& s, const std::string& relation,
                              const std::vector<Value>& pk_values) {
   const sql::Catalog& catalog = adapter_->catalog();
   std::vector<AffectedRows> out;
+  exec::SlotRow row;  // every lookup and scan below decodes into it
   for (const sql::ViewDef* view : catalog.Views()) {
     if (!UpdateApplies(*view, relation)) continue;
     AffectedRows affected;
     affected.view = view->name;
     if (view->relations.back() == relation) {
-      // The view key is the base key: exactly one row.
-      SYNERGY_ASSIGN_OR_RETURN(row,
-                               adapter_->GetByPk(s, view->name, pk_values));
-      if (row.has_value()) affected.view_pks.push_back(pk_values);
+      // The view key is the base key: exactly one row, if it exists.
+      SYNERGY_ASSIGN_OR_RETURN(
+          found, adapter_->GetByPkSlots(s, view->name, pk_values, &row));
+      if (found) affected.view_pks.push_back(pk_values);
       out.push_back(std::move(affected));
       continue;
     }
     // Mid-path member: locate rows by the member's PK attribute, via a
     // maintenance/view index indexed upon that attribute when present.
     const sql::RelationDef* member = catalog.FindRelation(relation);
-    const sql::RelationDef* storage = catalog.FindRelation(view->name);
     if (member == nullptr || member->primary_key.size() != 1) {
       return Status::Unimplemented(
           "multi-column member PK in view maintenance");
     }
+    const sql::RelationDef* storage = catalog.FindRelation(view->name);
+    const sql::WriteLayout* layout = catalog.FindWriteLayout(view->name);
+    if (storage == nullptr || layout == nullptr) {
+      return Status::NotFound("view " + view->name);
+    }
     const std::string& attr = member->primary_key.front();
+    // The attribute and the view's PK as slots of the view's rows, which
+    // both scans below decode in the view's column order.
+    const int attr_slot = storage->ColumnIndex(attr);
+    const std::vector<int>& pk_slots = layout->pk_slots;
     const sql::IndexDef* via_index = nullptr;
     for (const sql::IndexDef* ix : catalog.IndexesFor(view->name)) {
       if (!ix->indexed_columns.empty() && ix->indexed_columns.front() == attr) {
@@ -122,19 +131,20 @@ ViewMaintainer::FindAffected(hbase::Session& s, const std::string& relation,
       }
     }
     auto collect = [&](exec::TupleScanner scanner) -> Status {
-      exec::TupleWithMeta twm;
       while (true) {
-        SYNERGY_ASSIGN_OR_RETURN(more, scanner.Next(&twm));
+        SYNERGY_ASSIGN_OR_RETURN(more, scanner.NextSlots(&row));
         if (!more) break;
-        auto it = twm.tuple.find(attr);
-        if (it == twm.tuple.end() || !(it->second == pk_values[0])) continue;
+        if (attr_slot < 0) continue;
+        const Value& member_pk = row.values[static_cast<size_t>(attr_slot)];
+        if (member_pk.is_null() || !(member_pk == pk_values[0])) continue;
         std::vector<Value> vpk;
-        for (const std::string& col : storage->primary_key) {
-          auto pit = twm.tuple.find(col);
-          if (pit == twm.tuple.end()) {
-            return Status::Internal("view row missing PK column " + col);
+        for (size_t i = 0; i < pk_slots.size(); ++i) {
+          if (pk_slots[i] < 0 ||
+              row.values[static_cast<size_t>(pk_slots[i])].is_null()) {
+            return Status::Internal("view row missing PK column " +
+                                    storage->primary_key[i]);
           }
-          vpk.push_back(pit->second);
+          vpk.push_back(row.values[static_cast<size_t>(pk_slots[i])]);
         }
         affected.view_pks.push_back(std::move(vpk));
       }

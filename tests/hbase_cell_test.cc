@@ -10,7 +10,12 @@
 // RegionModelTest runs seeded random operation sequences on a Region and on
 // RegionModel, a plain reimplementation with one std::map node per row and
 // per cell and one std::vector of versions per cell, and compares every
-// observable after every step. Failing instances print their seed; export
+// observable after every step. It runs over six keys, which fit in one of the
+// region's row blocks, and (ManyBlocksRegionModelTest) over 2000 keys, which
+// fill more than 30: there the region is preloaded in a seeded random order
+// and the steps also put or delete runs of consecutive keys, so blocks
+// split, start past the last key, take rows below the first, empty out and
+// are dropped. Failing instances print their seed; export
 // SYNERGY_TEST_SEED=<n> to replay exactly that run.
 #include "hbase/cell.h"
 
@@ -391,8 +396,16 @@ std::string Describe(const std::optional<RowResult>& row) {
 class RegionModelTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   static constexpr int kSteps = 400;
-  const std::vector<std::string> keys_ = {"a", "b", "c", "d", "e", "f"};
+  // Up to this many keys, CheckSame reads every one; above it, a sample.
+  static constexpr size_t kReadAllKeys = 6;
+
+  /// The key space, in byte order (runs of consecutive keys index into it).
+  std::vector<std::string> keys_ = {"a", "b", "c", "d", "e", "f"};
   const std::vector<std::string> quals_ = {"m", "d", "n", "x"};
+  /// Step draws one of this many operations: 12, or 14 with the run ops.
+  uint64_t ops_ = 12;
+  /// ScanBatch limits are drawn from [1, max_limit_].
+  int64_t max_limit_ = 7;
 
   std::string Key() { return Pick(keys_); }
   std::string Qual() { return Pick(quals_); }
@@ -439,9 +452,22 @@ class RegionModelTest : public ::testing::TestWithParam<uint64_t> {
                      .exclude = &exclude_}};
   }
 
+  /// Every key of a small space; else a seeded sample, a few of them made
+  /// absent keys that sort right after a present one ('!' sorts below every
+  /// digit).
+  std::vector<std::string> ReadKeys() {
+    if (keys_.size() <= kReadAllKeys) return keys_;
+    std::vector<std::string> out;
+    for (int i = 0; i < 32; ++i) {
+      out.push_back(Key());
+      if (rng_.Next() % 8 == 0) out.back() += "!";
+    }
+    return out;
+  }
+
   void Step(std::string* op) {
     const std::string key = Key();
-    switch (rng_.Next() % 12) {
+    switch (rng_.Next() % ops_) {
       case 0:
       case 1:
       case 2: {  // Put, at any timestamp
@@ -507,7 +533,8 @@ class RegionModelTest : public ::testing::TestWithParam<uint64_t> {
         model_.MajorCompact(max_versions);
         break;
       }
-      default: {
+      case 10:
+      case 11: {
         *op = "DropStore";
         region_.DropStore();
         model_.DropStore();
@@ -517,6 +544,73 @@ class RegionModelTest : public ::testing::TestWithParam<uint64_t> {
         model_.ReplayEdits();
         break;
       }
+      default: {  // Put or Delete every key of a run of consecutive keys
+        const bool put = rng_.Next() % 2 == 0;
+        const size_t first = rng_.Next() % keys_.size();
+        const size_t end = std::min(
+            keys_.size(), first + static_cast<size_t>(rng_.Uniform(1, 150)));
+        *op = std::string(put ? "Put" : "Delete") + " run [" + keys_[first] +
+              ", " + std::to_string(end - first) + " keys)";
+        for (size_t i = first; i < end; ++i) {
+          if (put) {
+            const Columns columns = {{Qual(), RandomValue()}};
+            region_.Put(keys_[i], columns);
+            model_.Put(keys_[i], columns, std::nullopt);
+          } else {
+            region_.Delete(keys_[i]);
+            model_.Delete(keys_[i], std::nullopt);
+          }
+        }
+        break;
+      }
+    }
+  }
+
+  /// Puts every key once, with clock timestamps, in runs of consecutive
+  /// keys (half of up to 4 keys, half of up to 100), each ascending or
+  /// descending. Two runs in three grow the region outward from a random
+  /// one, so each lands past the region's last key or below its first; the
+  /// rest then fill the gaps in shuffled order.
+  void Preload() {
+    std::vector<std::pair<size_t, size_t>> runs;
+    for (size_t at = 0; at < keys_.size();) {
+      const int64_t longest = rng_.Next() % 2 == 0 ? 4 : 100;
+      const size_t end = std::min(
+          keys_.size(), at + static_cast<size_t>(rng_.Uniform(1, longest)));
+      runs.emplace_back(at, end);
+      at = end;
+    }
+    std::vector<std::pair<size_t, size_t>> order;
+    std::vector<std::pair<size_t, size_t>> gaps;
+    size_t lo = rng_.Next() % runs.size();  // runs [lo, hi) are placed
+    size_t hi = lo;
+    while (lo > 0 || hi < runs.size()) {
+      const bool up = lo == 0 || (hi < runs.size() && rng_.Next() % 2 == 0);
+      const auto& run = up ? runs[hi++] : runs[--lo];
+      (rng_.Next() % 3 == 0 ? gaps : order).push_back(run);
+    }
+    for (size_t i = gaps.size(); i > 1; --i) {
+      std::swap(gaps[i - 1], gaps[rng_.Next() % i]);
+    }
+    order.insert(order.end(), gaps.begin(), gaps.end());
+    for (const auto& [begin, end] : order) {
+      const bool descending = rng_.Next() % 2 == 0;
+      for (size_t i = 0; i < end - begin; ++i) {
+        const std::string& key = keys_[descending ? end - 1 - i : begin + i];
+        const Columns columns = {{Qual(), RandomValue()}};
+        region_.Put(key, columns);
+        model_.Put(key, columns, std::nullopt);
+      }
+    }
+  }
+
+  void Run() {
+    std::string op;
+    for (int step = 0; step < kSteps; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      ASSERT_NO_FATAL_FAILURE(Step(&op)) << op;
+      ASSERT_EQ(clock_.load(), model_.clock) << op;
+      ASSERT_NO_FATAL_FAILURE(CheckSame()) << op;
     }
   }
 
@@ -526,14 +620,14 @@ class RegionModelTest : public ::testing::TestWithParam<uint64_t> {
     ASSERT_EQ(region_.ByteSize(), model_.ByteSize());
     ASSERT_EQ(region_.EditLogSize(), model_.EditLogSize());
     for (const ReadView& view : Views()) {
-      for (const std::string& key : keys_) {
+      for (const std::string& key : ReadKeys()) {
         ASSERT_EQ(Describe(region_.Get(key, view)),
                   Describe(model_.Get(key, view)))
             << "Get " << key << " at read_ts " << view.read_ts;
       }
       const std::string from = rng_.Next() % 3 == 0 ? "" : Key();
       const std::string stop = rng_.Next() % 2 == 0 ? "" : Key();
-      const size_t limit = static_cast<size_t>(rng_.Uniform(1, 7));
+      const size_t limit = static_cast<size_t>(rng_.Uniform(1, max_limit_));
       const ScanBatchResult got = region_.ScanBatch(from, stop, limit, view);
       const ScanBatchResult want = model_.ScanBatch(from, stop, limit, view);
       SCOPED_TRACE("ScanBatch [" + from + ", " + stop + ") limit " +
@@ -557,18 +651,36 @@ class RegionModelTest : public ::testing::TestWithParam<uint64_t> {
 
 TEST_P(RegionModelTest, PackedStoreMatchesModel) {
   SCOPED_TRACE("replay with SYNERGY_TEST_SEED=" + std::to_string(GetParam()));
-  std::string op;
-  for (int step = 0; step < kSteps; ++step) {
-    SCOPED_TRACE("step " + std::to_string(step));
-    ASSERT_NO_FATAL_FAILURE(Step(&op)) << op;
-    ASSERT_EQ(clock_.load(), model_.clock) << op;
-    ASSERT_NO_FATAL_FAILURE(CheckSame()) << op;
-  }
+  Run();
 }
 
-// SYNERGY_TEST_SEED=<n> collapses the suite to the single failing seed.
+/// The same steps over 2000 keys, "r0" to "r1999" in byte order (so "r1",
+/// "r10", "r100", ...), preloaded: scans with limits of up to four blocks'
+/// worth of rows, and the run ops that empty blocks out.
+class ManyBlocksRegionModelTest : public RegionModelTest {
+ protected:
+  void SetUp() override {
+    keys_.clear();
+    for (int i = 0; i < 2000; ++i) keys_.push_back("r" + std::to_string(i));
+    std::sort(keys_.begin(), keys_.end());
+    ops_ = 14;
+    max_limit_ = 256;
+    Preload();
+  }
+};
+
+TEST_P(ManyBlocksRegionModelTest, BlockStoreMatchesModel) {
+  SCOPED_TRACE("replay with SYNERGY_TEST_SEED=" + std::to_string(GetParam()));
+  ASSERT_NO_FATAL_FAILURE(CheckSame()) << "Preload";
+  Run();
+}
+
+// SYNERGY_TEST_SEED=<n> collapses each suite to the single failing seed.
 INSTANTIATE_TEST_SUITE_P(
     Seeds, RegionModelTest,
+    ::testing::ValuesIn(fault::TestSeedsFromEnv({1, 2, 3, 5, 8, 13, 21, 34})));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, ManyBlocksRegionModelTest,
     ::testing::ValuesIn(fault::TestSeedsFromEnv({1, 2, 3, 5, 8, 13, 21, 34})));
 
 }  // namespace

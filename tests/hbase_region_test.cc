@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -194,6 +196,40 @@ TEST(RegionTest, EditLogFlushesAtOneMebibyteAndKeepsEveryVersion) {
   EXPECT_EQ(r.Get("k", ReadView{.exclude = &newest})->columns.at("v"), "old");
   EXPECT_EQ(r.Get("k", Now())->columns.at("v"), "new");
   EXPECT_EQ(r.RowCount(), 3001u);
+}
+
+// A region keeps its rows in blocks of 64 (row_blocks.h): a full block is
+// halved, and a row past the last key starts a block. Around one, two and
+// three blocks' worth of rows, put in ascending or in descending key order,
+// one more row at each position must leave every row readable and the scan
+// in key order.
+TEST(RegionTest, InsertAtEachPositionAroundFullBlocks) {
+  auto key = [](int i) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "k%05d", i);
+    return std::string(buf);
+  };
+  for (const int n : {63, 64, 65, 128, 192}) {
+    for (const bool descending : {false, true}) {
+      for (int at = 0; at <= n; ++at) {
+        SCOPED_TRACE(std::to_string(n) + (descending ? " descending" : "") +
+                     " rows, one more at " + std::to_string(at));
+        Region r(&clock);
+        for (int i = 0; i < n; ++i) {
+          r.Put(key(2 * (descending ? n - 1 - i : i) + 1), {{"v", "x"}});
+        }
+        r.Put(key(2 * at), {{"v", "new"}});
+        const ScanBatchResult all = r.ScanBatch("", "", n + 2, Now());
+        ASSERT_EQ(all.rows.size(), static_cast<size_t>(n + 1));
+        for (int i = 0; i <= n; ++i) {
+          const std::string want = key(i < at ? 2 * i + 1 : 2 * (i - 1) + 1);
+          ASSERT_EQ(all.rows[i].row_key, i == at ? key(2 * at) : want);
+          ASSERT_TRUE(r.Get(all.rows[i].row_key, Now()).has_value());
+        }
+        ASSERT_EQ(r.ApproxRowCount(), static_cast<size_t>(n + 1));
+      }
+    }
+  }
 }
 
 TEST(RegionTest, ConcurrentPutsAllLand) {
