@@ -12,21 +12,6 @@ const Value& TupleGet(const Tuple& tuple, const std::string& column) {
 
 }  // namespace
 
-StatusOr<std::string> EncodePkKey(const sql::RelationDef& rel,
-                                  const Tuple& tuple) {
-  std::vector<Value> pk;
-  pk.reserve(rel.primary_key.size());
-  for (const std::string& col : rel.primary_key) {
-    const Value& v = TupleGet(tuple, col);
-    if (v.is_null()) {
-      return Status::InvalidArgument("NULL or missing PK column " + col +
-                                     " for relation " + rel.name);
-    }
-    pk.push_back(v);
-  }
-  return codec::EncodeKey(pk);
-}
-
 std::string EncodePkKeyFromValues(const std::vector<Value>& pk_values) {
   return codec::EncodeKey(pk_values);
 }
@@ -66,19 +51,6 @@ std::string EncodeRowSlots(const std::vector<Value>& row) {
   std::string out;
   for (const Value& v : row) codec::EncodeValue(v, &out);
   return out;
-}
-
-StatusOr<Tuple> DecodeRowValue(const std::vector<sql::Column>& columns,
-                               std::string_view bytes) {
-  Tuple tuple;
-  for (const sql::Column& col : columns) {
-    SYNERGY_ASSIGN_OR_RETURN(v, codec::DecodeValue(&bytes, col.type));
-    if (!v.is_null()) tuple.emplace(col.name, std::move(v));
-  }
-  if (!bytes.empty()) {
-    return Status::InvalidArgument("trailing bytes in row value");
-  }
-  return tuple;
 }
 
 Status DecodeRowSlots(const std::vector<sql::Column>& columns,

@@ -20,7 +20,9 @@
 
 namespace synergy::exec {
 
-/// Column name -> value. Missing columns read back as NULL.
+/// Column name -> value: the form a loaded row arrives in (the TPC-W
+/// generator's output), put in slot form once by TupleToSlots. Missing
+/// columns read back as NULL.
 using Tuple = std::map<std::string, Value>;
 
 /// Data qualifier holding the encoded tuple.
@@ -28,9 +30,7 @@ inline constexpr char kDataQualifier[] = "d";
 /// Dirty-mark qualifier used by the Synergy update protocol (§VIII-B).
 inline constexpr char kMarkQualifier[] = "m";
 
-/// Row key for a base-table tuple: encoded PK values in PK order.
-StatusOr<std::string> EncodePkKey(const sql::RelationDef& rel,
-                                  const Tuple& tuple);
+/// Row key for a base-table row: encoded PK values in PK order.
 std::string EncodePkKeyFromValues(const std::vector<Value>& pk_values);
 
 /// Scan bounds [start, stop) for an index-prefix lookup on the first
@@ -57,18 +57,13 @@ void EncodeSlots(const std::vector<Value>& row, const std::vector<int>& slots,
 /// The stored value of a row in slot form: every slot in order.
 std::string EncodeRowSlots(const std::vector<Value>& row);
 
-/// Decodes a row value back into a tuple given the column list used to
-/// encode it (schema order for base rows; covered order for index rows).
-StatusOr<Tuple> DecodeRowValue(const std::vector<sql::Column>& columns,
-                               std::string_view bytes);
-
-/// Slot-decoding fast path: decodes a stored value into `out`, which is
-/// resized to `columns.size()` (a relation's columns) and NULL-filled first.
-/// The i-th stored value lands in slot `slot_map[i]` and decodes as that
-/// column's type; an empty `slot_map` means identity (base rows in schema
-/// order), and an index row's map is its WriteLayout::Index::covered_slots.
-/// A negative slot, a covered column the relation lacks, holds NULL and is
-/// discarded. Reuses `out`'s capacity — no per-row map or node allocations.
+/// Decodes a stored value into `out`, which is resized to `columns.size()`
+/// (a relation's columns) and NULL-filled first. The i-th stored value lands
+/// in slot `slot_map[i]` and decodes as that column's type; an empty
+/// `slot_map` means identity (base rows in schema order), and an index
+/// row's map is its WriteLayout::Index::covered_slots. A negative slot, a
+/// covered column the relation lacks, holds NULL and is discarded. Reuses
+/// `out`'s capacity — no per-row map or node allocations.
 Status DecodeRowSlots(const std::vector<sql::Column>& columns,
                       std::span<const int> slot_map, std::string_view bytes,
                       std::vector<Value>* out);

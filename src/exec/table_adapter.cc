@@ -19,20 +19,6 @@ std::string CoveredValue(const sql::WriteLayout::Index& ix,
 
 }  // namespace
 
-StatusOr<bool> TupleScanner::Next(TupleWithMeta* out) {
-  SlotRow row;
-  SYNERGY_ASSIGN_OR_RETURN(more, NextSlots(&row));
-  if (!more) return false;
-  out->tuple.clear();
-  for (size_t i = 0; i < row.values.size(); ++i) {
-    if (!row.values[i].is_null()) {
-      out->tuple.emplace((*columns_)[i].name, std::move(row.values[i]));
-    }
-  }
-  out->marked = row.marked;
-  return true;
-}
-
 StatusOr<bool> TupleScanner::NextSlots(SlotRow* out) {
   hbase::RowResult row;
   while (scanner_.Next(&row)) {
@@ -100,29 +86,6 @@ Status TableAdapter::Insert(hbase::Session& s, const std::string& relation,
   return InsertRow(s, relation, TupleToSlots(*rel, tuple));
 }
 
-StatusOr<std::optional<TupleWithMeta>> TableAdapter::GetByPk(
-    hbase::Session& s, const std::string& relation,
-    const std::vector<Value>& pk_values) {
-  const sql::RelationDef* rel = catalog_->FindRelation(relation);
-  if (rel == nullptr) return Status::NotFound("relation " + relation);
-  const std::string key = EncodePkKeyFromValues(pk_values);
-  StatusOr<hbase::RowResult> row = cluster_->Get(s, relation, key);
-  if (!row.ok()) {
-    if (row.status().code() == StatusCode::kNotFound) {
-      return std::optional<TupleWithMeta>();
-    }
-    return row.status();
-  }
-  auto data = row->columns.find(kDataQualifier);
-  if (data == row->columns.end()) return std::optional<TupleWithMeta>();
-  SYNERGY_ASSIGN_OR_RETURN(tuple, DecodeRowValue(rel->columns, data->second));
-  TupleWithMeta out;
-  out.tuple = std::move(tuple);
-  auto mark = row->columns.find(kMarkQualifier);
-  out.marked = mark != row->columns.end() && mark->second == "1";
-  return std::optional<TupleWithMeta>(std::move(out));
-}
-
 StatusOr<bool> TableAdapter::GetByPkSlots(hbase::Session& s,
                                           const std::string& relation,
                                           const std::vector<Value>& pk_values,
@@ -163,19 +126,9 @@ Status TableAdapter::DeleteByPk(hbase::Session& s, const std::string& relation,
 Status TableAdapter::UpdateByPk(
     hbase::Session& s, const std::string& relation,
     const std::vector<Value>& pk_values,
-    const std::vector<std::pair<std::string, Value>>& sets) {
-  const sql::RelationDef* rel = catalog_->FindRelation(relation);
-  if (rel == nullptr) return Status::NotFound("relation " + relation);
-  std::vector<int> set_slots;
-  set_slots.reserve(sets.size());
-  for (const auto& [col, value] : sets) {
-    if (rel->IsPrimaryKeyColumn(col)) {
-      return Status::InvalidArgument("cannot update PK column " + col);
-    }
-    const int slot = rel->ColumnIndex(col);
-    if (slot < 0) return Status::InvalidArgument("unknown column " + col);
-    set_slots.push_back(slot);
-  }
+    const std::vector<std::pair<int, Value>>& sets) {
+  const sql::WriteLayout* layout = catalog_->FindWriteLayout(relation);
+  if (layout == nullptr) return Status::NotFound("relation " + relation);
   SlotRow existing;
   SYNERGY_ASSIGN_OR_RETURN(found,
                            GetByPkSlots(s, relation, pk_values, &existing));
@@ -183,12 +136,11 @@ Status TableAdapter::UpdateByPk(
     return Status::Ok();  // SQL UPDATE of an absent row affects zero rows
   }
   std::vector<Value> updated = existing.values;
-  for (size_t i = 0; i < sets.size(); ++i) {
-    updated[static_cast<size_t>(set_slots[i])] = sets[i].second;
+  for (const auto& [slot, value] : sets) {
+    updated[static_cast<size_t>(slot)] = value;
   }
   // Remove stale index rows if any indexed column changes.
-  const sql::WriteLayout& layout = *catalog_->FindWriteLayout(relation);
-  for (const sql::WriteLayout::Index& ix : layout.indexes) {
+  for (const sql::WriteLayout::Index& ix : layout->indexes) {
     const std::string old_key = IndexKey(ix, existing.values);
     const std::string new_key = IndexKey(ix, updated);
     if (old_key != new_key) {

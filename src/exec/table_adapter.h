@@ -18,11 +18,6 @@
 
 namespace synergy::exec {
 
-struct TupleWithMeta {
-  Tuple tuple;
-  bool marked = false;  // dirty-mark set by an in-flight Synergy update
-};
-
 /// Reusable slot-decoded row buffer: values in RelationDef column order
 /// (NULL where absent), plus a scratch byte-key buffer so repeated point
 /// lookups reuse one allocation. The executor keeps one per operator.
@@ -35,11 +30,9 @@ struct SlotRow {
 /// Streaming typed scan over a relation or one of its indexes.
 class TupleScanner {
  public:
-  /// Returns false at end of stream; Status error on decode failure.
-  StatusOr<bool> Next(TupleWithMeta* out);
-
-  /// Slot-decoding variant: fills `out->values` in the owning relation's
-  /// column order, reusing its capacity (no per-row map allocations).
+  /// Fills `out->values` in the owning relation's column order, reusing its
+  /// capacity. Returns false at end of stream; Status error on decode
+  /// failure.
   StatusOr<bool> NextSlots(SlotRow* out);
 
  private:
@@ -73,17 +66,13 @@ class TableAdapter {
   Status InsertRow(hbase::Session& s, const std::string& relation,
                    const std::vector<Value>& row);
 
-  /// InsertRow of the tuple's slot form (TupleToSlots).
+  /// InsertRow of a loaded tuple's slot form (TupleToSlots).
   Status Insert(hbase::Session& s, const std::string& relation,
                 const Tuple& tuple);
 
-  /// Point lookup by primary key values.
-  StatusOr<std::optional<TupleWithMeta>> GetByPk(
-      hbase::Session& s, const std::string& relation,
-      const std::vector<Value>& pk_values);
-
-  /// Slot-decoding point lookup: returns true and fills `row` (values in
-  /// relation column order) when the row exists. Reuses `row`'s buffers.
+  /// Point lookup by primary key values: returns true and fills `row`
+  /// (values in relation column order) when the row exists. Reuses `row`'s
+  /// buffers.
   StatusOr<bool> GetByPkSlots(hbase::Session& s, const std::string& relation,
                               const std::vector<Value>& pk_values,
                               SlotRow* row);
@@ -93,10 +82,12 @@ class TableAdapter {
   Status DeleteByPk(hbase::Session& s, const std::string& relation,
                     const std::vector<Value>& pk_values);
 
-  /// Read-modify-write of non-PK columns; maintains affected index rows.
+  /// Read-modify-write of the row's non-PK slots, `sets` as (slot, value)
+  /// pairs (a bound UPDATE's, which never names a PK slot); maintains
+  /// affected index rows. No-op if absent.
   Status UpdateByPk(hbase::Session& s, const std::string& relation,
                     const std::vector<Value>& pk_values,
-                    const std::vector<std::pair<std::string, Value>>& sets);
+                    const std::vector<std::pair<int, Value>>& sets);
 
   /// Full-relation scan.
   StatusOr<TupleScanner> ScanAll(hbase::Session& s,

@@ -244,15 +244,16 @@ StatusOr<VoltDb::ExecResult> VoltDb::ExecuteWrite(
       exec::BindWriteStatement(sql::BindParams(stmt, params), catalog_));
   switch (write.kind) {
     case exec::BoundWrite::Kind::kInsert:
-      SYNERGY_RETURN_IF_ERROR(adapter_->Insert(s, write.relation, write.tuple));
+      SYNERGY_RETURN_IF_ERROR(
+          adapter_->InsertRow(s, write.relation, write.row));
       break;
     case exec::BoundWrite::Kind::kUpdate:
       SYNERGY_RETURN_IF_ERROR(adapter_->UpdateByPk(
-          s, write.relation, write.pk_values, write.sets));
+          s, write.relation, write.PkValues(), write.sets));
       break;
     case exec::BoundWrite::Kind::kDelete:
       SYNERGY_RETURN_IF_ERROR(
-          adapter_->DeleteByPk(s, write.relation, write.pk_values));
+          adapter_->DeleteByPk(s, write.relation, write.PkValues()));
       break;
   }
   ExecResult out;

@@ -5,15 +5,6 @@
 namespace synergy::sql {
 namespace {
 
-/// The slot of each of `names` in `rel` (-1 where `rel` lacks it).
-std::vector<int> SlotsOf(const RelationDef& rel,
-                         const std::vector<std::string>& names) {
-  std::vector<int> slots;
-  slots.reserve(names.size());
-  for (const std::string& name : names) slots.push_back(rel.ColumnIndex(name));
-  return slots;
-}
-
 /// The slot in `view` of each column of `member`.
 std::vector<int> ViewSlotsOf(const RelationDef& member,
                              const RelationDef& view) {
@@ -56,6 +47,14 @@ int RelationDef::ColumnIndex(const std::string& col) const {
   return -1;
 }
 
+std::vector<int> RelationDef::ColumnIndexes(
+    const std::vector<std::string>& cols) const {
+  std::vector<int> slots;
+  slots.reserve(cols.size());
+  for (const std::string& col : cols) slots.push_back(ColumnIndex(col));
+  return slots;
+}
+
 std::vector<DataType> RelationDef::PrimaryKeyTypes() const {
   std::vector<DataType> types;
   types.reserve(primary_key.size());
@@ -84,7 +83,7 @@ Status Catalog::AddRelation(RelationDef def) {
   if (relations_.contains(def.name)) {
     return Status::AlreadyExists("relation " + def.name);
   }
-  layouts_[def.name].pk_slots = SlotsOf(def, def.primary_key);
+  layouts_[def.name].pk_slots = def.ColumnIndexes(def.primary_key);
   relations_.emplace(def.name, std::move(def));
   return Status::Ok();
 }
@@ -121,9 +120,9 @@ Status Catalog::AddIndex(IndexDef def) {
   key.insert(key.end(), rel->primary_key.begin(), rel->primary_key.end());
   InsertByName(layouts_[def.relation].indexes,
                WriteLayout::Index{.name = def.name,
-                                  .key_slots = SlotsOf(*rel, key),
+                                  .key_slots = rel->ColumnIndexes(key),
                                   .covered_slots =
-                                      SlotsOf(*rel, def.covered_columns)});
+                                      rel->ColumnIndexes(def.covered_columns)});
   indexes_.emplace(def.name, std::move(def));
   return Status::Ok();
 }
@@ -154,12 +153,25 @@ Status Catalog::AddView(ViewDef view, RelationDef storage) {
     const RelationDef& parent = *FindRelation(view.relations[i - 1]);
     path.hops.push_back(
         WriteLayout::Hop{.parent = parent.name,
-                         .fk_slots = SlotsOf(child, view.edges[i].columns),
+                         .fk_slots = child.ColumnIndexes(view.edges[i].columns),
                          .to_view = ViewSlotsOf(parent, storage)});
+  }
+  // An update to any member rewrites the view rows that join it.
+  std::vector<std::pair<std::string, WriteLayout::ViewMember>> members;
+  for (auto it = view.relations.begin(); it != view.relations.end(); ++it) {
+    if (std::find(view.relations.begin(), it, *it) != it) continue;
+    members.emplace_back(
+        *it, WriteLayout::ViewMember{
+                 .name = view.name,
+                 .last = *it == view.relations.back(),
+                 .to_view = ViewSlotsOf(*FindRelation(*it), storage)});
   }
   SYNERGY_RETURN_IF_ERROR(AddRelation(std::move(storage)));
   if (n > 0) {
     InsertByName(layouts_[view.relations.back()].views, std::move(path));
+  }
+  for (auto& [member, entry] : members) {
+    InsertByName(layouts_[member].member_of, std::move(entry));
   }
   views_.emplace(view.name, std::move(view));
   return Status::Ok();

@@ -40,6 +40,8 @@ struct RelationDef {
   std::optional<DataType> ColumnType(const std::string& col) const;
   /// Position of `col` in `columns`, or -1. Slot index for slot-based rows.
   int ColumnIndex(const std::string& col) const;
+  /// ColumnIndex of each of `cols`.
+  std::vector<int> ColumnIndexes(const std::vector<std::string>& cols) const;
   std::vector<DataType> PrimaryKeyTypes() const;
   bool IsPrimaryKeyColumn(const std::string& col) const;
 };
@@ -103,17 +105,29 @@ struct WriteLayout {
     std::vector<Hop> hops = {};
   };
 
+  /// A view with this relation anywhere on its path: an update to this
+  /// relation rewrites the view rows that join it (§VII-C).
+  struct ViewMember {
+    std::string name;  // the view's
+    /// This relation is the view's last, so a view row's key is its key.
+    bool last = false;
+    /// The view slot of each of this relation's columns.
+    std::vector<int> to_view = {};
+  };
+
   std::vector<int> pk_slots;
-  std::vector<Index> indexes;   // in IndexesFor order
-  std::vector<ViewPath> views;  // in Views order
+  std::vector<Index> indexes;         // in IndexesFor order
+  std::vector<ViewPath> views;        // in Views order
+  std::vector<ViewMember> member_of;  // in Views order
 };
 
 class Catalog {
  public:
   Status AddRelation(RelationDef def);
   Status AddIndex(IndexDef def);
-  /// Registers the view's storage relation and its WriteLayout::ViewPath;
-  /// every member relation must be registered first.
+  /// Registers the view's storage relation, its WriteLayout::ViewPath and
+  /// each member's WriteLayout::ViewMember; every member relation must be
+  /// registered first.
   Status AddView(ViewDef view, RelationDef storage);
 
   const RelationDef* FindRelation(const std::string& name) const;

@@ -78,6 +78,29 @@ Status SynergySystem::Build(const sql::Catalog& base_catalog,
   workload_ = std::move(design.workload);
   trees_ = std::move(design.trees);
   rewritten_ids_ = std::move(design.rewritten_ids);
+  // The first tree holding a relation is the one its writes lock. A root's
+  // own PK slots hold its key; each FK up a member's chain its parent's.
+  for (const RootedTree& tree : trees_) {
+    std::vector<std::string> members = {tree.root()};
+    for (const TreeEdge& edge : tree.edges()) members.push_back(edge.child);
+    for (const std::string& member : members) {
+      if (lock_paths_.contains(member)) continue;
+      LockPath& path = lock_paths_[member];
+      path.root = tree.root();
+      const std::vector<std::string> chain = tree.PathFromRoot(member);
+      for (size_t i = chain.size(); i-- > 1;) {
+        path.hops.push_back(
+            {.parent = chain[i - 1],
+             .fk_slots = catalog_.FindRelation(chain[i])->ColumnIndexes(
+                 tree.EdgeTo(chain[i])->fk.columns)});
+      }
+      if (path.hops.empty()) {
+        path.hops.push_back(
+            {.parent = member,
+             .fk_slots = catalog_.FindWriteLayout(member)->pk_slots});
+      }
+    }
+  }
 
   adapter_ = std::make_unique<exec::TableAdapter>(cluster_, &catalog_);
   executor_ = std::make_unique<exec::Executor>(adapter_.get());
@@ -110,14 +133,9 @@ Status SynergySystem::CreateStorage() {
 
 Status SynergySystem::Load(hbase::Session& s, const std::string& relation,
                            const exec::Tuple& tuple) {
-  SYNERGY_RETURN_IF_ERROR(maintainer_->InsertWithViews(s, relation, tuple));
-  if (std::find(config_.roots.begin(), config_.roots.end(), relation) !=
-      config_.roots.end()) {
-    const sql::RelationDef* rel = catalog_.FindRelation(relation);
-    SYNERGY_ASSIGN_OR_RETURN(key, exec::EncodePkKey(*rel, tuple));
-    SYNERGY_RETURN_IF_ERROR(locks_->CreateLockEntry(s, relation, key));
-  }
-  return Status::Ok();
+  const sql::RelationDef* rel = catalog_.FindRelation(relation);
+  if (rel == nullptr) return Status::NotFound("relation " + relation);
+  return InsertRow(s, relation, exec::TupleToSlots(*rel, tuple));
 }
 
 namespace {
@@ -147,90 +165,78 @@ StatusOr<exec::AnalyzeResult> SynergySystem::ExplainAnalyzeRead(
 }
 
 StatusOr<std::optional<txn::LockSpec>> SynergySystem::DeriveLockSpec(
-    hbase::Session& s, const std::string& relation, const exec::Tuple& tuple) {
-  const RootedTree* tree = nullptr;
-  for (const RootedTree& t : trees_) {
-    if (t.Contains(relation)) {
-      tree = &t;
-      break;
-    }
-  }
-  if (tree == nullptr) return std::optional<txn::LockSpec>();
-
+    hbase::Session& s, const std::string& relation,
+    const std::vector<Value>& row) {
+  auto path = lock_paths_.find(relation);
+  if (path == lock_paths_.end()) return std::optional<txn::LockSpec>();
   // Walk up the FK chain reading ancestors until the root's PK is known.
-  const std::vector<std::string> path = tree->PathFromRoot(relation);
-  exec::Tuple current = tuple;
-  for (size_t i = path.size() - 1; i >= 1; --i) {
-    const TreeEdge* edge = tree->EdgeTo(path[i]);
-    if (edge == nullptr) return Status::Internal("broken tree edge");
-    std::vector<Value> parent_pk;
-    for (const std::string& col : edge->fk.columns) {
-      auto it = current.find(col);
-      if (it == current.end() || it->second.is_null()) {
+  const std::vector<LockPath::Hop>& hops = path->second.hops;
+  const std::vector<Value>* child = &row;
+  exec::SlotRow parent;
+  std::vector<Value> key;
+  for (size_t i = 0;; ++i) {
+    key.clear();
+    for (const int slot : hops[i].fk_slots) {
+      if (slot < 0 || (*child)[static_cast<size_t>(slot)].is_null()) {
         // Dangling FK: no root row to lock (FKs are not enforced, §IV);
         // fall back to locking nothing.
         return std::optional<txn::LockSpec>();
       }
-      parent_pk.push_back(it->second);
+      key.push_back((*child)[static_cast<size_t>(slot)]);
     }
-    if (i == 1) {
+    if (i + 1 == hops.size()) {
       return std::optional<txn::LockSpec>(txn::LockSpec{
-          tree->root(), exec::EncodePkKeyFromValues(parent_pk)});
+          path->second.root, exec::EncodePkKeyFromValues(key)});
     }
-    SYNERGY_ASSIGN_OR_RETURN(parent,
-                             adapter_->GetByPk(s, path[i - 1], parent_pk));
-    if (!parent.has_value()) return std::optional<txn::LockSpec>();
-    current = parent->tuple;
+    SYNERGY_ASSIGN_OR_RETURN(
+        found, adapter_->GetByPkSlots(s, hops[i].parent, key, &parent));
+    if (!found) return std::optional<txn::LockSpec>();
+    child = &parent.values;
   }
-  // relation itself is the root.
-  const sql::RelationDef* rel = catalog_.FindRelation(relation);
-  SYNERGY_ASSIGN_OR_RETURN(key, exec::EncodePkKey(*rel, tuple));
-  return std::optional<txn::LockSpec>(txn::LockSpec{relation, key});
 }
 
-Status SynergySystem::RunInsert(hbase::Session& s,
-                                const exec::BoundWrite& write) {
-  const sql::RelationDef* rel = catalog_.FindRelation(write.relation);
-  if (rel == nullptr) return Status::NotFound("relation " + write.relation);
-  const std::vector<Value> row = exec::TupleToSlots(*rel, write.tuple);
-  SYNERGY_RETURN_IF_ERROR(adapter_->InsertRow(s, write.relation, row));
-  if (std::find(config_.roots.begin(), config_.roots.end(), write.relation) !=
+Status SynergySystem::InsertRow(hbase::Session& s,
+                                const std::string& relation,
+                                const std::vector<Value>& row) {
+  SYNERGY_RETURN_IF_ERROR(adapter_->InsertRow(s, relation, row));
+  if (std::find(config_.roots.begin(), config_.roots.end(), relation) !=
       config_.roots.end()) {
-    SYNERGY_ASSIGN_OR_RETURN(key, exec::EncodePkKey(*rel, write.tuple));
-    SYNERGY_RETURN_IF_ERROR(
-        locks_->CreateLockEntry(s, write.relation, key));
+    std::string key;
+    exec::EncodeSlots(row, catalog_.FindWriteLayout(relation)->pk_slots, &key);
+    SYNERGY_RETURN_IF_ERROR(locks_->CreateLockEntry(s, relation, key));
   }
-  return maintainer_->ApplyInsert(s, write.relation, row);
+  return maintainer_->ApplyInsert(s, relation, row);
 }
 
 Status SynergySystem::RunDelete(hbase::Session& s,
                                 const exec::BoundWrite& write) {
-  SYNERGY_RETURN_IF_ERROR(
-      maintainer_->ApplyDelete(s, write.relation, write.pk_values));
-  return adapter_->DeleteByPk(s, write.relation, write.pk_values);
+  const std::vector<Value> pk = write.PkValues();
+  SYNERGY_RETURN_IF_ERROR(maintainer_->ApplyDelete(s, write.relation, pk));
+  return adapter_->DeleteByPk(s, write.relation, pk);
 }
 
 Status SynergySystem::RunUpdate(hbase::Session& s,
                                 const exec::BoundWrite& write) {
+  const std::vector<Value> pk = write.PkValues();
   // The 6-step procedure of §VIII-B (the lock is already held):
   // (2) read the rows that need to be updated.
-  SYNERGY_ASSIGN_OR_RETURN(
-      affected, maintainer_->FindAffected(s, write.relation, write.pk_values));
+  SYNERGY_ASSIGN_OR_RETURN(affected,
+                           maintainer_->FindAffected(s, *write.layout, pk));
   // (3) mark them (views and their indexes).
   for (const ViewMaintainer::AffectedRows& rows : affected) {
     for (const std::vector<Value>& vpk : rows.view_pks) {
       SYNERGY_RETURN_IF_ERROR(
-          adapter_->SetMarkWithIndexes(s, rows.view, vpk, true));
+          adapter_->SetMarkWithIndexes(s, rows.view->name, vpk, true));
       c_view_marks_->Inc();
     }
   }
   // (4) issue the updates (base row first, then view rows).
   SYNERGY_RETURN_IF_ERROR(
-      adapter_->UpdateByPk(s, write.relation, write.pk_values, write.sets));
+      adapter_->UpdateByPk(s, write.relation, pk, write.sets));
   for (const ViewMaintainer::AffectedRows& rows : affected) {
     for (const std::vector<Value>& vpk : rows.view_pks) {
       SYNERGY_RETURN_IF_ERROR(
-          maintainer_->UpdateViewRow(s, rows.view, vpk, write.sets));
+          maintainer_->UpdateViewRow(s, *rows.view, vpk, write.sets));
       c_view_rows_updated_->Inc();
     }
   }
@@ -238,7 +244,7 @@ Status SynergySystem::RunUpdate(hbase::Session& s,
   for (const ViewMaintainer::AffectedRows& rows : affected) {
     for (const std::vector<Value>& vpk : rows.view_pks) {
       SYNERGY_RETURN_IF_ERROR(
-          adapter_->SetMarkWithIndexes(s, rows.view, vpk, false));
+          adapter_->SetMarkWithIndexes(s, rows.view->name, vpk, false));
     }
   }
   return Status::Ok();
@@ -247,7 +253,8 @@ Status SynergySystem::RunUpdate(hbase::Session& s,
 Status SynergySystem::WriteBodyFor(hbase::Session& s,
                                    const exec::BoundWrite& write) {
   switch (write.kind) {
-    case exec::BoundWrite::Kind::kInsert: return RunInsert(s, write);
+    case exec::BoundWrite::Kind::kInsert:
+      return InsertRow(s, write.relation, write.row);
     case exec::BoundWrite::Kind::kDelete: return RunDelete(s, write);
     case exec::BoundWrite::Kind::kUpdate: return RunUpdate(s, write);
   }
@@ -265,14 +272,17 @@ StatusOr<WriteResult> SynergySystem::ExecuteWrite(
   // Derive the single root lock (reads ancestor rows as needed). For
   // update/delete the FK chain starts from the current base row.
   obs::ScopedSpan lock_span(s.trace(), "synergy.derive_lock");
-  exec::Tuple chain_tuple = write.tuple;
+  exec::SlotRow existing;
+  const std::vector<Value>* chain = &write.row;
   if (write.kind != exec::BoundWrite::Kind::kInsert) {
-    SYNERGY_ASSIGN_OR_RETURN(
-        existing, adapter_->GetByPk(s, write.relation, write.pk_values));
-    if (existing.has_value()) chain_tuple = existing->tuple;
+    SYNERGY_ASSIGN_OR_RETURN(found,
+                             adapter_->GetByPkSlots(s, write.relation,
+                                                    write.PkValues(),
+                                                    &existing));
+    if (!found) existing.values.assign(write.row.size(), Value());
+    chain = &existing.values;
   }
-  SYNERGY_ASSIGN_OR_RETURN(lock,
-                           DeriveLockSpec(s, write.relation, chain_tuple));
+  SYNERGY_ASSIGN_OR_RETURN(lock, DeriveLockSpec(s, write.relation, *chain));
   lock_span.Close();
 
   const std::string payload = sql::StatementToString(bound);

@@ -11,6 +11,7 @@
 //   sys.Execute(session, statement_ast, params);
 #pragma once
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -59,7 +60,8 @@ class SynergySystem {
 
   /// Runs the §V/§VI pipeline: candidate views, selection, rewriting,
   /// view-indexes and maintenance indexes. The input catalog must contain
-  /// base relations and base indexes only.
+  /// base relations and base indexes only. Then resolves each rooted-tree
+  /// member's FK chain to slots, for lock derivation.
   Status Build(const sql::Catalog& base_catalog, const sql::Workload& workload);
 
   /// Creates every store table: base relations, base indexes, views,
@@ -75,8 +77,8 @@ class SynergySystem {
   exec::TableAdapter* adapter() { return adapter_.get(); }
   txn::TxnLayer* txn_layer() { return txn_layer_.get(); }
 
-  /// Bulk load one base tuple: inserts base row, index rows, view rows and
-  /// the lock entry (for roots) — no WAL/locking (offline load path).
+  /// Bulk load one base tuple: the INSERT body (base row, index rows, the
+  /// lock entry for a root, view rows) with no WAL or locking.
   Status Load(hbase::Session& s, const std::string& relation,
               const exec::Tuple& tuple);
 
@@ -99,18 +101,36 @@ class SynergySystem {
       exec::BoundParams params);
 
   /// Root lock this write must take, derived by walking the FK chain from
-  /// the written row up to its rooted tree's root (§VIII-A). nullopt when
-  /// the relation is not in any rooted tree.
+  /// the written row (`row`, in the relation's slots) up to its rooted
+  /// tree's root (§VIII-A). nullopt when the relation is not in any rooted
+  /// tree, or when a key on the way is NULL or an ancestor row is absent.
   StatusOr<std::optional<txn::LockSpec>> DeriveLockSpec(
-      hbase::Session& s, const std::string& relation, const exec::Tuple& tuple);
+      hbase::Session& s, const std::string& relation,
+      const std::vector<Value>& row);
 
   /// Replays a WAL payload after failover (parses the bound statement and
   /// re-executes the write body without WAL re-append).
   Status ReplayPayload(hbase::Session& s, const std::string& payload);
 
  private:
+  /// A rooted-tree member's way to its root's key, resolved to slots by
+  /// Build: each hop's slots of the row at hand hold the PK of `parent`,
+  /// the row the next hop reads. The last hop's `parent` is the root; the
+  /// root's own path is one hop over its PK slots.
+  struct LockPath {
+    struct Hop {
+      std::string parent;
+      std::vector<int> fk_slots;
+    };
+    std::string root;
+    std::vector<Hop> hops;  // the member's parent first
+  };
+
   Status WriteBodyFor(hbase::Session& s, const exec::BoundWrite& write);
-  Status RunInsert(hbase::Session& s, const exec::BoundWrite& write);
+  /// The INSERT body, shared with Load: base row, then the lock entry when
+  /// the relation is a root, then view rows.
+  Status InsertRow(hbase::Session& s, const std::string& relation,
+                   const std::vector<Value>& row);
   Status RunDelete(hbase::Session& s, const exec::BoundWrite& write);
   Status RunUpdate(hbase::Session& s, const exec::BoundWrite& write);
 
@@ -120,6 +140,7 @@ class SynergySystem {
   sql::Workload workload_;
   std::vector<RootedTree> trees_;
   std::vector<std::string> rewritten_ids_;
+  std::map<std::string, LockPath> lock_paths_;  // by rooted-tree member
   std::unique_ptr<exec::TableAdapter> adapter_;
   std::unique_ptr<exec::Executor> executor_;
   std::unique_ptr<ViewMaintainer> maintainer_;

@@ -1,14 +1,8 @@
 #include "synergy/view_maintenance.h"
 
-#include <algorithm>
+#include <utility>
 
 namespace synergy::core {
-
-bool ViewMaintainer::UpdateApplies(const sql::ViewDef& view,
-                                   const std::string& relation) {
-  return std::find(view.relations.begin(), view.relations.end(), relation) !=
-         view.relations.end();
-}
 
 Status ViewMaintainer::ApplyInsert(hbase::Session& s,
                                    const std::string& relation,
@@ -89,44 +83,39 @@ Status ViewMaintainer::ApplyDelete(hbase::Session& s,
 }
 
 StatusOr<std::vector<ViewMaintainer::AffectedRows>>
-ViewMaintainer::FindAffected(hbase::Session& s, const std::string& relation,
+ViewMaintainer::FindAffected(hbase::Session& s, const sql::WriteLayout& layout,
                              const std::vector<Value>& pk_values) {
-  const sql::Catalog& catalog = adapter_->catalog();
   std::vector<AffectedRows> out;
   exec::SlotRow row;  // every lookup and scan below decodes into it
-  for (const sql::ViewDef* view : catalog.Views()) {
-    if (!UpdateApplies(*view, relation)) continue;
-    AffectedRows affected;
-    affected.view = view->name;
-    if (view->relations.back() == relation) {
+  for (const sql::WriteLayout::ViewMember& view : layout.member_of) {
+    AffectedRows affected{.view = &view, .view_pks = {}};
+    if (view.last) {
       // The view key is the base key: exactly one row, if it exists.
       SYNERGY_ASSIGN_OR_RETURN(
-          found, adapter_->GetByPkSlots(s, view->name, pk_values, &row));
+          found, adapter_->GetByPkSlots(s, view.name, pk_values, &row));
       if (found) affected.view_pks.push_back(pk_values);
       out.push_back(std::move(affected));
       continue;
     }
     // Mid-path member: locate rows by the member's PK attribute, via a
     // maintenance/view index indexed upon that attribute when present.
-    const sql::RelationDef* member = catalog.FindRelation(relation);
-    if (member == nullptr || member->primary_key.size() != 1) {
+    if (layout.pk_slots.size() != 1) {
       return Status::Unimplemented(
           "multi-column member PK in view maintenance");
     }
-    const sql::RelationDef* storage = catalog.FindRelation(view->name);
-    const sql::WriteLayout* layout = catalog.FindWriteLayout(view->name);
-    if (storage == nullptr || layout == nullptr) {
-      return Status::NotFound("view " + view->name);
-    }
-    const std::string& attr = member->primary_key.front();
+    const sql::WriteLayout& view_layout =
+        *adapter_->catalog().FindWriteLayout(view.name);
     // The attribute and the view's PK as slots of the view's rows, which
     // both scans below decode in the view's column order.
-    const int attr_slot = storage->ColumnIndex(attr);
-    const std::vector<int>& pk_slots = layout->pk_slots;
-    const sql::IndexDef* via_index = nullptr;
-    for (const sql::IndexDef* ix : catalog.IndexesFor(view->name)) {
-      if (!ix->indexed_columns.empty() && ix->indexed_columns.front() == attr) {
-        via_index = ix;
+    const int attr_slot =
+        view.to_view[static_cast<size_t>(layout.pk_slots.front())];
+    const std::vector<int>& pk_slots = view_layout.pk_slots;
+    const sql::WriteLayout::Index* via_index = nullptr;
+    for (const sql::WriteLayout::Index& ix : view_layout.indexes) {
+      // An index key is its indexed columns, then the view's PK.
+      if (ix.key_slots.size() > pk_slots.size() &&
+          ix.key_slots.front() == attr_slot) {
+        via_index = &ix;
         break;
       }
     }
@@ -138,13 +127,12 @@ ViewMaintainer::FindAffected(hbase::Session& s, const std::string& relation,
         const Value& member_pk = row.values[static_cast<size_t>(attr_slot)];
         if (member_pk.is_null() || !(member_pk == pk_values[0])) continue;
         std::vector<Value> vpk;
-        for (size_t i = 0; i < pk_slots.size(); ++i) {
-          if (pk_slots[i] < 0 ||
-              row.values[static_cast<size_t>(pk_slots[i])].is_null()) {
-            return Status::Internal("view row missing PK column " +
-                                    storage->primary_key[i]);
+        for (const int slot : pk_slots) {
+          if (slot < 0 || row.values[static_cast<size_t>(slot)].is_null()) {
+            return Status::Internal("view " + view.name +
+                                    " row missing a PK column");
           }
-          vpk.push_back(row.values[static_cast<size_t>(pk_slots[i])]);
+          vpk.push_back(row.values[static_cast<size_t>(slot)]);
         }
         affected.view_pks.push_back(std::move(vpk));
       }
@@ -156,7 +144,7 @@ ViewMaintainer::FindAffected(hbase::Session& s, const std::string& relation,
           adapter_->ScanIndexPrefix(s, via_index->name, {pk_values[0]}));
       SYNERGY_RETURN_IF_ERROR(collect(std::move(scanner)));
     } else {
-      SYNERGY_ASSIGN_OR_RETURN(scanner, adapter_->ScanAll(s, view->name));
+      SYNERGY_ASSIGN_OR_RETURN(scanner, adapter_->ScanAll(s, view.name));
       SYNERGY_RETURN_IF_ERROR(collect(std::move(scanner)));
     }
     out.push_back(std::move(affected));
@@ -165,17 +153,16 @@ ViewMaintainer::FindAffected(hbase::Session& s, const std::string& relation,
 }
 
 Status ViewMaintainer::UpdateViewRow(
-    hbase::Session& s, const std::string& view,
+    hbase::Session& s, const sql::WriteLayout::ViewMember& view,
     const std::vector<Value>& view_pk,
-    const std::vector<std::pair<std::string, Value>>& sets) {
-  const sql::RelationDef* storage = adapter_->catalog().FindRelation(view);
-  if (storage == nullptr) return Status::NotFound("view " + view);
-  std::vector<std::pair<std::string, Value>> applicable;
-  for (const auto& [col, value] : sets) {
-    if (storage->HasColumn(col)) applicable.emplace_back(col, value);
+    const std::vector<std::pair<int, Value>>& sets) {
+  std::vector<std::pair<int, Value>> applicable;
+  for (const auto& [slot, value] : sets) {
+    const int view_slot = view.to_view[static_cast<size_t>(slot)];
+    if (view_slot >= 0) applicable.emplace_back(view_slot, value);
   }
   if (applicable.empty()) return Status::Ok();
-  return adapter_->UpdateByPk(s, view, view_pk, applicable);
+  return adapter_->UpdateByPk(s, view.name, view_pk, applicable);
 }
 
 }  // namespace synergy::core

@@ -14,12 +14,6 @@ class ViewMaintainer {
  public:
   explicit ViewMaintainer(exec::TableAdapter* adapter) : adapter_(adapter) {}
 
-  /// §VII-C: an update applies iff R is anywhere in V's relation sequence.
-  /// (An insert or delete into R applies iff R is V's last relation; the
-  /// catalog lists those views in R's sql::WriteLayout.)
-  static bool UpdateApplies(const sql::ViewDef& view,
-                            const std::string& relation);
-
   /// Propagates a base-table insert to every applicable view (§VII-A):
   /// reads the k-1 ancestor rows along the FK chain and inserts the joined
   /// row (linear in view length, independent of cardinality ratios). `row`
@@ -29,8 +23,8 @@ class ViewMaintainer {
   Status ApplyInsert(hbase::Session& s, const std::string& relation,
                      const std::vector<Value>& row);
 
-  /// Inserts a base tuple and its index rows, then ApplyInsert: the tuple
-  /// is put in slot form once for both.
+  /// Loads a base tuple: inserts it and its index rows, then ApplyInsert;
+  /// the tuple is put in slot form once for both.
   Status InsertWithViews(hbase::Session& s, const std::string& relation,
                          const exec::Tuple& tuple);
 
@@ -42,21 +36,28 @@ class ViewMaintainer {
                      const std::vector<Value>& pk_values);
 
   struct AffectedRows {
-    std::string view;
+    /// The view, as the catalog lists it in the updated relation's
+    /// sql::WriteLayout::member_of.
+    const sql::WriteLayout::ViewMember* view = nullptr;
     std::vector<std::vector<Value>> view_pks;
   };
 
-  /// Locates the view rows an update to `relation`@pk touches, using a
-  /// maintenance index when available and a view scan otherwise.
+  /// §VII-C: an update to a relation applies to every view it is a member
+  /// of, anywhere on the view's path. Locates the view rows an update to
+  /// the row of `layout`'s relation with key `pk_values` touches, in the
+  /// catalog's view order: by the view key for a view the relation ends, and
+  /// otherwise through the view's first index led by the relation's PK, or
+  /// a view scan when it has none.
   StatusOr<std::vector<AffectedRows>> FindAffected(
-      hbase::Session& s, const std::string& relation,
+      hbase::Session& s, const sql::WriteLayout& layout,
       const std::vector<Value>& pk_values);
 
-  /// Applies SET assignments to one view row (column names are shared
-  /// between base relations and views).
-  Status UpdateViewRow(hbase::Session& s, const std::string& view,
+  /// Applies an UPDATE's (slot, value) assignments to one view row: each
+  /// lands in the view slot of its column, if the view has that column.
+  Status UpdateViewRow(hbase::Session& s,
+                       const sql::WriteLayout::ViewMember& view,
                        const std::vector<Value>& view_pk,
-                       const std::vector<std::pair<std::string, Value>>& sets);
+                       const std::vector<std::pair<int, Value>>& sets);
 
  private:
   exec::TableAdapter* adapter_;

@@ -126,31 +126,27 @@ Status MvccSystem::Setup(const tpcw::ScaleConfig& scale) {
 
 Status MvccSystem::ExecuteWriteBody(hbase::Session& s,
                                     const exec::BoundWrite& write) {
-  switch (write.kind) {
-    case exec::BoundWrite::Kind::kInsert:
-      return maintainer_->InsertWithViews(s, write.relation, write.tuple);
-    case exec::BoundWrite::Kind::kDelete:
+  if (write.kind == exec::BoundWrite::Kind::kInsert) {
+    SYNERGY_RETURN_IF_ERROR(adapter_->InsertRow(s, write.relation, write.row));
+    return maintainer_->ApplyInsert(s, write.relation, write.row);
+  }
+  const std::vector<Value> pk = write.PkValues();
+  if (write.kind == exec::BoundWrite::Kind::kDelete) {
+    SYNERGY_RETURN_IF_ERROR(maintainer_->ApplyDelete(s, write.relation, pk));
+    return adapter_->DeleteByPk(s, write.relation, pk);
+  }
+  // No mark/unmark protocol: MVCC snapshots provide the isolation.
+  SYNERGY_ASSIGN_OR_RETURN(affected,
+                           maintainer_->FindAffected(s, *write.layout, pk));
+  SYNERGY_RETURN_IF_ERROR(
+      adapter_->UpdateByPk(s, write.relation, pk, write.sets));
+  for (const core::ViewMaintainer::AffectedRows& rows : affected) {
+    for (const std::vector<Value>& vpk : rows.view_pks) {
       SYNERGY_RETURN_IF_ERROR(
-          maintainer_->ApplyDelete(s, write.relation, write.pk_values));
-      return adapter_->DeleteByPk(s, write.relation, write.pk_values);
-    case exec::BoundWrite::Kind::kUpdate: {
-      // No mark/unmark protocol: MVCC snapshots provide the isolation.
-      SYNERGY_ASSIGN_OR_RETURN(
-          affected,
-          maintainer_->FindAffected(s, write.relation, write.pk_values));
-      SYNERGY_RETURN_IF_ERROR(adapter_->UpdateByPk(s, write.relation,
-                                                   write.pk_values,
-                                                   write.sets));
-      for (const core::ViewMaintainer::AffectedRows& rows : affected) {
-        for (const std::vector<Value>& vpk : rows.view_pks) {
-          SYNERGY_RETURN_IF_ERROR(
-              maintainer_->UpdateViewRow(s, rows.view, vpk, write.sets));
-        }
-      }
-      return Status::Ok();
+          maintainer_->UpdateViewRow(s, *rows.view, vpk, write.sets));
     }
   }
-  return Status::Internal("bad write kind");
+  return Status::Ok();
 }
 
 Status MvccSystem::RunStatement(hbase::Session& s, const std::string& stmt_id,
@@ -181,7 +177,7 @@ Status MvccSystem::RunStatement(hbase::Session& s, const std::string& stmt_id,
     const sql::Statement bound = sql::BindParams(stmt->ast, params);
     SYNERGY_ASSIGN_OR_RETURN(write,
                              exec::BindWriteStatement(bound, catalog_));
-    txn.write_set.push_back(write.WriteKey(catalog_));
+    txn.write_set.push_back(write.WriteKey());
     Status body = ExecuteWriteBody(s, write);
     if (!body.ok()) {
       (void)mvcc_->Abort(s, txn);

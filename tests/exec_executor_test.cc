@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/write_binding.h"
 #include "hbase/failover.h"
 #include "sql/parser.h"
 #include "testing/fault_injector.h"
@@ -491,9 +492,10 @@ TEST_F(ExecutorTest, UnknownColumnFails) {
 
 TEST_F(ExecutorTest, AdapterUpdateMaintainsIndexes) {
   hbase::Session s(&cluster_);
+  const int uname = catalog_.FindRelation("Customer")->ColumnIndex("c_uname");
   ASSERT_TRUE(adapter_
                   ->UpdateByPk(s, "Customer", {Value(1)},
-                               {{"c_uname", Value("renamed")}})
+                               {{uname, Value("renamed")}})
                   .ok());
   auto r = Run("SELECT * FROM Customer WHERE c_uname = ?", {Value("renamed")});
   ASSERT_EQ(r.row_count, 1u);
@@ -511,19 +513,35 @@ TEST_F(ExecutorTest, AdapterDeleteRemovesIndexRows) {
             0u);
 }
 
-TEST_F(ExecutorTest, AdapterUpdatePkRejected) {
+// An UPDATE of a key column fails at bind, before any system runs it.
+TEST_F(ExecutorTest, BindRejectsPkUpdate) {
+  auto bound = BindWriteStatement(
+      sql::MustParse("UPDATE Customer SET c_id = 99 WHERE c_id = 1"),
+      catalog_);
+  ASSERT_FALSE(bound.ok());
+  EXPECT_EQ(bound.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Loads run InsertRow without a bind, so it keeps its own key check.
+TEST_F(ExecutorTest, AdapterInsertRejectsNullPk) {
   hbase::Session s(&cluster_);
-  EXPECT_FALSE(adapter_
-                   ->UpdateByPk(s, "Customer", {Value(1)},
-                                {{"c_id", Value(99)}})
-                   .ok());
+  std::vector<Value> row(catalog_.FindRelation("Customer")->columns.size());
+  row[static_cast<size_t>(
+      catalog_.FindRelation("Customer")->ColumnIndex("c_uname"))] =
+      Value("nobody");
+  Status inserted = adapter_->InsertRow(s, "Customer", row);
+  EXPECT_EQ(inserted.code(), StatusCode::kInvalidArgument) << inserted;
+  EXPECT_EQ(Run("SELECT * FROM Customer WHERE c_uname = ?", {Value("nobody")})
+                .row_count,
+            0u);
 }
 
 TEST_F(ExecutorTest, AdapterGetMissingReturnsEmpty) {
   hbase::Session s(&cluster_);
-  auto r = adapter_->GetByPk(s, "Customer", {Value(42)});
-  ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(r->has_value());
+  SlotRow row;
+  auto found = adapter_->GetByPkSlots(s, "Customer", {Value(42)}, &row);
+  ASSERT_TRUE(found.ok());
+  EXPECT_FALSE(*found);
 }
 
 }  // namespace

@@ -14,38 +14,26 @@ sql::RelationDef Rel() {
       .primary_key = {"id"}};
 }
 
-TEST(RowCodecTest, PkKeyRoundTrip) {
-  auto rel = Rel();
-  Tuple t{{"id", Value(7)}, {"name", Value("x")}};
-  auto key = EncodePkKey(rel, t);
-  ASSERT_TRUE(key.ok());
-  EXPECT_EQ(*key, EncodePkKeyFromValues({Value(7)}));
-}
-
-TEST(RowCodecTest, MissingPkFails) {
-  auto rel = Rel();
-  Tuple t{{"name", Value("x")}};
-  EXPECT_FALSE(EncodePkKey(rel, t).ok());
-}
-
 TEST(RowCodecTest, RowValueRoundTrip) {
   auto rel = Rel();
   Tuple t{{"id", Value(1)}, {"name", Value("bob")}, {"score", Value(2.5)}};
-  std::string bytes = EncodeRowValue(rel, t);
-  auto decoded = DecodeRowValue(rel.columns, bytes);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->at("id"), Value(1));
-  EXPECT_EQ(decoded->at("name"), Value("bob"));
-  EXPECT_EQ(decoded->at("score"), Value(2.5));
+  std::vector<Value> decoded;
+  ASSERT_TRUE(
+      DecodeRowSlots(rel.columns, {}, EncodeRowValue(rel, t), &decoded).ok());
+  EXPECT_EQ(decoded,
+            (std::vector<Value>{Value(1), Value("bob"), Value(2.5)}));
 }
 
-TEST(RowCodecTest, MissingColumnsDecodeAsAbsent) {
+TEST(RowCodecTest, MissingColumnsDecodeAsNull) {
   auto rel = Rel();
   Tuple t{{"id", Value(1)}};
-  auto decoded = DecodeRowValue(rel.columns, EncodeRowValue(rel, t));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->size(), 1u);
-  EXPECT_FALSE(decoded->contains("name"));
+  std::vector<Value> decoded = {Value(9)};  // reused buffer, refilled
+  ASSERT_TRUE(
+      DecodeRowSlots(rel.columns, {}, EncodeRowValue(rel, t), &decoded).ok());
+  ASSERT_EQ(decoded.size(), 3u);
+  EXPECT_EQ(decoded[0], Value(1));
+  EXPECT_TRUE(decoded[1].is_null());
+  EXPECT_TRUE(decoded[2].is_null());
 }
 
 // Rel()'s write layout with one index on `name`, as the catalog resolves

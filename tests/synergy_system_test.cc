@@ -71,6 +71,13 @@ class SynergySystemTest : public ::testing::Test {
     }
   }
 
+  /// `tuple` in the slots of `relation`, as a bound write holds its row.
+  std::vector<Value> Slots(const std::string& relation,
+                           const exec::Tuple& tuple) {
+    return exec::TupleToSlots(*system_->catalog().FindRelation(relation),
+                              tuple);
+  }
+
   exec::QueryResult RunWorkloadQuery(const std::string& id,
                                      std::vector<Value> params) {
     const sql::WorkloadStatement* stmt = system_->workload().Find(id);
@@ -215,7 +222,9 @@ TEST_F(SynergySystemTest, LockSpecDerivedThroughFkChain) {
   // Works_On row of employee 2: chain WO -> E(2) -> Address(AID=2).
   auto lock = system_->DeriveLockSpec(
       s, "Works_On",
-      {{"WO_EID", Value(2)}, {"WO_PNo", Value(1)}, {"Hours", Value(21)}});
+      Slots("Works_On", {{"WO_EID", Value(2)},
+                         {"WO_PNo", Value(1)},
+                         {"Hours", Value(21)}}));
   ASSERT_TRUE(lock.ok());
   ASSERT_TRUE(lock->has_value());
   EXPECT_EQ((*lock)->root_relation, "Address");
@@ -226,7 +235,7 @@ TEST_F(SynergySystemTest, RootWriteLocksItsOwnKey) {
   hbase::Session s(&cluster_);
   auto lock = system_->DeriveLockSpec(
       s, "Address",
-      {{"AID", Value(9)}, {"Street", Value("x")}});
+      Slots("Address", {{"AID", Value(9)}, {"Street", Value("x")}}));
   ASSERT_TRUE(lock.ok());
   ASSERT_TRUE(lock->has_value());
   EXPECT_EQ((*lock)->root_relation, "Address");

@@ -4,6 +4,7 @@
 
 #include "exec/write_binding.h"
 #include "sql/parser.h"
+#include "synergy/synergy_system.h"
 #include "tpcw/generator.h"
 #include "tpcw/schema.h"
 #include "tpcw/workload.h"
@@ -54,7 +55,11 @@ TEST(TpcwWorkloadTest, AllStatementsParse) {
 }
 
 // An INSERT naming a column its relation lacks fails at bind, naming the
-// column and the relation, rather than writing the row without it.
+// column and the relation, rather than writing the row without it. So do an
+// UPDATE that SETs a column the relation lacks or a key column, and an
+// INSERT that leaves a key column NULL: on Synergy each fails before the
+// pre-image read, so it costs no virtual time and leaves no WAL entry that
+// a slave recovery would replay.
 TEST(TpcwWorkloadTest, InsertOfUnknownColumnFailsToBind) {
   const sql::Catalog cat = BuildCatalog();
   StatusOr<exec::BoundWrite> bogus = exec::BindWriteStatement(
@@ -68,6 +73,43 @@ TEST(TpcwWorkloadTest, InsertOfUnknownColumnFailsToBind) {
                       "INSERT INTO Customer (c_id, c_uname) VALUES (1, 'u')"),
                   cat)
                   .ok());
+
+  hbase::Cluster cluster;
+  core::SynergySystem system(&cluster, {.roots = Roots()});
+  ASSERT_TRUE(system.Build(cat, BuildWorkload()).ok());
+  ASSERT_TRUE(system.CreateStorage().ok());
+  ScaleConfig scale;
+  scale.num_customers = 10;
+  hbase::Session load(&cluster);
+  ASSERT_TRUE(GenerateDatabase(scale, [&](const std::string& relation,
+                                          const exec::Tuple& tuple) {
+                return system.Load(load, relation, tuple);
+              }).ok());
+  auto wal_entries = [&] {
+    size_t entries = 0;
+    for (int i = 0; i < system.txn_layer()->num_slaves(); ++i) {
+      entries += system.txn_layer()->slave(i)->wal()->size();
+    }
+    return entries;
+  };
+  for (const char* bad : {"UPDATE Item SET i_id = 5 WHERE i_id = 1",
+                          "UPDATE Item SET bogus = 1 WHERE i_id = 1",
+                          "UPDATE Customer SET c_id = 5 WHERE c_id = 1",
+                          "UPDATE Customer SET bogus = 1 WHERE c_id = 1",
+                          "INSERT INTO Orders (o_c_id) VALUES (1)",
+                          "INSERT INTO Customer (c_uname) VALUES ('u')"}) {
+    const sql::Statement stmt = sql::MustParse(bad);
+    EXPECT_EQ(exec::BindWriteStatement(stmt, cat).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    const size_t entries = wal_entries();
+    hbase::Session s(&cluster);
+    EXPECT_EQ(system.ExecuteWrite(s, stmt, {}).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(wal_entries(), entries) << bad;
+    EXPECT_EQ(s.meter().micros(), 0.0) << bad;
+  }
 }
 
 TEST(TpcwGeneratorTest, CardinalitiesFollowPaper) {
