@@ -270,7 +270,9 @@ StatusOr<WriteResult> SynergySystem::ExecuteWrite(
   SYNERGY_ASSIGN_OR_RETURN(write, exec::BindWriteStatement(bound, catalog_));
 
   // Derive the single root lock (reads ancestor rows as needed). For
-  // update/delete the FK chain starts from the current base row.
+  // update/delete the FK chain starts from the current base row, or from
+  // the statement's key when the row is absent: a concurrent INSERT of that
+  // row takes the same lock, so the two cannot interleave.
   obs::ScopedSpan lock_span(s.trace(), "synergy.derive_lock");
   exec::SlotRow existing;
   const std::vector<Value>* chain = &write.row;
@@ -279,8 +281,7 @@ StatusOr<WriteResult> SynergySystem::ExecuteWrite(
                              adapter_->GetByPkSlots(s, write.relation,
                                                     write.PkValues(),
                                                     &existing));
-    if (!found) existing.values.assign(write.row.size(), Value());
-    chain = &existing.values;
+    if (found) chain = &existing.values;
   }
   SYNERGY_ASSIGN_OR_RETURN(lock, DeriveLockSpec(s, write.relation, *chain));
   lock_span.Close();

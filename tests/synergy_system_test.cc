@@ -241,6 +241,50 @@ TEST_F(SynergySystemTest, RootWriteLocksItsOwnKey) {
   EXPECT_EQ((*lock)->root_relation, "Address");
 }
 
+// A write to an absent row derives its lock from the key the statement
+// names: Works_On's key holds its FK to Employee, so the chain reaches
+// employee 2's Address. Without the lock, the write's body could interleave
+// with a concurrent INSERT of the same row and leave a stale view row.
+TEST_F(SynergySystemTest, AbsentRowWriteTakesTheLockItsKeyNames) {
+  hbase::Session holder(&cluster_);
+  txn::LockManager locks(&cluster_);
+  const std::string address2 = exec::EncodePkKeyFromValues({Value(2)});
+  ASSERT_TRUE(locks.Acquire(holder, "Address", address2).ok());
+  hbase::Session s(&cluster_);
+  const sql::Statement update = sql::MustParse(
+      "UPDATE Works_On SET Hours = ? WHERE WO_EID = ? AND WO_PNo = ?");
+  const sql::Statement del =
+      sql::MustParse("DELETE FROM Works_On WHERE WO_EID = ? AND WO_PNo = ?");
+  EXPECT_EQ(system_->ExecuteWrite(s, update, {Value(5), Value(2), Value(2)})
+                .status()
+                .code(),
+            StatusCode::kAborted);
+  EXPECT_EQ(system_->ExecuteWrite(s, del, {Value(2), Value(2)}).status().code(),
+            StatusCode::kAborted);
+  ASSERT_TRUE(locks.Release(holder, "Address", address2).ok());
+  EXPECT_TRUE(
+      system_->ExecuteWrite(s, update, {Value(5), Value(2), Value(2)}).ok());
+  EXPECT_TRUE(system_->ExecuteWrite(s, del, {Value(2), Value(2)}).ok());
+  EXPECT_EQ(ViewRowCount("Employee-Works_On"), 5u);
+}
+
+// An UPDATE or DELETE of an absent root row affects no row, as on every
+// other system; its lock is the key it names.
+TEST_F(SynergySystemTest, AbsentRootRowWriteSucceeds) {
+  hbase::Session s(&cluster_);
+  const sql::Statement update =
+      sql::MustParse("UPDATE Address SET City = ? WHERE AID = ?");
+  const sql::Statement del =
+      sql::MustParse("DELETE FROM Address WHERE AID = ?");
+  EXPECT_TRUE(system_->ExecuteWrite(s, update, {Value("x"), Value(99)}).ok());
+  EXPECT_TRUE(system_->ExecuteWrite(s, del, {Value(99)}).ok());
+  txn::LockManager locks(&cluster_);
+  auto held =
+      locks.IsHeld(s, "Address", exec::EncodePkKeyFromValues({Value(99)}));
+  ASSERT_TRUE(held.ok());
+  EXPECT_FALSE(*held);
+}
+
 TEST_F(SynergySystemTest, InsertIntoRootCreatesLockEntry) {
   hbase::Session s(&cluster_);
   auto stmt = sql::MustParse(
