@@ -522,6 +522,20 @@ TEST_F(ExecutorTest, BindRejectsPkUpdate) {
   EXPECT_EQ(bound.status().code(), StatusCode::kInvalidArgument);
 }
 
+// The MVCC write-set key is the relation and the encoded row key, for an
+// INSERT's row as for an UPDATE's or DELETE's key.
+TEST_F(ExecutorTest, WriteKeyIsRelationAndRowKey) {
+  const std::string key = "Customer/" + EncodePkKeyFromValues({Value(7)});
+  for (const char* write :
+       {"INSERT INTO Customer (c_id, c_uname) VALUES (7, 'u')",
+        "UPDATE Customer SET c_uname = 'v' WHERE c_id = 7",
+        "DELETE FROM Customer WHERE c_id = 7"}) {
+    auto bound = BindWriteStatement(sql::MustParse(write), catalog_);
+    ASSERT_TRUE(bound.ok()) << write << ": " << bound.status();
+    EXPECT_EQ(bound->WriteKey(), key) << write;
+  }
+}
+
 // Loads run InsertRow without a bind, so it keeps its own key check.
 TEST_F(ExecutorTest, AdapterInsertRejectsNullPk) {
   hbase::Session s(&cluster_);

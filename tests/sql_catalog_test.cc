@@ -161,6 +161,30 @@ TEST(CatalogTest, WriteLayoutIsResolvedAtRegistration) {
   EXPECT_EQ(path.hops[0].fk_slots, std::vector<int>{1});
   EXPECT_EQ(path.hops[0].to_view, (std::vector<int>{2, 1}));
   EXPECT_TRUE(cat.FindWriteLayout("Customer")->views.empty());
+  // An update to either member rewrites the view: each lists it with its
+  // own column→view-slot map, and only Orders ends it.
+  ASSERT_EQ(orders->member_of.size(), 1u);
+  EXPECT_EQ(orders->member_of[0].name, "Customer-Orders");
+  EXPECT_TRUE(orders->member_of[0].last);
+  EXPECT_EQ(orders->member_of[0].to_view, (std::vector<int>{0, -1}));
+  const WriteLayout* customer = cat.FindWriteLayout("Customer");
+  ASSERT_EQ(customer->member_of.size(), 1u);
+  EXPECT_FALSE(customer->member_of[0].last);
+  EXPECT_EQ(customer->member_of[0].to_view, (std::vector<int>{2, 1}));
+
+  // A view whose storage fails to register leaves no member entry behind.
+  EXPECT_EQ(cat.AddView({.name = "Customer-Orders",
+                         .relations = {"Customer", "Orders"},
+                         .edges = {{}, {{"o_c_id"}, "Customer"}},
+                         .root = "Customer"},
+                        {.name = "Customer-Orders",
+                         .columns = {{"o_id", DataType::kInt}},
+                         .primary_key = {"o_id"}})
+                .code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(orders->member_of.size(), 1u);
+  EXPECT_EQ(customer->member_of.size(), 1u);
+  EXPECT_EQ(orders->views.size(), 1u);
 }
 
 TEST(CatalogTest, ViewOverAnUnregisteredRelationFails) {
