@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Regenerates bench-results/golden/<bench>.txt, the stdout of the paper and
-# ablation benches that the bench_golden_check ctest entry compares byte for
-# byte (cmake/BenchGoldenCheck.cmake holds the bench list and their scales).
+# ablation benches that the bench_golden_<name> ctest entries compare byte for
+# byte (cmake/GoldenBenches.cmake holds the bench list and their scales).
 # Run it only after a change that is meant to move a printed figure, and
 # commit the new files with that change.
 #
