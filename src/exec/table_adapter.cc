@@ -41,12 +41,15 @@ StatusOr<bool> TupleScanner::NextSlots(SlotRow* out) {
   return false;
 }
 
-Status TableAdapter::CreateStorage(const std::string& relation) {
+Status TableAdapter::CreateStorage(const std::string& relation,
+                                   int max_versions) {
   const sql::RelationDef* rel = catalog_->FindRelation(relation);
   if (rel == nullptr) return Status::NotFound("relation " + relation);
-  SYNERGY_RETURN_IF_ERROR(cluster_->CreateTable({.name = relation}));
+  SYNERGY_RETURN_IF_ERROR(cluster_->CreateTable(
+      {.name = relation, .max_versions = max_versions}));
   for (const sql::IndexDef* ix : catalog_->IndexesFor(relation)) {
-    SYNERGY_RETURN_IF_ERROR(cluster_->CreateTable({.name = ix->name}));
+    SYNERGY_RETURN_IF_ERROR(cluster_->CreateTable(
+        {.name = ix->name, .max_versions = max_versions}));
   }
   return Status::Ok();
 }

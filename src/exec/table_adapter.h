@@ -58,8 +58,10 @@ class TableAdapter {
   const sql::Catalog& catalog() const { return *catalog_; }
   hbase::Cluster* cluster() const { return cluster_; }
 
-  /// Creates store tables for a relation and all its indexes.
-  Status CreateStorage(const std::string& relation);
+  /// Creates store tables for a relation and all its indexes, each keeping
+  /// `max_versions` versions of a cell (the tables' VERSIONS).
+  Status CreateStorage(const std::string& relation,
+                       int max_versions = hbase::kMaxVersions);
 
   /// Inserts a row and its index rows. Does not check uniqueness. `row`
   /// holds the relation's values in column order, NULL where absent.

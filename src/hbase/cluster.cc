@@ -33,6 +33,10 @@ auto Cluster::RunWithRetries(Session& s, Fn&& fn) -> decltype(fn()) {
 }
 
 Status Cluster::CreateTable(const TableDescriptor& desc) {
+  if (desc.max_versions < 1) {
+    return Status::InvalidArgument("table " + desc.name +
+                                   " keeps no version");
+  }
   std::unique_lock lock(tables_mutex_);
   if (tables_.contains(desc.name)) {
     return Status::AlreadyExists("table " + desc.name);
@@ -40,7 +44,8 @@ Status Cluster::CreateTable(const TableDescriptor& desc) {
   tables_.emplace(desc.name,
                   std::make_unique<Region>(
                       &clock_,
-                      tables_created_++ % std::max(num_region_servers_, 1)));
+                      tables_created_++ % std::max(num_region_servers_, 1),
+                      desc.max_versions));
   return Status::Ok();
 }
 
@@ -287,7 +292,9 @@ std::vector<Region*> Cluster::AllRegions() const {
 
 void Cluster::MajorCompactAll() {
   std::shared_lock lock(tables_mutex_);
-  for (auto& [name, region] : tables_) region->MajorCompact(kMaxVersions);
+  for (auto& [name, region] : tables_) {
+    region->MajorCompact(region->max_versions());
+  }
 }
 
 std::vector<TableSizeInfo> Cluster::SizeReport() const {

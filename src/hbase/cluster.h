@@ -218,10 +218,11 @@ class Scanner {
 
 struct TableDescriptor {
   std::string name;
+  /// The table's VERSIONS (at least 1): the versions of a cell that a flush
+  /// and MajorCompactAll keep. A table whose readers take only a cell's
+  /// newest version can keep one.
+  int max_versions = kMaxVersions;
 };
-
-/// Versions a cell keeps through compaction (a column family's VERSIONS).
-inline constexpr int kMaxVersions = 3;
 
 struct TableSizeInfo {
   std::string name;
@@ -331,6 +332,7 @@ class Cluster {
                                 const std::string& stop = "");
 
   // --- admin ---
+  /// Compacts each table to its own max_versions.
   void MajorCompactAll();
   std::vector<TableSizeInfo> SizeReport() const;
   size_t TotalBytes() const;

@@ -15,8 +15,11 @@ namespace {
 constexpr size_t kFlushLogBytes = size_t{1} << 20;
 
 // Edit-log record layout: a varint body length, then the body: the
-// varint-prefixed row key, the fixed64 timestamp, a tombstone byte, and one
-// varint-prefixed qualifier and value per column until the body ends.
+// varint-prefixed row key, the fixed64 timestamp, a flags byte, and one
+// varint-prefixed qualifier per column until the body ends. No value: the
+// store holds the version each qualifier names until the next flush.
+constexpr uint8_t kTombstone = 1;  // each column's version is a tombstone
+constexpr uint8_t kGrown = 2;      // the row existed before this record
 
 /// The Put* functions write to a std::string (the edit log) or to this: a
 /// stored row's bytes, allocated at their exact size first, through the two
@@ -79,23 +82,27 @@ size_t VarintSize(uint64_t v) {
   return n;
 }
 
-/// Decodes `log` in append order, calling fn(RegionEdit&) once per record.
-/// The edit is reused between calls; fn may move out of it.
+/// One edit-log record, as views into the log.
+struct LogRecord {
+  std::string_view row_key;
+  int64_t ts = 0;
+  uint8_t flags = 0;
+  std::string_view qualifiers;  // varint-prefixed, back to back
+};
+
+/// Decodes `log` in append order, calling fn(const LogRecord&) once per
+/// record.
 template <typename Fn>
-void ForEachEdit(std::string_view log, Fn&& fn) {
-  RegionEdit edit;
+void ForEachRecord(std::string_view log, Fn&& fn) {
   while (!log.empty()) {
     std::string_view body = GetBytes(&log);
-    edit.row_key.assign(GetBytes(&body));
-    edit.ts = GetFixed64(&body);
-    edit.tombstone = body.front() != 0;
+    LogRecord record;
+    record.row_key = GetBytes(&body);
+    record.ts = GetFixed64(&body);
+    record.flags = static_cast<uint8_t>(body.front());
     body.remove_prefix(1);
-    edit.columns.clear();
-    while (!body.empty()) {
-      const std::string_view qualifier = GetBytes(&body);
-      edit.columns.emplace_back(qualifier, GetBytes(&body));
-    }
-    fn(edit);
+    record.qualifiers = body;
+    fn(record);
   }
 }
 
@@ -281,6 +288,19 @@ StoredRow Spliced(const StoredRow& row, size_t begin, size_t end,
   return out;
 }
 
+/// The value of `qualifier`'s version written at exactly `ts` in `row`, or
+/// empty if there is none.
+std::string_view ValueAt(std::string_view row, std::string_view qualifier,
+                         int64_t ts) {
+  ColumnSpan span;
+  if (!FindColumn(row, qualifier, &span)) return {};
+  for (std::string_view versions = Body(row, span); !versions.empty();) {
+    const Version v = GetVersion(&versions);
+    if (v.ts == ts) return v.value;
+  }
+  return {};
+}
+
 /// Removes the version of `qualifier` written at exactly `ts`, if any, and
 /// the column with it when that was its only version.
 void RemoveVersion(StoredRow* row, std::string_view qualifier, int64_t ts) {
@@ -309,13 +329,15 @@ void RemoveVersion(StoredRow* row, std::string_view qualifier, int64_t ts) {
   }
 }
 
-/// The newest `max_versions` versions of `body`, cut at the first tombstone
-/// (which hides everything older), as a byte count; `kept` is how many.
-size_t KeptBytes(std::string_view body, int max_versions, int* kept) {
+/// The newest `max_versions` versions of `body` as a byte count; `kept` is
+/// how many. With `drop_tombstones` they are cut at the first tombstone,
+/// which hides everything older and goes too.
+size_t KeptBytes(std::string_view body, int max_versions, bool drop_tombstones,
+                 int* kept) {
   std::string_view versions = body;
   for (*kept = 0; *kept < max_versions && !versions.empty(); ++*kept) {
     std::string_view after = versions;
-    if (GetVersion(&after).tombstone) break;
+    if (GetVersion(&after).tombstone && drop_tombstones) break;
     versions = after;
   }
   return body.size() - versions.size();
@@ -324,13 +346,14 @@ size_t KeptBytes(std::string_view body, int max_versions, int* kept) {
 /// Compacts each column of `*row` to KeptBytes, dropping columns left
 /// empty; rebuilds the row only when that drops a version. Returns whether
 /// a column kept more than one version.
-bool CompactRow(StoredRow* row, int max_versions) {
+bool CompactRow(StoredRow* row, int max_versions, bool drop_tombstones) {
   bool multi_version = false;
   size_t size = 0;
   int kept = 0;
   for (std::string_view rest = row->row(); !rest.empty();) {
     const Column c = GetColumn(&rest);
-    const size_t bytes = KeptBytes(c.body, max_versions, &kept);
+    const size_t bytes =
+        KeptBytes(c.body, max_versions, drop_tombstones, &kept);
     multi_version |= kept > 1;
     if (bytes > 0) {
       size += VarintSize(c.qualifier.size()) + c.qualifier.size() +
@@ -342,7 +365,8 @@ bool CompactRow(StoredRow* row, int max_versions) {
   RowWriter w{out.row_data()};
   for (std::string_view rest = row->row(); !rest.empty();) {
     const Column c = GetColumn(&rest);
-    const size_t bytes = KeptBytes(c.body, max_versions, &kept);
+    const size_t bytes =
+        KeptBytes(c.body, max_versions, drop_tombstones, &kept);
     if (bytes == 0) continue;
     PutBytes(&w, c.qualifier);
     PutBytes(&w, c.body.substr(0, bytes));
@@ -368,38 +392,46 @@ std::optional<RowResult> ResolveRow(const StoredRow& row,
 }  // namespace
 
 /// Appends one record to a region's edit log: the constructor writes the
-/// header, Column() each column, and the destructor prefixes the body with
-/// its length, then flushes a log that has reached kFlushLogBytes. Lives
-/// under the region latch, held exclusively, and ends after the store
-/// holds the record's versions, so a flush never precedes its own edit.
+/// header, Column() each column's qualifier, and the destructor prefixes the
+/// body with its length, then flushes a log whose records would take
+/// kFlushLogBytes with their values. `grown` says the row existed before
+/// the record. Lives under the region latch, held exclusively, and ends
+/// after the store holds the record's versions, so a flush never precedes
+/// its own edit.
 class Region::EditWriter {
  public:
   EditWriter(Region* region, std::string_view row_key, int64_t ts,
-             bool tombstone)
+             bool tombstone, bool grown)
       : region_(region), out_(&region->log_), start_(out_->size()) {
     ++region->log_entries_;
+    region->grown_ |= grown;
     PutBytes(out_, row_key);
     PutFixed64(out_, ts);
-    out_->push_back(tombstone ? 1 : 0);
+    out_->push_back(static_cast<char>((tombstone ? kTombstone : 0) |
+                                      (grown ? kGrown : 0)));
   }
   EditWriter(const EditWriter&) = delete;
   EditWriter& operator=(const EditWriter&) = delete;
   ~EditWriter() {
+    const size_t body = out_->size() - start_;
     std::string length;
-    PutVarint(&length, out_->size() - start_);
+    PutVarint(&length, body);
     out_->insert(start_, length);
-    if (out_->size() >= kFlushLogBytes) region_->Flush();
+    const size_t full_body = body + value_bytes_;
+    region_->log_bytes_ += VarintSize(full_body) + full_body;
+    if (region_->log_bytes_ >= kFlushLogBytes) region_->Flush();
   }
 
   void Column(std::string_view qualifier, std::string_view value = {}) {
     PutBytes(out_, qualifier);
-    PutBytes(out_, value);
+    value_bytes_ += VarintSize(value.size()) + value.size();
   }
 
  private:
   Region* region_;
   std::string* out_;
   size_t start_;
+  size_t value_bytes_ = 0;  // the varint-prefixed values the log leaves out
 };
 
 void Region::Put(
@@ -411,7 +443,7 @@ void Region::Put(
   const bool inserted =
       WriteRow(&rows_, row_key, columns, t, /*tombstone=*/false);
   if (!inserted || columns.empty()) compactable_ = true;
-  EditWriter edit(this, row_key, t, /*tombstone=*/false);
+  EditWriter edit(this, row_key, t, /*tombstone=*/false, !inserted);
   for (const auto& [qual, value] : columns) edit.Column(qual, value);
 }
 
@@ -424,7 +456,7 @@ void Region::Delete(const std::string& row_key, std::optional<int64_t> ts) {
   for (std::string_view rest = row->row(); !rest.empty();) {
     qualifiers.emplace_back(GetColumn(&rest).qualifier);
   }
-  EditWriter edit(this, row_key, t, /*tombstone=*/true);
+  EditWriter edit(this, row_key, t, /*tombstone=*/true, /*grown=*/true);
   for (const std::string& qual : qualifiers) {
     *row = AddVersion(row_key, row->row(), qual, t, /*tombstone=*/true, {});
     edit.Column(qual);
@@ -450,11 +482,12 @@ bool Region::CheckAndPut(const std::string& row_key,
   StoredRow* row = rows_.Find(row_key);
   if (Latest(RowBytes(row), qualifier) != expected) return false;
   const int64_t t = AllocTs(std::nullopt);
-  if (row != nullptr) compactable_ = true;
+  const bool grown = row != nullptr;
+  if (grown) compactable_ = true;
   Store(&rows_, row,
         AddVersion(row_key, RowBytes(row), qualifier, t, /*tombstone=*/false,
                    new_value));
-  EditWriter(this, row_key, t, /*tombstone=*/false)
+  EditWriter(this, row_key, t, /*tombstone=*/false, grown)
       .Column(qualifier, new_value);
   return true;
 }
@@ -474,11 +507,13 @@ StatusOr<int64_t> Region::Increment(const std::string& row_key,
   const int64_t next = current + delta;
   const int64_t t = AllocTs(std::nullopt);
   const std::string encoded = std::to_string(next);
-  if (row != nullptr) compactable_ = true;
+  const bool grown = row != nullptr;
+  if (grown) compactable_ = true;
   Store(&rows_, row,
         AddVersion(row_key, RowBytes(row), qualifier, t, /*tombstone=*/false,
                    encoded));
-  EditWriter(this, row_key, t, /*tombstone=*/false).Column(qualifier, encoded);
+  EditWriter(this, row_key, t, /*tombstone=*/false, grown)
+      .Column(qualifier, encoded);
   return next;
 }
 
@@ -511,10 +546,28 @@ ScanBatchResult Region::ScanBatch(const std::string& from,
 
 void Region::Flush() {
   // A dead server flushes nothing: its memstore is gone and the log is the
-  // only copy of those edits until ReplayEdits().
+  // only record of those edits until ReplayEdits().
   if (store_lost_.load(std::memory_order_relaxed)) return;
+  // Only a record that grew an existing row can leave a cell over its cap: a
+  // row the log created holds one version per column until it is written
+  // again, by a grown record. So a load, which only creates rows, caps
+  // nothing and walks no log.
+  if (grown_) {
+    ForEachRecord(log_, [this](const LogRecord& record) {
+      if ((record.flags & kGrown) == 0) return;
+      if (StoredRow* row = rows_.Find(record.row_key)) {
+        CompactRow(row, max_versions_, /*drop_tombstones=*/false);
+      }
+    });
+  }
+  TruncateLog();
+}
+
+void Region::TruncateLog() {
   std::string().swap(log_);  // free the buffer, not just clear it
   log_entries_ = 0;
+  log_bytes_ = 0;
+  grown_ = false;
 }
 
 void Region::MajorCompact(int max_versions) {
@@ -525,12 +578,13 @@ void Region::MajorCompact(int max_versions) {
   if (compactable_ || max_versions < 1) {
     bool multi_version = false;
     rows_.Retain([&](StoredRow& row) {
-      multi_version |= CompactRow(&row, max_versions);
+      multi_version |=
+          CompactRow(&row, max_versions, /*drop_tombstones=*/true);
       return !row.row().empty();
     });
     compactable_ = multi_version;
   }
-  Flush();
+  TruncateLog();
 }
 
 size_t Region::RowCount() const {
@@ -570,23 +624,44 @@ size_t Region::ApproxRowCount() const {
 
 void Region::DropStore() {
   std::unique_lock lock(mutex_);
-  ForEachEdit(log_, [this](const RegionEdit& edit) {
+  if (store_lost_.load(std::memory_order_relaxed)) return;
+  // Every version a record names is in the store: only a flush or a
+  // compaction drops versions, and each truncates the log. Read them all
+  // back before removing any, since a later record may have replaced an
+  // earlier one's version at an equal timestamp; replaying the later value
+  // for both leaves the same store.
+  replay_.reserve(log_entries_);
+  ForEachRecord(log_, [this](const LogRecord& record) {
+    RegionEdit& edit = replay_.emplace_back();
+    edit.row_key = record.row_key;
+    edit.ts = record.ts;
+    edit.tombstone = (record.flags & kTombstone) != 0;
+    const std::string_view row = RowBytes(rows_.Find(record.row_key));
+    for (std::string_view rest = record.qualifiers; !rest.empty();) {
+      const std::string_view qual = GetBytes(&rest);
+      edit.columns.emplace_back(
+          qual, edit.tombstone ? std::string_view() : ValueAt(row, qual,
+                                                              record.ts));
+    }
+  });
+  for (const RegionEdit& edit : replay_) {
     StoredRow* row = rows_.Find(edit.row_key);
-    if (row == nullptr) return;
+    if (row == nullptr) continue;
     for (const auto& [qual, value] : edit.columns) {
       RemoveVersion(row, qual, edit.ts);
     }
     if (row->row().empty()) rows_.Erase(edit.row_key);
-  });
+  }
   compactable_ = true;
   store_lost_.store(true, std::memory_order_release);
 }
 
 void Region::ReplayEdits() {
   std::unique_lock lock(mutex_);
-  ForEachEdit(log_, [this](const RegionEdit& edit) {
+  for (const RegionEdit& edit : replay_) {
     WriteRow(&rows_, edit.row_key, edit.columns, edit.ts, edit.tombstone);
-  });
+  }
+  std::vector<RegionEdit>().swap(replay_);
   compactable_ = true;
   store_lost_.store(false, std::memory_order_release);
 }

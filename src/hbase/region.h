@@ -34,14 +34,20 @@ struct ScanBatchResult {
   size_t rows_examined = 0;  // server-side work including filtered rows
 };
 
+/// Versions a cell keeps by default (a column family's VERSIONS): through
+/// each flush, and through Cluster::MajorCompactAll.
+inline constexpr int kMaxVersions = 3;
+
 /// One durably-logged mutation of a region, recorded under the region latch
 /// with the exact cell timestamp it applied at. Replaying the edits logged
 /// since the last flush, in order, on top of the flushed store reproduces
 /// the store byte-for-byte (same versions, same timestamps), which is what
 /// lets failover move a dead server's regions without losing acknowledged
 /// writes. CheckAndPut/Increment log their *resulting* value, so replay
-/// needs no re-evaluation. The log itself is serialized (see region.cc);
-/// this is the decoded form of one record.
+/// needs no re-evaluation. The log itself names each record's row, timestamp
+/// and qualifiers but holds no values (see region.cc): the store holds
+/// every version the log names until the next flush, and DropStore reads
+/// their values back into this form before it removes them.
 struct RegionEdit {
   std::string row_key;
   std::vector<std::pair<std::string, std::string>> columns;
@@ -56,9 +62,14 @@ class Region {
   /// concurrency (a pre-allocated timestamp could be written after a newer
   /// one and be silently hidden). `server_id` names the region server this
   /// region is assigned to; fault schedules use it to take down all regions
-  /// of one server at once (see testing/fault_injector.h).
-  explicit Region(std::atomic<int64_t>* clock, int server_id = 0)
-      : clock_(clock), server_id_(server_id) {}
+  /// of one server at once (see testing/fault_injector.h). `max_versions`
+  /// (at least 1) is the table's VERSIONS: each flush keeps that many
+  /// versions of a cell.
+  explicit Region(std::atomic<int64_t>* clock, int server_id = 0,
+                  int max_versions = kMaxVersions)
+      : clock_(clock), server_id_(server_id), max_versions_(max_versions) {}
+
+  int max_versions() const { return max_versions_; }
 
   int server_id() const { return server_id_.load(std::memory_order_acquire); }
   /// Reassigns the region to another server (failover). The release store
@@ -100,8 +111,9 @@ class Region {
                             size_t limit, const ReadView& view) const;
 
   /// Drops tombstones/excess versions; removes rows left empty; then
-  /// flushes. A region whose store is lost is not compacted. A region with
-  /// nothing to drop (see compactable_) only flushes.
+  /// truncates the edit log, as a flush does. A region whose store is lost
+  /// is not compacted. A region with nothing to drop (see compactable_) only
+  /// truncates its log.
   void MajorCompact(int max_versions);
 
   /// Number of live rows (rows whose cells are all tombstoned don't count).
@@ -116,14 +128,17 @@ class Region {
   /// Simulates the server process dying: the memstore (every version written
   /// since the last flush, i.e. exactly those the edit log names) is lost,
   /// while the flushed store and the edit log (the region WAL, durably
-  /// replicated in real HBase) survive. Reads/writes are fenced by the
+  /// replicated in real HBase) survive. The log holds no values, so the
+  /// versions it names are read back from the store first; in HBase they
+  /// would be read from the WAL on HDFS. Reads/writes are fenced by the
   /// failover layer until ReplayEdits() rebuilds the store on the new server.
+  /// A store already lost is left as it is.
   void DropStore();
 
   /// Rebuilds the memstore by replaying the edit log in append order with
-  /// the original timestamps. Valid only after DropStore(): callers must not
-  /// replay into an intact store (it would re-apply overwritten versions),
-  /// which is why fenced-but-alive servers (heartbeat loss) skip replay.
+  /// the original timestamps. Valid only after DropStore(), whose read-back
+  /// values it replays: an intact store has nothing to replay, which is why
+  /// fenced-but-alive servers (heartbeat loss) skip replay.
   void ReplayEdits();
 
   /// True between DropStore() and ReplayEdits(): the memstore is gone, so
@@ -142,15 +157,21 @@ class Region {
     return ts.has_value() ? *ts : clock_->fetch_add(1) + 1;
   }
 
-  /// The region's flush: the store as it stands is durable from here on, so
-  /// the edit log is truncated. Drops no version and charges no time. Runs
-  /// after every write whose record fills the log to 1 MiB, and at the end
-  /// of MajorCompact. A region whose store is lost never flushes. Latch
-  /// held exclusively.
+  /// The region's flush, as HBase writes a memstore out to an HFile: each
+  /// row that a logged write added a version to since the last flush keeps
+  /// the newest max_versions_ versions of each column (tombstones count, and
+  /// no column or row goes), the store is durable from here on, and the
+  /// edit log is truncated. Charges no time. Runs after every write whose
+  /// record fills the log to 1 MiB. A region whose store is lost never
+  /// flushes. Latch held exclusively.
   void Flush();
+
+  /// Empties the edit log: the store holds every version it named.
+  void TruncateLog();
 
   std::atomic<int64_t>* clock_;
   std::atomic<int> server_id_{0};
+  const int max_versions_;
   std::atomic<bool> store_lost_{false};
   mutable std::shared_mutex mutex_;
   // The rows in key order: sorted blocks of at most 64 under an index keyed
@@ -163,9 +184,18 @@ class Region {
   // version to an existing row, any tombstone, an empty Put, DropStore and
   // ReplayEdits set it; MajorCompact sets it iff a cell kept two versions.
   bool compactable_ = false;
-  // Region WAL since the last flush: serialized RegionEdits back to back.
+  // Region WAL since the last flush: value-free records back to back
+  // (region.cc), log_entries_ of them. log_bytes_ is what they would take
+  // with their values, which is what the 1 MiB flush point counts, as HBase
+  // flushes by memstore size. grown_ is whether one of them added a version
+  // to a row that existed before it, so that a flush has rows to cap.
   std::string log_;
   size_t log_entries_ = 0;
+  size_t log_bytes_ = 0;
+  bool grown_ = false;
+  // Between DropStore() and ReplayEdits() only: the logged edits with the
+  // values DropStore read back from the store before it removed them.
+  std::vector<RegionEdit> replay_;
 };
 
 }  // namespace synergy::hbase

@@ -122,8 +122,13 @@ Status SynergySystem::Build(const sql::Catalog& base_catalog,
 
 Status SynergySystem::CreateStorage() {
   if (!built_) return Status::FailedPrecondition("Build first");
+  // Every Synergy read takes a cell's newest version: statements, the
+  // §VIII-C mark check and the lock CheckAndPuts read no snapshot, and WAL
+  // replay rewrites whole rows. So base tables, views and indexes keep one
+  // version of a cell, as the lock tables do.
   for (const sql::RelationDef* rel : catalog_.Relations()) {
-    SYNERGY_RETURN_IF_ERROR(adapter_->CreateStorage(rel->name));
+    SYNERGY_RETURN_IF_ERROR(adapter_->CreateStorage(rel->name,
+                                                    /*max_versions=*/1));
   }
   for (const std::string& root : config_.roots) {
     SYNERGY_RETURN_IF_ERROR(locks_->CreateLockTable(root));

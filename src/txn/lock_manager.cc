@@ -32,7 +32,8 @@ LockManager::LockManager(hbase::Cluster* cluster) : cluster_(cluster) {
 }
 
 Status LockManager::CreateLockTable(const std::string& root_relation) {
-  return cluster_->CreateTable({.name = LockTableName(root_relation)});
+  return cluster_->CreateTable(
+      {.name = LockTableName(root_relation), .max_versions = 1});
 }
 
 Status LockManager::CreateLockEntry(hbase::Session& s,

@@ -32,7 +32,8 @@ class LockManager {
     return "__lock_" + root_relation;
   }
 
-  /// Creates the lock table for a root relation.
+  /// Creates the lock table for a root relation. It keeps one version of a
+  /// cell: the lock protocol reads only a lock's newest value.
   Status CreateLockTable(const std::string& root_relation);
 
   /// Creates the lock entry when a tuple is inserted into the root table.
