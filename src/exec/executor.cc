@@ -805,7 +805,7 @@ StatusOr<QueryResult> Executor::ExecuteOnce(hbase::Session& s,
     }
     StatusOr<TupleScanner> scanner =
         step.path.kind == AccessPath::Kind::kIndexPrefixScan
-            ? adapter_->ScanIndexPrefix(s, step.path.index_name, key)
+            ? adapter_->ScanIndexPrefix(s, *step.rel, *step.path.index, key)
         : step.path.kind == AccessPath::Kind::kPkPrefixScan
             ? adapter_->ScanPkPrefix(s, table, key)
             : adapter_->ScanAll(s, table);

@@ -109,9 +109,10 @@ bool Covers(const sql::IndexDef& ix, const std::set<std::string>& needed) {
 /// the read: constants for a step's own read, outer-row columns for an index
 /// nested-loop lookup. A full primary key is a point get; otherwise the
 /// longest covered-index prefix, unless the PK prefix is longer; otherwise a
-/// full scan.
+/// full scan. `rel`'s indexes and their layouts are the catalog's
+/// IndexesFor and WriteLayout::indexes, which list them in the same order.
 AccessPath ChoosePath(const sql::RelationDef& rel,
-                      const std::vector<const sql::IndexDef*>& indexes,
+                      const sql::Catalog& catalog,
                       const std::set<std::string>& needed,
                       const std::vector<KeyValue>& values) {
   auto find = [&](const std::string& col) -> const KeyValue* {
@@ -132,20 +133,23 @@ AccessPath ChoosePath(const sql::RelationDef& rel,
   if (len > 0 && len == rel.primary_key.size()) {
     path.kind = AccessPath::Kind::kPkGet;
   } else {
+    const std::vector<const sql::IndexDef*> indexes =
+        catalog.IndexesFor(rel.name);
     size_t best_len = 0;
-    const sql::IndexDef* best_ix = nullptr;
-    for (const sql::IndexDef* ix : indexes) {
-      if (!Covers(*ix, needed)) continue;
-      const size_t ix_len = prefix_len(ix->indexed_columns);
+    size_t best = 0;
+    for (size_t i = 0; i < indexes.size(); ++i) {
+      if (!Covers(*indexes[i], needed)) continue;
+      const size_t ix_len = prefix_len(indexes[i]->indexed_columns);
       if (ix_len > best_len) {
         best_len = ix_len;
-        best_ix = ix;
+        best = i;
       }
     }
     if (best_len > 0 && best_len >= len) {
       path.kind = AccessPath::Kind::kIndexPrefixScan;
-      path.index_name = best_ix->name;
-      key = &best_ix->indexed_columns;
+      path.index_name = indexes[best]->name;
+      path.index = &catalog.FindWriteLayout(rel.name)->indexes[best];
+      key = &indexes[best]->indexed_columns;
       len = best_len;
     } else if (len > 0) {
       path.kind = AccessPath::Kind::kPkPrefixScan;
@@ -278,8 +282,7 @@ StatusOr<SelectPlan> PlanSelect(const sql::SelectStatement& stmt,
       if (cp.IsConstEquality(alias)) const_eqs.push_back(cp.KeyFor(alias));
     }
     const sql::RelationDef* rel = catalog.FindRelation(stmt.from[i].table);
-    alias_paths[i] = ChoosePath(*rel, catalog.IndexesFor(stmt.from[i].table),
-                                alias_needed[i], const_eqs);
+    alias_paths[i] = ChoosePath(*rel, catalog, alias_needed[i], const_eqs);
     const size_t table_rows =
         row_count ? row_count(stmt.from[i].table) : 0;
     alias_est[i] = EstimateSourceRows(alias_paths[i], catalog, table_rows);
@@ -373,8 +376,7 @@ StatusOr<SelectPlan> PlanSelect(const sql::SelectStatement& stmt,
       AccessPath lookup;
       if (!options.force_hash_join && !join_keys.empty() &&
           est <= kInlMaxOuterRows) {
-        lookup = ChoosePath(*step.rel, catalog.IndexesFor(step.table.table),
-                            alias_needed[i], join_keys);
+        lookup = ChoosePath(*step.rel, catalog, alias_needed[i], join_keys);
       }
       if (lookup.kind != AccessPath::Kind::kFullScan) {
         step.method = PlanStep::Method::kIndexNestedLoop;

@@ -21,6 +21,9 @@ struct AccessPath {
   enum class Kind { kPkGet, kPkPrefixScan, kIndexPrefixScan, kFullScan };
   Kind kind = Kind::kFullScan;
   std::string index_name;                      // kIndexPrefixScan
+  /// kIndexPrefixScan: the index's layout in the catalog the plan was made
+  /// against, which the executor scans through.
+  const sql::WriteLayout::Index* index = nullptr;
   std::vector<std::string> key_columns;        // consumed equality columns
   /// Aligned with key_columns: the operand each key column equals, pointing
   /// into the statement. A literal or parameter, except on an index

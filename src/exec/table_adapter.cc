@@ -165,23 +165,12 @@ StatusOr<TupleScanner> TableAdapter::ScanAll(hbase::Session& s,
 }
 
 StatusOr<TupleScanner> TableAdapter::ScanIndexPrefix(
-    hbase::Session& s, const std::string& index_name,
-    const std::vector<Value>& prefix) {
-  const sql::IndexDef* ix = catalog_->FindIndex(index_name);
-  if (ix == nullptr) return Status::NotFound("index " + index_name);
-  const sql::RelationDef* rel = catalog_->FindRelation(ix->relation);
-  if (rel == nullptr) return Status::NotFound("relation " + ix->relation);
-  const sql::WriteLayout::Index* layout = nullptr;
-  for (const sql::WriteLayout::Index& each :
-       catalog_->FindWriteLayout(ix->relation)->indexes) {
-    if (each.name == index_name) layout = &each;
-  }
-  if (layout == nullptr) return Status::NotFound("layout of " + index_name);
+    hbase::Session& s, const sql::RelationDef& rel,
+    const sql::WriteLayout::Index& index, const std::vector<Value>& prefix) {
   auto [start, stop] = IndexPrefixRange(prefix);
   SYNERGY_ASSIGN_OR_RETURN(scanner,
-                           cluster_->OpenScanner(s, index_name, start, stop));
-  return TupleScanner(std::move(scanner), &rel->columns,
-                      layout->covered_slots);
+                           cluster_->OpenScanner(s, index.name, start, stop));
+  return TupleScanner(std::move(scanner), &rel.columns, index.covered_slots);
 }
 
 StatusOr<TupleScanner> TableAdapter::ScanPkPrefix(

@@ -95,9 +95,11 @@ class TableAdapter {
   StatusOr<TupleScanner> ScanAll(hbase::Session& s,
                                  const std::string& relation);
 
-  /// Range scan of an index by equality prefix on its indexed columns.
+  /// Range scan of `index`, one of `rel`'s, by equality prefix on its
+  /// indexed columns. Both live in the catalog, which outlives the scan.
   StatusOr<TupleScanner> ScanIndexPrefix(hbase::Session& s,
-                                         const std::string& index_name,
+                                         const sql::RelationDef& rel,
+                                         const sql::WriteLayout::Index& index,
                                          const std::vector<Value>& prefix);
 
   /// Range scan of the base table by PK prefix.

@@ -140,8 +140,9 @@ ViewMaintainer::FindAffected(hbase::Session& s, const sql::WriteLayout& layout,
     };
     if (via_index != nullptr) {
       SYNERGY_ASSIGN_OR_RETURN(
-          scanner,
-          adapter_->ScanIndexPrefix(s, via_index->name, {pk_values[0]}));
+          scanner, adapter_->ScanIndexPrefix(
+                       s, *adapter_->catalog().FindRelation(view.name),
+                       *via_index, {pk_values[0]}));
       SYNERGY_RETURN_IF_ERROR(collect(std::move(scanner)));
     } else {
       SYNERGY_ASSIGN_OR_RETURN(scanner, adapter_->ScanAll(s, view.name));
