@@ -278,6 +278,37 @@ TEST_F(ClusterTest, MajorCompactionShrinksMultiVersionData) {
   EXPECT_LT(cluster_.TotalBytes(), before);
 }
 
+// MajorCompactAll compacts each table to its own VERSIONS: "t" (the
+// default) keeps a cell's newest three versions, a table created with one
+// keeps its newest only. A table cannot keep none.
+TEST_F(ClusterTest, MajorCompactAllKeepsEachTablesVersions) {
+  ASSERT_TRUE(cluster_.CreateTable({.name = "one", .max_versions = 1}).ok());
+  EXPECT_EQ(cluster_.CreateTable({.name = "none", .max_versions = 0}).code(),
+            StatusCode::kInvalidArgument);
+  Session s(&cluster_);
+  for (int64_t ts = 1; ts <= 5; ++ts) {
+    for (const char* table : {"t", "one"}) {
+      ASSERT_TRUE(
+          cluster_.Put(s, table, "r", {{"a", std::to_string(ts)}}, ts).ok());
+    }
+  }
+  // `table`'s row "r" as a read at `read_ts` sees it, or "-".
+  auto at = [&](const char* table, int64_t read_ts) {
+    s.SetReadView(ReadView{.read_ts = read_ts});
+    StatusOr<RowResult> row = cluster_.Get(s, table, "r");
+    s.ClearReadView();
+    return row.ok() && row->columns.contains("a") ? row->columns.at("a")
+                                                  : std::string("-");
+  };
+  ASSERT_EQ(at("one", 1), "1");  // nothing flushed yet: every version
+  cluster_.MajorCompactAll();
+  EXPECT_EQ(at("t", 5), "5");
+  EXPECT_EQ(at("t", 3), "3");
+  EXPECT_EQ(at("t", 2), "-");
+  EXPECT_EQ(at("one", 5), "5");
+  EXPECT_EQ(at("one", 4), "-");
+}
+
 // --- the per-op RPC attempt contract ---------------------------------------
 
 // One store op against row "r" of `table`, as the contract test drives it.

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "hbase/cluster.h"
@@ -325,6 +326,48 @@ std::vector<std::pair<std::string, Columns>> Rows(const Region& region,
                      Columns(row.columns.begin(), row.columns.end()));
   }
   return out;
+}
+
+// Replay rebuilds the store byte for byte from records that replace each
+// other at equal timestamps (a put over a put, a tombstone over a put, a put
+// over a tombstone), a Delete, and CheckAndPut and Increment results.
+TEST(RegionWalTest, ReplayRestoresEqualTimestampRewritesByteForByte) {
+  std::atomic<int64_t> clock{0};
+  Region region(&clock, 0);
+  region.Put("a", {{"v", "1"}, {"w", "x"}}, 10);
+  region.Put("a", {{"v", "2"}}, 10);      // replaces v's "1"
+  region.Delete("a", 11);                 // tombstones v and w at 11
+  region.Put("a", {{"w", "back"}}, 11);   // replaces w's tombstone
+  region.Put("b", {{"v", "old"}}, 12);
+  region.Delete("b", 12);                 // replaces v's "old"
+  region.Put("b", {{"v", "new"}}, 13);
+  ASSERT_TRUE(region.CheckAndPut("c", "lock", std::nullopt, "1"));
+  ASSERT_TRUE(region.CheckAndPut("c", "lock", "1", "0"));
+  ASSERT_TRUE(region.Increment("c", "n", 5).ok());
+  ASSERT_TRUE(region.Increment("c", "n", -2).ok());
+
+  auto snapshot = [&region] {
+    std::vector<std::vector<std::pair<std::string, Columns>>> views;
+    for (int64_t ts : {int64_t{1}, int64_t{2}, int64_t{3}, int64_t{4},
+                       int64_t{10}, int64_t{11}, int64_t{12}, INT64_MAX}) {
+      views.push_back(Rows(region, ReadView{.read_ts = ts}));
+    }
+    return std::tuple(views, region.ByteSize(), region.ApproxRowCount(),
+                      region.RowCount());
+  };
+  const auto before = snapshot();
+  EXPECT_EQ(region.Get("a", ReadView{.read_ts = 10})->columns.at("v"), "2");
+  EXPECT_EQ(region.Get("a", ReadView{})->columns.size(), 1u);
+  EXPECT_EQ(region.Get("a", ReadView{})->columns.at("w"), "back");
+
+  region.DropStore();
+  EXPECT_EQ(region.ApproxRowCount(), 0u);
+  region.ReplayEdits();
+  EXPECT_EQ(snapshot(), before);
+  EXPECT_EQ(region.Get("b", ReadView{})->columns.at("v"), "new");
+  EXPECT_FALSE(region.Get("b", ReadView{.read_ts = 12}).has_value());
+  EXPECT_EQ(region.Get("c", ReadView{})->columns.at("lock"), "0");
+  EXPECT_EQ(region.Get("c", ReadView{})->columns.at("n"), "3");
 }
 
 TEST_F(FailoverTest, CrashAfterSizeFlushReplaysOnlyPostFlushEdits) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -196,6 +197,120 @@ TEST(RegionTest, EditLogFlushesAtOneMebibyteAndKeepsEveryVersion) {
   EXPECT_EQ(r.Get("k", ReadView{.exclude = &newest})->columns.at("v"), "old");
   EXPECT_EQ(r.Get("k", Now())->columns.at("v"), "new");
   EXPECT_EQ(r.RowCount(), 3001u);
+}
+
+/// Puts rows of 1 KiB under fresh keys, at timestamps from `*ts` on, until
+/// `r` flushes; returns how many.
+size_t FillUntilFlush(Region& r, int64_t* ts) {
+  const std::string value(1024, 'x');
+  size_t rows = 0;
+  do {
+    r.Put("fill" + std::to_string(rows++), {{"v", value}}, ++*ts);
+  } while (r.EditLogSize() > 0 && rows < 2000);
+  return rows;
+}
+
+/// `key`'s column `qual` as a read at `read_ts` sees it, or "-".
+std::string At(const Region& r, const std::string& key,
+               const std::string& qual, int64_t read_ts) {
+  std::optional<RowResult> row = r.Get(key, ReadView{.read_ts = read_ts});
+  if (!row.has_value() || !row->columns.contains(qual)) return "-";
+  return row->columns.at(qual);
+}
+
+// A flush caps each row that a write grew since the last flush at the
+// region's VERSIONS: the newest version of each cell at max_versions 1, the
+// newest three by default. Tombstones count as versions, so no row or
+// column goes, and both row counts stay as they were.
+TEST(RegionTest, FlushCapsGrownRowsAtTheRegionsVersions) {
+  for (const int max_versions : {1, kMaxVersions}) {
+    SCOPED_TRACE("max_versions " + std::to_string(max_versions));
+    Region r(&clock, 0, max_versions);
+    EXPECT_EQ(r.max_versions(), max_versions);
+    int64_t ts = 0;
+    for (int v = 1; v <= 5; ++v) {  // "k" at ts 1..5
+      const std::string n = std::to_string(v);
+      r.Put("k", {{"a", "a" + n}, {"b", "b" + n}}, ++ts);
+    }
+    for (int v = 6; v <= 9; ++v) r.Put("gone", {{"a", std::to_string(v)}}, ++ts);
+    r.Delete("gone", ++ts);  // a tombstone at ts 10
+    r.Put("once", {{"a", "1"}}, ++ts);
+    ASSERT_EQ(r.ApproxRowCount(), 3u);
+    ASSERT_EQ(r.RowCount(), 2u);
+    for (int64_t t = 1; t <= 5; ++t) {  // before the flush, every version
+      ASSERT_EQ(At(r, "k", "b", t), "b" + std::to_string(t));
+    }
+
+    const size_t filled = FillUntilFlush(r, &ts);
+    ASSERT_EQ(r.EditLogSize(), 0u) << "no flush";
+    EXPECT_EQ(r.ApproxRowCount(), 3u + filled);
+    EXPECT_EQ(r.RowCount(), 2u + filled);
+    for (int64_t t = 1; t <= 5; ++t) {
+      const bool kept = t > 5 - max_versions;
+      for (const std::string qual : {"a", "b"}) {
+        EXPECT_EQ(At(r, "k", qual, t), kept ? qual + std::to_string(t) : "-")
+            << qual << " at ts " << t;
+      }
+    }
+    // "gone" keeps its tombstone, and with it max_versions - 1 values.
+    EXPECT_FALSE(r.Get("gone", ReadView{}).has_value());
+    EXPECT_EQ(At(r, "gone", "a", 9), max_versions > 1 ? "9" : "-");
+    EXPECT_EQ(At(r, "gone", "a", 8), max_versions > 2 ? "8" : "-");
+    EXPECT_EQ(At(r, "gone", "a", 7), "-");
+    EXPECT_EQ(At(r, "once", "a", ts), "1");
+  }
+}
+
+/// What reads tell of `r`: its sizes, every row at the newest timestamp
+/// (a value over 16 bytes as its length), and `key`'s column "a" at each
+/// timestamp up to `max_ts`.
+std::string Snapshot(const Region& r, const std::string& key, int64_t max_ts) {
+  std::string out = std::to_string(r.ApproxRowCount()) + " " +
+                    std::to_string(r.RowCount()) + " " +
+                    std::to_string(r.ByteSize()) + "\n";
+  for (const RowResult& row : r.ScanBatch("", "", SIZE_MAX, Now()).rows) {
+    out += row.row_key;
+    for (const auto& [qual, value] : row.columns) {
+      out += " " + qual + "=" +
+             (value.size() > 16 ? std::to_string(value.size()) + "B" : value);
+    }
+    out += "\n";
+  }
+  for (int64_t t = 1; t <= max_ts; ++t) out += At(r, key, "a", t) + ",";
+  return out;
+}
+
+// DropStore after a capping flush leaves the flushed store, where a
+// rewritten cell holds its newest flushed version only; ReplayEdits puts
+// back every version written since, byte for byte.
+TEST(RegionTest, DropStoreAfterCappingFlushLeavesNewestFlushedVersions) {
+  Region r(&clock, 0, /*max_versions=*/1);
+  int64_t ts = 0;
+  for (int v = 1; v <= 3; ++v) r.Put("k", {{"a", "flushed" + std::to_string(v)}}, ++ts);
+  FillUntilFlush(r, &ts);
+  ASSERT_EQ(r.EditLogSize(), 0u) << "no flush";
+  const int64_t flush_ts = ts;
+  const std::string flushed = Snapshot(r, "k", flush_ts);
+
+  r.Put("k", {{"a", "lost1"}}, ++ts);
+  r.Put("k", {{"a", "lost2"}}, ++ts);
+  r.Put("new", {{"a", "x"}}, ++ts);
+  r.Delete("fill0", ++ts);
+  ASSERT_TRUE(r.CheckAndPut("lock", "a", std::nullopt, "1"));
+  ASSERT_TRUE(r.Increment("k", "n", 7).ok());
+  const std::string before = Snapshot(r, "k", ts);
+
+  r.DropStore();
+  EXPECT_EQ(r.Get("k", Now())->columns.at("a"), "flushed3");
+  EXPECT_EQ(At(r, "k", "a", 2), "-");  // capped at the flush
+  EXPECT_FALSE(r.Get("new", Now()).has_value());
+  EXPECT_TRUE(r.Get("fill0", Now()).has_value());
+  EXPECT_EQ(Snapshot(r, "k", flush_ts), flushed);
+
+  r.ReplayEdits();
+  EXPECT_EQ(Snapshot(r, "k", ts), before);
+  EXPECT_EQ(r.Get("k", Now())->columns.at("a"), "lost2");
+  EXPECT_EQ(At(r, "k", "a", ts - 3), "lost1");  // unflushed: not capped
 }
 
 // A region keeps its rows in blocks of 64 (row_blocks.h): a full block is

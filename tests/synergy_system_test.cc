@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "company_fixture.h"
+#include "synergy/view_audit.h"
 #include "testing/fault_injector.h"
 
 namespace synergy::core {
@@ -215,6 +216,63 @@ TEST_F(SynergySystemTest, ViewsStayConsistentWithBaseJoin) {
       s, std::get<sql::SelectStatement>(base_join), {}, opts);
   ASSERT_TRUE(base.ok());
   EXPECT_EQ(base->row_count, ViewRowCount("Employee-Works_On"));
+}
+
+// Synergy's tables keep one version of a cell: once enough updates flush a
+// view's region, the flushed store (what DropStore leaves) holds every
+// view row at one version per cell, so its size is what a scan of it
+// returns at one version each. Replaying the log puts back the versions
+// written since, and the views still equal their joins.
+TEST_F(SynergySystemTest, ViewRegionFlushKeepsOneVersionPerCell) {
+  const std::string view = "Employee-Works_On";
+  // AllRegions lists the regions in table-name order, as SizeReport does.
+  hbase::Region* region = nullptr;
+  const std::vector<hbase::TableSizeInfo> tables = cluster_.SizeReport();
+  for (size_t i = 0; i < tables.size(); ++i) {
+    if (tables[i].name == view) region = cluster_.AllRegions()[i];
+  }
+  ASSERT_NE(region, nullptr);
+  EXPECT_EQ(region->max_versions(), 1);
+
+  // Employee 1's name is in two view rows; 1 KiB names fill the view's
+  // edit log to its flush in a few hundred updates.
+  hbase::Session s(&cluster_);
+  const auto update =
+      sql::MustParse("UPDATE Employee SET EName = ? WHERE EID = ?");
+  std::string name;
+  bool flushed = false;
+  for (int i = 0; i < 2000 && !flushed; ++i) {
+    const size_t logged = region->EditLogSize();
+    name = std::to_string(i) + std::string(1024, 'n');
+    ASSERT_TRUE(system_->ExecuteWrite(s, update, {Value(name), Value(1)}).ok());
+    flushed = region->EditLogSize() < logged;
+  }
+  ASSERT_TRUE(flushed);
+
+  const size_t bytes = region->ByteSize();
+  region->DropStore();
+  size_t one_version_bytes = 0;
+  for (const hbase::RowResult& row :
+       region->ScanBatch("", "", SIZE_MAX, hbase::ReadView{}).rows) {
+    one_version_bytes += row.row_key.size();
+    for (const auto& [qual, value] : row.columns) {
+      one_version_bytes += qual.size() + value.size() + 16;
+    }
+  }
+  EXPECT_EQ(region->ByteSize(), one_version_bytes);
+  region->ReplayEdits();
+  EXPECT_EQ(region->ByteSize(), bytes);
+
+  auto audit = AuditViewConsistency(s, system_->adapter());
+  ASSERT_TRUE(audit.ok()) << audit.status();
+  EXPECT_TRUE(audit->consistent()) << audit->ToString();
+  auto r = RunWorkloadQuery("W3", {Value(11)});
+  ASSERT_EQ(r.row_count, 1u);
+  for (size_t i = 0; i < r.columns.size(); ++i) {
+    if (r.columns[i] == "EName") {
+      EXPECT_EQ(r.rows[0][i], Value(name));
+    }
+  }
 }
 
 TEST_F(SynergySystemTest, LockSpecDerivedThroughFkChain) {
