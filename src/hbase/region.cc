@@ -639,9 +639,9 @@ void Region::DropStore() {
     const std::string_view row = RowBytes(rows_.Find(record.row_key));
     for (std::string_view rest = record.qualifiers; !rest.empty();) {
       const std::string_view qual = GetBytes(&rest);
-      edit.columns.emplace_back(
-          qual, edit.tombstone ? std::string_view() : ValueAt(row, qual,
-                                                              record.ts));
+      edit.columns.emplace_back(qual, edit.tombstone
+                                          ? std::string_view()
+                                          : ValueAt(row, qual, record.ts));
     }
   });
   for (const RegionEdit& edit : replay_) {
