@@ -171,6 +171,8 @@ Status Catalog::AddView(ViewDef view, RelationDef storage) {
     InsertByName(layouts_[view.relations.back()].views, std::move(path));
   }
   for (auto& [member, entry] : members) {
+    entry.relation = FindRelation(view.name);
+    entry.layout = FindWriteLayout(view.name);
     InsertByName(layouts_[member].member_of, std::move(entry));
   }
   views_.emplace(view.name, std::move(view));

@@ -113,6 +113,9 @@ struct WriteLayout {
     bool last = false;
     /// The view slot of each of this relation's columns.
     std::vector<int> to_view = {};
+    /// The view's storage relation and write layout, in the same catalog.
+    const RelationDef* relation = nullptr;
+    const WriteLayout* layout = nullptr;
   };
 
   std::vector<int> pk_slots;
@@ -123,6 +126,14 @@ struct WriteLayout {
 
 class Catalog {
  public:
+  /// A WriteLayout::ViewMember points into the catalog's own maps, whose
+  /// nodes a move keeps but a copy would not.
+  Catalog() = default;
+  Catalog(const Catalog&) = delete;
+  Catalog& operator=(const Catalog&) = delete;
+  Catalog(Catalog&&) = default;
+  Catalog& operator=(Catalog&&) = default;
+
   Status AddRelation(RelationDef def);
   Status AddIndex(IndexDef def);
   /// Registers the view's storage relation, its WriteLayout::ViewPath and

@@ -103,8 +103,7 @@ ViewMaintainer::FindAffected(hbase::Session& s, const sql::WriteLayout& layout,
       return Status::Unimplemented(
           "multi-column member PK in view maintenance");
     }
-    const sql::WriteLayout& view_layout =
-        *adapter_->catalog().FindWriteLayout(view.name);
+    const sql::WriteLayout& view_layout = *view.layout;
     // The attribute and the view's PK as slots of the view's rows, which
     // both scans below decode in the view's column order.
     const int attr_slot =
@@ -140,9 +139,8 @@ ViewMaintainer::FindAffected(hbase::Session& s, const sql::WriteLayout& layout,
     };
     if (via_index != nullptr) {
       SYNERGY_ASSIGN_OR_RETURN(
-          scanner, adapter_->ScanIndexPrefix(
-                       s, *adapter_->catalog().FindRelation(view.name),
-                       *via_index, {pk_values[0]}));
+          scanner, adapter_->ScanIndexPrefix(s, *view.relation, *via_index,
+                                              {pk_values[0]}));
       SYNERGY_RETURN_IF_ERROR(collect(std::move(scanner)));
     } else {
       SYNERGY_ASSIGN_OR_RETURN(scanner, adapter_->ScanAll(s, view.name));

@@ -191,8 +191,9 @@ TEST(RegionTest, EditLogFlushesAtOneMebibyteAndKeepsEveryVersion) {
   }
   EXPECT_EQ(flushes, 2);
 
-  // The flushes dropped no version: a view that excludes the rewrite's
-  // timestamp still reads the value under it.
+  // The flushes kept both of the row's versions, since the default VERSIONS
+  // is 3: a view that excludes the rewrite's timestamp still reads the
+  // value under it.
   const std::vector<int64_t> newest = {2};
   EXPECT_EQ(r.Get("k", ReadView{.exclude = &newest})->columns.at("v"), "old");
   EXPECT_EQ(r.Get("k", Now())->columns.at("v"), "new");

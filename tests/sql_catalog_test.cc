@@ -171,6 +171,17 @@ TEST(CatalogTest, WriteLayoutIsResolvedAtRegistration) {
   ASSERT_EQ(customer->member_of.size(), 1u);
   EXPECT_FALSE(customer->member_of[0].last);
   EXPECT_EQ(customer->member_of[0].to_view, (std::vector<int>{2, 1}));
+  // Each entry holds the view's own relation and layout, which a move of
+  // the catalog keeps in place.
+  EXPECT_EQ(customer->member_of[0].relation,
+            cat.FindRelation("Customer-Orders"));
+  EXPECT_EQ(customer->member_of[0].layout,
+            cat.FindWriteLayout("Customer-Orders"));
+  Catalog moved = std::move(cat);
+  cat = std::move(moved);
+  EXPECT_EQ(cat.FindWriteLayout("Customer"), customer);
+  EXPECT_EQ(customer->member_of[0].layout,
+            cat.FindWriteLayout("Customer-Orders"));
 
   // A view whose storage fails to register leaves no member entry behind.
   EXPECT_EQ(cat.AddView({.name = "Customer-Orders",
