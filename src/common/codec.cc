@@ -103,7 +103,7 @@ void EncodeKeyInto(const std::vector<Value>& values, std::string* out) {
   for (const Value& v : values) EncodeValue(v, out);
 }
 
-StatusOr<Value> DecodeValue(std::string_view* in, DataType type) {
+Status DecodeValueInto(std::string_view* in, DataType type, Value* out) {
   if (in->empty()) return Status::InvalidArgument("empty key buffer");
   const uint8_t tag = static_cast<uint8_t>((*in)[0]);
   in->remove_prefix(1);
@@ -112,7 +112,8 @@ StatusOr<Value> DecodeValue(std::string_view* in, DataType type) {
       return Status::InvalidArgument("bad NULL marker");
     }
     in->remove_prefix(1);
-    return Value();
+    *out = Value();
+    return Status::Ok();
   }
   switch (type) {
     case DataType::kInt: {
@@ -121,7 +122,8 @@ StatusOr<Value> DecodeValue(std::string_view* in, DataType type) {
       }
       const uint64_t biased = DecodeUint64BigEndian(*in);
       in->remove_prefix(8);
-      return Value(static_cast<int64_t>(biased ^ (uint64_t{1} << 63)));
+      *out = Value(static_cast<int64_t>(biased ^ (uint64_t{1} << 63)));
+      return Status::Ok();
     }
     case DataType::kDouble: {
       if (tag != 0x02 || in->size() < 8) {
@@ -134,11 +136,12 @@ StatusOr<Value> DecodeValue(std::string_view* in, DataType type) {
       } else {
         bits = ~bits;
       }
-      return Value(std::bit_cast<double>(bits));
+      *out = Value(std::bit_cast<double>(bits));
+      return Status::Ok();
     }
     case DataType::kString: {
       if (tag != 0x03) return Status::InvalidArgument("bad string encoding");
-      std::string s;
+      std::string& s = out->ResetString();
       // Copy whole runs up to the next NUL; each NUL is either an escaped
       // NUL byte (0x00 0xFF) or the terminator (0x00 0x01).
       while (true) {
@@ -162,12 +165,18 @@ StatusOr<Value> DecodeValue(std::string_view* in, DataType type) {
         }
         return Status::InvalidArgument("bad string escape");
       }
-      return Value(std::move(s));
+      return Status::Ok();
     }
     case DataType::kNull:
       return Status::InvalidArgument("cannot decode as NULL type");
   }
   return Status::Internal("unreachable");
+}
+
+StatusOr<Value> DecodeValue(std::string_view* in, DataType type) {
+  Value v;
+  SYNERGY_RETURN_IF_ERROR(DecodeValueInto(in, type, &v));
+  return v;
 }
 
 StatusOr<std::vector<Value>> DecodeKey(std::string_view key,

@@ -29,8 +29,13 @@ std::string EncodeKey(const std::vector<Value>& values);
 /// that hold one scratch key buffer per operator.
 void EncodeKeyInto(const std::vector<Value>& values, std::string* out);
 
-/// Decodes one value from `in` (advancing it). The caller supplies the
-/// expected type, which must match what was encoded.
+/// Decodes one value from `in` (advancing it) into `*out`. The caller
+/// supplies the expected type, which must match what was encoded. A string
+/// lands in the storage `*out` holds, so a row decoded in place allocates
+/// only while its strings outgrow the ones before.
+Status DecodeValueInto(std::string_view* in, DataType type, Value* out);
+
+/// The same, as a fresh value.
 StatusOr<Value> DecodeValue(std::string_view* in, DataType type);
 
 /// Decodes a composite key given the component types.

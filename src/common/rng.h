@@ -32,11 +32,17 @@ class Rng {
 
   /// Random alphabetic string of the given length.
   std::string AlphaString(size_t len) {
-    static const char kAlpha[] = "ABCDEFGHIJKLMNOPQRSTUVWXYZ";
     std::string s;
-    s.reserve(len);
-    for (size_t i = 0; i < len; ++i) s.push_back(kAlpha[Next() % 26]);
+    AlphaString(len, &s);
     return s;
+  }
+
+  /// Appends a random alphabetic string of the given length to `out`, with
+  /// the same draws as the form above.
+  void AlphaString(size_t len, std::string* out) {
+    static const char kAlpha[] = "ABCDEFGHIJKLMNOPQRSTUVWXYZ";
+    out->reserve(out->size() + len);
+    for (size_t i = 0; i < len; ++i) out->push_back(kAlpha[Next() % 26]);
   }
 
  private:

@@ -33,6 +33,17 @@ class Value {
   }
   bool is_null() const { return type() == DataType::kNull; }
 
+  /// Makes this value an empty string and returns it for the caller to
+  /// fill, keeping the capacity of the string it held: a row reused from
+  /// one record to the next is refilled without allocating.
+  std::string& ResetString() {
+    if (std::string* s = std::get_if<std::string>(&rep_)) {
+      s->clear();
+      return *s;
+    }
+    return rep_.emplace<std::string>();
+  }
+
   int64_t as_int() const { return std::get<int64_t>(rep_); }
   double as_double() const { return std::get<double>(rep_); }
   const std::string& as_string() const { return std::get<std::string>(rep_); }

@@ -1,5 +1,7 @@
 #include "exec/row_codec.h"
 
+#include <algorithm>
+
 namespace synergy::exec {
 namespace {
 
@@ -33,11 +35,16 @@ std::string EncodeRowValue(const sql::RelationDef& rel, const Tuple& tuple) {
 std::vector<Value> TupleToSlots(const sql::RelationDef& rel,
                                 const Tuple& tuple) {
   std::vector<Value> row;
-  row.reserve(rel.columns.size());
-  for (const sql::Column& col : rel.columns) {
-    row.push_back(TupleGet(tuple, col.name));
-  }
+  TupleToSlots(rel, tuple, &row);
   return row;
+}
+
+void TupleToSlots(const sql::RelationDef& rel, const Tuple& tuple,
+                  std::vector<Value>* out) {
+  out->resize(rel.columns.size());
+  for (size_t i = 0; i < rel.columns.size(); ++i) {
+    (*out)[i] = TupleGet(tuple, rel.columns[i].name);
+  }
 }
 
 void EncodeSlots(const std::vector<Value>& row, const std::vector<int>& slots,
@@ -49,23 +56,37 @@ void EncodeSlots(const std::vector<Value>& row, const std::vector<int>& slots,
 
 std::string EncodeRowSlots(const std::vector<Value>& row) {
   std::string out;
-  for (const Value& v : row) codec::EncodeValue(v, &out);
+  EncodeRowSlots(row, &out);
   return out;
+}
+
+void EncodeRowSlots(const std::vector<Value>& row, std::string* out) {
+  for (const Value& v : row) codec::EncodeValue(v, out);
 }
 
 Status DecodeRowSlots(const std::vector<sql::Column>& columns,
                       std::span<const int> slot_map, std::string_view bytes,
                       std::vector<Value>* out) {
-  out->clear();
-  out->resize(columns.size());  // all slots NULL
+  out->resize(columns.size());
   const bool identity = slot_map.empty();
+  if (!identity) {
+    // Only the map's slots are decoded below; the rest are NULL.
+    for (size_t slot = 0; slot < out->size(); ++slot) {
+      if (std::find(slot_map.begin(), slot_map.end(), static_cast<int>(slot)) ==
+          slot_map.end()) {
+        (*out)[slot] = Value();
+      }
+    }
+  }
+  Value discarded;
   const size_t stored = identity ? columns.size() : slot_map.size();
   for (size_t i = 0; i < stored; ++i) {
     const int slot = identity ? static_cast<int>(i) : slot_map[i];
     const DataType type = slot < 0 ? DataType::kString
                                    : columns[static_cast<size_t>(slot)].type;
-    SYNERGY_ASSIGN_OR_RETURN(v, codec::DecodeValue(&bytes, type));
-    if (slot >= 0) (*out)[static_cast<size_t>(slot)] = std::move(v);
+    SYNERGY_RETURN_IF_ERROR(codec::DecodeValueInto(
+        &bytes, type,
+        slot < 0 ? &discarded : &(*out)[static_cast<size_t>(slot)]));
   }
   if (!bytes.empty()) {
     return Status::InvalidArgument("trailing bytes in row value");

@@ -47,6 +47,11 @@ std::string EncodeRowValue(const sql::RelationDef& rel, const Tuple& tuple);
 std::vector<Value> TupleToSlots(const sql::RelationDef& rel,
                                 const Tuple& tuple);
 
+/// The same, into `*out`, whose values' storage it reuses: a loader that
+/// keeps one slot row per relation fills it without allocating.
+void TupleToSlots(const sql::RelationDef& rel, const Tuple& tuple,
+                  std::vector<Value>* out);
+
 /// Appends the encoding of `row[slot]` for each of `slots` (NULL for a
 /// negative slot) to `out`. Every key and value the write path stores is
 /// one call: with sql::WriteLayout's PK slots it is the row key, with an
@@ -57,13 +62,18 @@ void EncodeSlots(const std::vector<Value>& row, const std::vector<int>& slots,
 /// The stored value of a row in slot form: every slot in order.
 std::string EncodeRowSlots(const std::vector<Value>& row);
 
+/// The same, appended to `out`.
+void EncodeRowSlots(const std::vector<Value>& row, std::string* out);
+
 /// Decodes a stored value into `out`, which is resized to `columns.size()`
-/// (a relation's columns) and NULL-filled first. The i-th stored value lands
-/// in slot `slot_map[i]` and decodes as that column's type; an empty
-/// `slot_map` means identity (base rows in schema order), and an index
-/// row's map is its WriteLayout::Index::covered_slots. A negative slot, a
-/// covered column the relation lacks, holds NULL and is discarded. Reuses
-/// `out`'s capacity — no per-row map or node allocations.
+/// (a relation's columns). The i-th stored value lands in slot
+/// `slot_map[i]` and decodes as that column's type; an empty `slot_map`
+/// means identity (base rows in schema order), and an index row's map is
+/// its WriteLayout::Index::covered_slots. A slot the map does not name
+/// holds NULL; a negative slot, a covered column the relation lacks, is
+/// decoded and discarded. Decodes in place: a string lands in the storage
+/// its slot already holds, so a row decoded into again and again allocates
+/// only while its strings outgrow the ones before.
 Status DecodeRowSlots(const std::vector<sql::Column>& columns,
                       std::span<const int> slot_map, std::string_view bytes,
                       std::vector<Value>* out);

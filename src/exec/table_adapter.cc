@@ -1,7 +1,21 @@
 #include "exec/table_adapter.h"
 
+#include <map>
+
 namespace synergy::exec {
 namespace {
+
+/// A Put's row key and value, encoded into buffers a session reuses from
+/// one Put to the next.
+struct PutBuffers {
+  std::string key;
+  std::string value;
+};
+
+/// The slot rows SessionSlots fills, one per relation.
+struct SlotRows {
+  std::map<std::string, std::vector<Value>, std::less<>> by_relation;
+};
 
 std::string IndexKey(const sql::WriteLayout::Index& ix,
                      const std::vector<Value>& row) {
@@ -18,6 +32,14 @@ std::string CoveredValue(const sql::WriteLayout::Index& ix,
 }
 
 }  // namespace
+
+const std::vector<Value>& SessionSlots(hbase::Session& s,
+                                       const sql::RelationDef& rel,
+                                       const Tuple& tuple) {
+  std::vector<Value>& row = s.scratch<SlotRows>().by_relation[rel.name];
+  TupleToSlots(rel, tuple, &row);
+  return row;
+}
 
 StatusOr<bool> TupleScanner::NextSlots(SlotRow* out) {
   hbase::RowResult row;
@@ -70,14 +92,20 @@ Status TableAdapter::InsertRow(hbase::Session& s, const std::string& relation,
                                      relation);
     }
   }
-  std::string key;
-  EncodeSlots(row, layout.pk_slots, &key);
+  PutBuffers& put = s.scratch<PutBuffers>();
+  put.key.clear();
+  EncodeSlots(row, layout.pk_slots, &put.key);
+  put.value.clear();
+  EncodeRowSlots(row, &put.value);
   SYNERGY_RETURN_IF_ERROR(
-      cluster_->Put(s, relation, key, {{kDataQualifier, EncodeRowSlots(row)}}));
+      cluster_->Put(s, relation, put.key, {{kDataQualifier, put.value}}));
   for (const sql::WriteLayout::Index& ix : layout.indexes) {
+    put.key.clear();
+    EncodeSlots(row, ix.key_slots, &put.key);
+    put.value.clear();
+    EncodeSlots(row, ix.covered_slots, &put.value);
     SYNERGY_RETURN_IF_ERROR(
-        cluster_->Put(s, ix.name, IndexKey(ix, row),
-                      {{kDataQualifier, CoveredValue(ix, row)}}));
+        cluster_->Put(s, ix.name, put.key, {{kDataQualifier, put.value}}));
   }
   return Status::Ok();
 }
@@ -86,7 +114,7 @@ Status TableAdapter::Insert(hbase::Session& s, const std::string& relation,
                             const Tuple& tuple) {
   const sql::RelationDef* rel = catalog_->FindRelation(relation);
   if (rel == nullptr) return Status::NotFound("relation " + relation);
-  return InsertRow(s, relation, TupleToSlots(*rel, tuple));
+  return InsertRow(s, relation, SessionSlots(s, *rel, tuple));
 }
 
 StatusOr<bool> TableAdapter::GetByPkSlots(hbase::Session& s,
@@ -96,18 +124,20 @@ StatusOr<bool> TableAdapter::GetByPkSlots(hbase::Session& s,
   const sql::RelationDef* rel = catalog_->FindRelation(relation);
   if (rel == nullptr) return Status::NotFound("relation " + relation);
   EncodePkKeyFromValuesInto(pk_values, &out->key_scratch);
-  StatusOr<hbase::RowResult> row = cluster_->Get(s, relation, out->key_scratch);
-  if (!row.ok()) {
-    if (row.status().code() == StatusCode::kNotFound) return false;
-    return row.status();
+  const Status got =
+      cluster_->Get(s, relation, out->key_scratch, &out->fetched);
+  if (!got.ok()) {
+    if (got.code() == StatusCode::kNotFound) return false;
+    return got;
   }
-  auto data = row->columns.find(kDataQualifier);
-  if (data == row->columns.end()) return false;
+  const hbase::ColumnMap& columns = out->fetched.columns;
+  auto data = columns.find(kDataQualifier);
+  if (data == columns.end()) return false;
   SYNERGY_RETURN_IF_ERROR(
       DecodeRowSlots(rel->columns, /*slot_map=*/{}, data->second,
                      &out->values));
-  auto mark = row->columns.find(kMarkQualifier);
-  out->marked = mark != row->columns.end() && mark->second == "1";
+  auto mark = columns.find(kMarkQualifier);
+  out->marked = mark != columns.end() && mark->second == "1";
   return true;
 }
 

@@ -19,12 +19,14 @@
 namespace synergy::exec {
 
 /// Reusable slot-decoded row buffer: values in RelationDef column order
-/// (NULL where absent), plus a scratch byte-key buffer so repeated point
-/// lookups reuse one allocation. The executor keeps one per operator.
+/// (NULL where absent), plus the byte key and the stored row of the last
+/// point lookup, so repeated lookups into one SlotRow allocate nothing once
+/// its buffers fit. The executor keeps one per operator.
 struct SlotRow {
   std::vector<Value> values;
   bool marked = false;
   std::string key_scratch;
+  hbase::RowResult fetched;
 };
 
 /// Streaming typed scan over a relation or one of its indexes.
@@ -50,6 +52,14 @@ class TupleScanner {
   std::span<const int> slot_map_;
 };
 
+/// `tuple` in slot form (TupleToSlots), in the slot row `s` keeps for
+/// `rel`. A loader refills it for every row of the relation; a relation's
+/// slots keep their types from row to row, so their strings keep their
+/// storage. Valid until the next call for the same relation on `s`.
+const std::vector<Value>& SessionSlots(hbase::Session& s,
+                                       const sql::RelationDef& rel,
+                                       const Tuple& tuple);
+
 class TableAdapter {
  public:
   TableAdapter(hbase::Cluster* cluster, const sql::Catalog* catalog)
@@ -64,17 +74,18 @@ class TableAdapter {
                        int max_versions = hbase::kMaxVersions);
 
   /// Inserts a row and its index rows. Does not check uniqueness. `row`
-  /// holds the relation's values in column order, NULL where absent.
+  /// holds the relation's values in column order, NULL where absent. Keys
+  /// and values are encoded into buffers the session keeps.
   Status InsertRow(hbase::Session& s, const std::string& relation,
                    const std::vector<Value>& row);
 
-  /// InsertRow of a loaded tuple's slot form (TupleToSlots).
+  /// InsertRow of a loaded tuple's slot form (SessionSlots).
   Status Insert(hbase::Session& s, const std::string& relation,
                 const Tuple& tuple);
 
   /// Point lookup by primary key values: returns true and fills `row`
-  /// (values in relation column order) when the row exists. Reuses `row`'s
-  /// buffers.
+  /// (values in relation column order) when the row exists. Reads and
+  /// decodes in place, into `row`'s buffers.
   StatusOr<bool> GetByPkSlots(hbase::Session& s, const std::string& relation,
                               const std::vector<Value>& pk_values,
                               SlotRow* row);

@@ -27,6 +27,11 @@ ClusterOpCounters ClusterOpCounters::Resolve(obs::MetricsRegistry& registry) {
   return c;
 }
 
+size_t Session::NextScratchSlot() {
+  static std::atomic<size_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 template <typename Fn>
 auto Cluster::RunWithRetries(Session& s, Fn&& fn) -> decltype(fn()) {
   return RunWithRetryProtection(*this, s, std::forward<Fn>(fn), [] {});
@@ -139,12 +144,14 @@ auto Cluster::RpcAttempt(Session& s, const char* span_name,
   return body(region);
 }
 
-Status Cluster::Put(
-    Session& s, const std::string& table, const std::string& row_key,
-    const std::vector<std::pair<std::string, std::string>>& columns,
-    std::optional<int64_t> ts) {
+Status Cluster::Put(Session& s, const std::string& table,
+                    const std::string& row_key,
+                    std::span<const ColumnValue> columns,
+                    std::optional<int64_t> ts) {
   size_t payload = row_key.size();
-  for (const auto& [qual, value] : columns) payload += qual.size() + value.size();
+  for (const ColumnValue& c : columns) {
+    payload += c.qualifier.size() + c.value.size();
+  }
   const double request_us =
       sim::RpcCost(model_, payload) + model_.server_seek_us;
   return RunWithRetries(s, [&] {
@@ -157,18 +164,18 @@ Status Cluster::Put(
   });
 }
 
-StatusOr<RowResult> Cluster::Get(Session& s, const std::string& table,
-                                 const std::string& row_key) {
+Status Cluster::Get(Session& s, const std::string& table,
+                    const std::string& row_key, RowResult* out) {
   return RunWithRetries(s, [&] {
     return RpcAttempt(
         s, "rpc.get", table, /*is_write=*/false, 0.0,
-        [&](Region* region) -> StatusOr<RowResult> {
-          std::optional<RowResult> row = region->Get(row_key, s.read_view());
-          const size_t payload = row.has_value() ? row->PayloadBytes() : 0;
+        [&](Region* region) -> Status {
+          const bool found = region->Get(row_key, s.read_view(), out);
+          const size_t payload = found ? out->PayloadBytes() : 0;
           s.meter().Charge(sim::RpcCost(model_, payload) +
                            model_.server_seek_us);
-          if (!row.has_value()) return Status::NotFound("row in " + table);
-          return std::move(*row);
+          if (!found) return Status::NotFound("row in " + table);
+          return Status::Ok();
         });
   });
 }

@@ -11,11 +11,13 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -130,7 +132,24 @@ class Session {
   /// difference of the snapshots taken around it.
   obs::OpCounts counts() const { return counts_; }
 
+  /// This session's `T`, value-initialized on first use and kept while the
+  /// session lives: the buffers a layer above reuses from one row to the
+  /// next instead of allocating per row. A session runs one op at a time,
+  /// so no two threads share them; each user names a `T` of its own, so no
+  /// two users hold the same buffers at once.
+  template <typename T>
+  T& scratch() {
+    static const size_t slot = NextScratchSlot();
+    if (slot >= scratch_.size()) scratch_.resize(slot + 1);
+    std::shared_ptr<void>& held = scratch_[slot];
+    if (held == nullptr) held = std::make_shared<T>();
+    return *static_cast<T*>(held.get());
+  }
+
  private:
+  /// The slot of the next type scratch() is asked for, process-wide.
+  static size_t NextScratchSlot();
+
   Cluster* cluster_;
   sim::CostMeter meter_;
   ReadView view_;
@@ -141,6 +160,7 @@ class Session {
   bool retry_suppressed_ = false;
   double op_deadline_us_ = 0.0;
   obs::OpCounts counts_;
+  std::vector<std::shared_ptr<void>> scratch_;  // by NextScratchSlot
 };
 
 /// Streaming scanner with per-batch RPC cost accounting. Obtain via
@@ -305,12 +325,36 @@ class Cluster {
   bool HasTable(const std::string& name) const;
 
   // --- DML (all charge virtual time to the session) ---
+  /// The region copies each value once, into the row it keeps.
+  Status Put(Session& s, const std::string& table, const std::string& row_key,
+             std::span<const ColumnValue> columns,
+             std::optional<int64_t> ts = std::nullopt);
+  /// The forms callers write as Put(s, table, key, {{qualifier, value}})
+  /// and with owned columns.
+  Status Put(Session& s, const std::string& table, const std::string& row_key,
+             std::initializer_list<ColumnValue> columns,
+             std::optional<int64_t> ts = std::nullopt) {
+    return Put(s, table, row_key,
+               std::span<const ColumnValue>(columns.begin(), columns.size()),
+               ts);
+  }
   Status Put(Session& s, const std::string& table, const std::string& row_key,
              const std::vector<std::pair<std::string, std::string>>& columns,
-             std::optional<int64_t> ts = std::nullopt);
+             std::optional<int64_t> ts = std::nullopt) {
+    return Put(s, table, row_key, ColumnViews(columns), ts);
+  }
 
+  /// Reads the row's newest visible cells into `*out`, reusing its storage;
+  /// NotFound when it has none.
+  Status Get(Session& s, const std::string& table, const std::string& row_key,
+             RowResult* out);
+  /// The same, into a fresh row.
   StatusOr<RowResult> Get(Session& s, const std::string& table,
-                          const std::string& row_key);
+                          const std::string& row_key) {
+    RowResult row;
+    SYNERGY_RETURN_IF_ERROR(Get(s, table, row_key, &row));
+    return row;
+  }
 
   Status Delete(Session& s, const std::string& table,
                 const std::string& row_key,

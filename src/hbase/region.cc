@@ -252,28 +252,34 @@ std::string_view RowBytes(const StoredRow* row) {
   return row == nullptr ? std::string_view() : row->row();
 }
 
-/// Puts `row` in `at`'s place, or inserts it into `rows` when `at` is null
-/// (its key has no row yet). Returns where it went.
-StoredRow* Store(RowBlocks* rows, StoredRow* at, StoredRow row) {
-  if (at == nullptr) return rows->Insert(std::move(row));
-  *at = std::move(row);
-  return at;
+/// Puts `row` where `place` says: over the row Locate found there, or as a
+/// new row. Returns where it went.
+StoredRow* Store(RowBlocks* rows, const RowBlocks::Place& place,
+                 StoredRow row) {
+  if (place.row == nullptr) return rows->Insert(place, std::move(row));
+  *place.row = std::move(row);
+  return place.row;
 }
 
 /// Adds one version per column at `ts` to `key`'s row, creating the row
 /// (empty when there are no columns) if it is absent. Returns whether it
-/// was absent.
+/// was absent. One descent finds the row or where it goes.
 bool WriteRow(RowBlocks* rows, std::string_view key,
-              const std::vector<std::pair<std::string, std::string>>& columns,
-              int64_t ts, bool tombstone) {
-  StoredRow* row = rows->Find(key);
-  const bool inserted = row == nullptr;
-  for (const auto& [qual, value] : columns) {
-    row = Store(rows, row,
-                AddVersion(key, RowBytes(row), qual, ts, tombstone, value));
+              std::span<const ColumnValue> columns, int64_t ts,
+              bool tombstone) {
+  const RowBlocks::Place place = rows->Locate(key);
+  if (columns.empty()) {
+    if (place.row == nullptr) rows->Insert(place, StoredRow(key, 0));
+    return place.row == nullptr;
   }
-  if (row == nullptr) rows->Insert(StoredRow(key, 0));
-  return inserted;
+  StoredRow* row =
+      Store(rows, place,
+            AddVersion(key, RowBytes(place.row), columns[0].qualifier, ts,
+                       tombstone, columns[0].value));
+  for (const ColumnValue& c : columns.subspan(1)) {
+    *row = AddVersion(key, row->row(), c.qualifier, ts, tombstone, c.value);
+  }
+  return place.row == nullptr;
 }
 
 /// `row` with its bytes [begin, end) replaced by `with`, as a new row.
@@ -375,18 +381,19 @@ bool CompactRow(StoredRow* row, int max_versions, bool drop_tombstones) {
   return multi_version;
 }
 
-std::optional<RowResult> ResolveRow(const StoredRow& row,
-                                    const ReadView& view) {
-  RowResult out;
+/// Fills `*out` with `row`'s newest cells visible through `view`, reusing
+/// its storage. False when no cell is.
+bool ResolveRow(const StoredRow& row, const ReadView& view, RowResult* out) {
+  out->columns.clear();
   for (std::string_view rest = row.row(); !rest.empty();) {
     const Column c = GetColumn(&rest);
     if (std::optional<std::string_view> v = LatestVisible(c.body, view)) {
-      out.columns.Append(std::string(c.qualifier), std::string(*v));
+      out->columns.Append(c.qualifier, *v);
     }
   }
-  if (out.columns.empty()) return std::nullopt;
-  out.row_key = row.key();
-  return out;
+  if (out->columns.empty()) return false;
+  out->row_key.assign(row.key());
+  return true;
 }
 
 }  // namespace
@@ -434,17 +441,16 @@ class Region::EditWriter {
   size_t value_bytes_ = 0;  // the varint-prefixed values the log leaves out
 };
 
-void Region::Put(
-    const std::string& row_key,
-    const std::vector<std::pair<std::string, std::string>>& columns,
-    std::optional<int64_t> ts) {
+void Region::Put(const std::string& row_key,
+                 std::span<const ColumnValue> columns,
+                 std::optional<int64_t> ts) {
   std::unique_lock lock(mutex_);
   const int64_t t = AllocTs(ts);
   const bool inserted =
       WriteRow(&rows_, row_key, columns, t, /*tombstone=*/false);
   if (!inserted || columns.empty()) compactable_ = true;
   EditWriter edit(this, row_key, t, /*tombstone=*/false, !inserted);
-  for (const auto& [qual, value] : columns) edit.Column(qual, value);
+  for (const ColumnValue& c : columns) edit.Column(c.qualifier, c.value);
 }
 
 void Region::Delete(const std::string& row_key, std::optional<int64_t> ts) {
@@ -464,12 +470,11 @@ void Region::Delete(const std::string& row_key, std::optional<int64_t> ts) {
   compactable_ = true;
 }
 
-std::optional<RowResult> Region::Get(const std::string& row_key,
-                                     const ReadView& view) const {
+bool Region::Get(const std::string& row_key, const ReadView& view,
+                 RowResult* out) const {
   std::shared_lock lock(mutex_);
   const StoredRow* row = rows_.Find(row_key);
-  if (row == nullptr) return std::nullopt;
-  return ResolveRow(*row, view);
+  return row != nullptr && ResolveRow(*row, view, out);
 }
 
 bool Region::CheckAndPut(const std::string& row_key,
@@ -479,14 +484,14 @@ bool Region::CheckAndPut(const std::string& row_key,
   std::unique_lock lock(mutex_);
   // A failed check writes nothing, as in HBase: the row is created only
   // when the put happens.
-  StoredRow* row = rows_.Find(row_key);
-  if (Latest(RowBytes(row), qualifier) != expected) return false;
+  const RowBlocks::Place place = rows_.Locate(row_key);
+  if (Latest(RowBytes(place.row), qualifier) != expected) return false;
   const int64_t t = AllocTs(std::nullopt);
-  const bool grown = row != nullptr;
+  const bool grown = place.row != nullptr;
   if (grown) compactable_ = true;
-  Store(&rows_, row,
-        AddVersion(row_key, RowBytes(row), qualifier, t, /*tombstone=*/false,
-                   new_value));
+  Store(&rows_, place,
+        AddVersion(row_key, RowBytes(place.row), qualifier, t,
+                   /*tombstone=*/false, new_value));
   EditWriter(this, row_key, t, /*tombstone=*/false, grown)
       .Column(qualifier, new_value);
   return true;
@@ -496,9 +501,10 @@ StatusOr<int64_t> Region::Increment(const std::string& row_key,
                                     const std::string& qualifier,
                                     int64_t delta) {
   std::unique_lock lock(mutex_);
-  StoredRow* row = rows_.Find(row_key);
+  const RowBlocks::Place place = rows_.Locate(row_key);
   int64_t current = 0;
-  if (std::optional<std::string_view> v = Latest(RowBytes(row), qualifier)) {
+  if (std::optional<std::string_view> v =
+          Latest(RowBytes(place.row), qualifier)) {
     auto [ptr, ec] = std::from_chars(v->data(), v->data() + v->size(), current);
     if (ec != std::errc{}) {
       return Status::InvalidArgument("Increment on non-integer column");
@@ -507,11 +513,11 @@ StatusOr<int64_t> Region::Increment(const std::string& row_key,
   const int64_t next = current + delta;
   const int64_t t = AllocTs(std::nullopt);
   const std::string encoded = std::to_string(next);
-  const bool grown = row != nullptr;
+  const bool grown = place.row != nullptr;
   if (grown) compactable_ = true;
-  Store(&rows_, row,
-        AddVersion(row_key, RowBytes(row), qualifier, t, /*tombstone=*/false,
-                   encoded));
+  Store(&rows_, place,
+        AddVersion(row_key, RowBytes(place.row), qualifier, t,
+                   /*tombstone=*/false, encoded));
   EditWriter(this, row_key, t, /*tombstone=*/false, grown)
       .Column(qualifier, encoded);
   return next;
@@ -523,13 +529,13 @@ ScanBatchResult Region::ScanBatch(const std::string& from,
   std::shared_lock lock(mutex_);
   ScanBatchResult out;
   out.rows.reserve(std::min(limit, rows_.size()));
+  RowResult row;
   auto it = rows_.lower_bound(from);
   for (; it != rows_.end(); ++it) {
     if (!stop.empty() && it->key() >= stop) break;
     ++out.rows_examined;
-    std::optional<RowResult> row = ResolveRow(*it, view);
-    if (row.has_value()) {
-      out.rows.push_back(std::move(*row));
+    if (ResolveRow(*it, view, &row)) {
+      out.rows.push_back(std::move(row));
       if (out.rows.size() >= limit) {
         ++it;
         break;
@@ -659,7 +665,8 @@ void Region::DropStore() {
 void Region::ReplayEdits() {
   std::unique_lock lock(mutex_);
   for (const RegionEdit& edit : replay_) {
-    WriteRow(&rows_, edit.row_key, edit.columns, edit.ts, edit.tombstone);
+    WriteRow(&rows_, edit.row_key, ColumnViews(edit.columns), edit.ts,
+             edit.tombstone);
   }
   std::vector<RegionEdit>().swap(replay_);
   compactable_ = true;

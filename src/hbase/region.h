@@ -8,9 +8,11 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -83,16 +85,39 @@ class Region {
   /// in the store's callers does so, MvccSystem's included: its versions
   /// carry clock timestamps, never a transaction's txid (which the same
   /// clock allocates), so no version matches a ReadView::exclude entry.
-  /// Explicit timestamps are for tests, which write at chosen times.
+  /// Explicit timestamps are for tests, which write at chosen times. Each
+  /// value is copied once, into the row the region keeps, and a new row
+  /// costs one descent of the row index.
+  void Put(const std::string& row_key, std::span<const ColumnValue> columns,
+           std::optional<int64_t> ts = std::nullopt);
+  /// The forms callers write as Put(key, {{qualifier, value}}) and with
+  /// owned columns.
+  void Put(const std::string& row_key,
+           std::initializer_list<ColumnValue> columns,
+           std::optional<int64_t> ts = std::nullopt) {
+    Put(row_key, std::span<const ColumnValue>(columns.begin(), columns.size()),
+        ts);
+  }
   void Put(const std::string& row_key,
            const std::vector<std::pair<std::string, std::string>>& columns,
-           std::optional<int64_t> ts = std::nullopt);
+           std::optional<int64_t> ts = std::nullopt) {
+    Put(row_key, ColumnViews(columns), ts);
+  }
 
   void Delete(const std::string& row_key,
               std::optional<int64_t> ts = std::nullopt);
 
+  /// Reads `row_key`'s newest cells visible through `view` into `*out`,
+  /// reusing its storage. False, with `*out` unspecified, when no cell is.
+  bool Get(const std::string& row_key, const ReadView& view,
+           RowResult* out) const;
+  /// The same, into a fresh row.
   std::optional<RowResult> Get(const std::string& row_key,
-                               const ReadView& view) const;
+                               const ReadView& view) const {
+    RowResult row;
+    if (!Get(row_key, view, &row)) return std::nullopt;
+    return row;
+  }
 
   /// Atomic compare-and-set: writes iff the current latest value of
   /// `qualifier` equals `expected` (nullopt expected == column absent).

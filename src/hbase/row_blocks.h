@@ -117,16 +117,42 @@ class RowBlocks {
     return const_cast<StoredRow*>(std::as_const(*this).Find(key));
   }
 
-  /// Inserts `row`, whose key must be absent, and returns where it went.
-  /// A full block is halved, except that a row past the region's last key
-  /// starts a new block: appends in key order then fill their blocks.
-  StoredRow* Insert(StoredRow row) {
-    const std::string_view key = row.key();  // lives in row's allocation
+  /// Where a key's row is, or would go: one descent of the index, which a
+  /// write then uses to replace the row or to insert it. Valid until the
+  /// next Insert, Erase or Retain.
+  class Place {
+   public:
+    StoredRow* row = nullptr;  // the key's row, null when it has none
+
+   private:
+    friend class RowBlocks;
+    Index::iterator block_;  // the block that holds or takes the key
+    size_t at_ = 0;          // the key's position in that block
+  };
+
+  Place Locate(std::string_view key) {
+    Place place;
+    place.block_ = blocks_.upper_bound(key);
+    // Else the key leads the first block, or there are no blocks.
+    if (place.block_ != blocks_.begin()) --place.block_;
+    if (place.block_ == blocks_.end()) return place;
+    Block& block = place.block_->second;
+    place.at_ = Position(block, key);
+    if (place.at_ < block.size() && block[place.at_].key() == key) {
+      place.row = &block[place.at_];
+    }
+    return place;
+  }
+
+  /// Inserts `row` at `place`, which Locate found for its key with no row
+  /// there, and returns where it went. A full block is halved, except that
+  /// a row past the region's last key starts a new block: appends in key
+  /// order then fill their blocks.
+  StoredRow* Insert(const Place& place, StoredRow row) {
     ++size_;
-    auto it = blocks_.upper_bound(key);
-    if (it != blocks_.begin()) --it;  // else key leads the first block
+    auto it = place.block_;
     if (it == blocks_.end()) return StartBlock(std::move(row));
-    size_t at = Position(it->second, key);
+    size_t at = place.at_;
     if (it->second.size() == kBlockRows) {
       if (at == kBlockRows && std::next(it) == blocks_.end()) {
         return StartBlock(std::move(row));

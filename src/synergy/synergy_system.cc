@@ -140,7 +140,7 @@ Status SynergySystem::Load(hbase::Session& s, const std::string& relation,
                            const exec::Tuple& tuple) {
   const sql::RelationDef* rel = catalog_.FindRelation(relation);
   if (rel == nullptr) return Status::NotFound("relation " + relation);
-  return InsertRow(s, relation, exec::TupleToSlots(*rel, tuple));
+  return InsertRow(s, relation, exec::SessionSlots(s, *rel, tuple));
 }
 
 namespace {

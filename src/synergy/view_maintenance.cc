@@ -1,8 +1,29 @@
 #include "synergy/view_maintenance.h"
 
+#include <map>
 #include <utility>
 
 namespace synergy::core {
+
+namespace {
+
+/// One view's buffers: its row and the ancestor row each hop of its path
+/// read. Each keeps its slots' types from one inserted row to the next, so
+/// their strings keep their storage.
+struct ViewRows {
+  std::vector<Value> row;
+  std::vector<exec::SlotRow> ancestors;  // by hop
+};
+
+/// ApplyInsert's buffers, which a session reuses from one inserted row to
+/// the next.
+struct InsertScratch {
+  std::map<std::string, ViewRows, std::less<>> by_view;
+  std::vector<Value> parent_pk;
+  std::vector<char> composed;  // by view slot
+};
+
+}  // namespace
 
 Status ViewMaintainer::ApplyInsert(hbase::Session& s,
                                    const std::string& relation,
@@ -10,52 +31,65 @@ Status ViewMaintainer::ApplyInsert(hbase::Session& s,
   const sql::WriteLayout* layout =
       adapter_->catalog().FindWriteLayout(relation);
   if (layout == nullptr) return Status::Ok();  // unknown relation: no views
-  std::vector<Value> view_row;
-  std::vector<Value> parent_pk;
-  exec::SlotRow parent;  // the ancestor the next hop starts from
-  exec::SlotRow next;
+  InsertScratch& scratch = s.scratch<InsertScratch>();
   for (const sql::WriteLayout::ViewPath& view : layout->views) {
     if (row.size() != view.to_view.size()) {
       return Status::InvalidArgument(std::to_string(row.size()) +
                                      " slots in a row of relation " + relation);
     }
-    view_row.assign(view.width, Value());
-    for (size_t i = 0; i < view.to_view.size(); ++i) {
-      if (view.to_view[i] >= 0) {
-        view_row[static_cast<size_t>(view.to_view[i])] = row[i];
-      }
-    }
+    ViewRows& rows = scratch.by_view[view.name];
+    rows.ancestors.resize(view.hops.size());
     // Walk the FK chain from the inserted (last) relation up to the view
-    // head, reading one ancestor row per hop. An ancestor's non-NULL
-    // columns overwrite same-named view columns.
+    // head, reading one ancestor row per hop.
     const std::vector<Value>* child = &row;
     bool complete = true;
-    for (const sql::WriteLayout::Hop& hop : view.hops) {
-      parent_pk.clear();
+    for (size_t h = 0; h < view.hops.size() && complete; ++h) {
+      const sql::WriteLayout::Hop& hop = view.hops[h];
+      scratch.parent_pk.clear();
       for (const int slot : hop.fk_slots) {
         if (slot < 0 || (*child)[static_cast<size_t>(slot)].is_null()) {
           complete = false;
           break;
         }
-        parent_pk.push_back((*child)[static_cast<size_t>(slot)]);
+        scratch.parent_pk.push_back((*child)[static_cast<size_t>(slot)]);
       }
       if (!complete) break;
       SYNERGY_ASSIGN_OR_RETURN(
-          found, adapter_->GetByPkSlots(s, hop.parent, parent_pk, &next));
-      if (!found) {
-        complete = false;  // FK constraints are not enforced (§IV)
-        break;
-      }
-      for (size_t i = 0; i < hop.to_view.size(); ++i) {
-        if (hop.to_view[i] >= 0 && !next.values[i].is_null()) {
-          view_row[static_cast<size_t>(hop.to_view[i])] = next.values[i];
-        }
-      }
-      std::swap(parent, next);
-      child = &parent.values;
+          found, adapter_->GetByPkSlots(s, hop.parent, scratch.parent_pk,
+                                        &rows.ancestors[h]));
+      // FK constraints are not enforced (§IV): a missing ancestor skips
+      // the view.
+      complete = found;
+      child = &rows.ancestors[h].values;
     }
     if (!complete) continue;
-    SYNERGY_RETURN_IF_ERROR(adapter_->InsertRow(s, view.name, view_row));
+    // Compose the view row, each slot once: an ancestor's non-NULL column
+    // wins over the same-named column of every relation below it on the
+    // path, the inserted row's columns fill what is left, and a slot
+    // nothing fills is NULL.
+    rows.row.resize(view.width);
+    scratch.composed.assign(view.width, 0);
+    auto fill = [&](const std::vector<int>& to_view,
+                    const std::vector<Value>& values, bool skip_nulls) {
+      for (size_t i = 0; i < to_view.size(); ++i) {
+        const int v = to_view[i];
+        if (v < 0 || scratch.composed[static_cast<size_t>(v)] != 0 ||
+            (skip_nulls && values[i].is_null())) {
+          continue;
+        }
+        rows.row[static_cast<size_t>(v)] = values[i];
+        scratch.composed[static_cast<size_t>(v)] = 1;
+      }
+    };
+    for (size_t h = view.hops.size(); h-- > 0;) {
+      fill(view.hops[h].to_view, rows.ancestors[h].values,
+           /*skip_nulls=*/true);
+    }
+    fill(view.to_view, row, /*skip_nulls=*/false);
+    for (size_t v = 0; v < view.width; ++v) {
+      if (scratch.composed[v] == 0) rows.row[v] = Value();
+    }
+    SYNERGY_RETURN_IF_ERROR(adapter_->InsertRow(s, view.name, rows.row));
   }
   return Status::Ok();
 }
@@ -65,7 +99,7 @@ Status ViewMaintainer::InsertWithViews(hbase::Session& s,
                                        const exec::Tuple& tuple) {
   const sql::RelationDef* rel = adapter_->catalog().FindRelation(relation);
   if (rel == nullptr) return Status::NotFound("relation " + relation);
-  const std::vector<Value> row = exec::TupleToSlots(*rel, tuple);
+  const std::vector<Value>& row = exec::SessionSlots(s, *rel, tuple);
   SYNERGY_RETURN_IF_ERROR(adapter_->InsertRow(s, relation, row));
   return ApplyInsert(s, relation, row);
 }

@@ -61,8 +61,8 @@ Status ParallelPhase(int threads, uint64_t seed, uint64_t phase, int64_t count,
 
 }  // namespace
 
-const std::vector<std::string>& Subjects() {
-  static const std::vector<std::string> kSubjects = {
+std::span<const std::string_view> Subjects() {
+  static constexpr std::string_view kSubjects[] = {
       "ARTS", "BIOGRAPHIES", "BUSINESS", "CHILDREN", "COMPUTERS",
       "COOKING", "HEALTH", "HISTORY", "HOME", "HUMOR", "LITERATURE",
       "MYSTERY", "NON-FICTION", "PARENTING", "POLITICS", "REFERENCE",
@@ -71,148 +71,227 @@ const std::vector<std::string>& Subjects() {
   return kSubjects;
 }
 
+namespace {
+
+// ---- one row builder per relation ----
+//
+// Each fills a tuple reused from one row of its relation to the next. It
+// assigns every field of the relation, in the order listed, so the tuple
+// keeps nothing of the row before and the draws from `rng` come in the
+// order the fields are listed. String fields are written into the storage
+// the tuple already holds, so a refill allocates nothing once the tuple
+// has held one row. Both generators call these, so they emit the same
+// fields from the same draws.
+
+Value& Field(exec::Tuple* t, const char* name) { return (*t)[name]; }
+
+void Alpha(Rng& rng, size_t len, Value& field) {
+  rng.AlphaString(len, &field.ResetString());
+}
+
+/// `prefix` followed by `n` in decimal.
+void Numbered(const char* prefix, uint64_t n, Value& field) {
+  std::string& s = field.ResetString();
+  s = prefix;
+  s += std::to_string(n);
+}
+
+void CountryRow(Rng& rng, int64_t id, exec::Tuple* t) {
+  Field(t, "co_id") = id;
+  Numbered("COUNTRY", static_cast<uint64_t>(id), Field(t, "co_name"));
+  Field(t, "co_exchange") = rng.UniformReal(0.1, 10.0);
+  Alpha(rng, 3, Field(t, "co_currency"));
+}
+
+void AddressRow(const ScaleConfig& cfg, Rng& rng, int64_t id, exec::Tuple* t) {
+  Field(t, "addr_id") = id;
+  Alpha(rng, 16, Field(t, "addr_street1"));
+  Alpha(rng, 16, Field(t, "addr_street2"));
+  Alpha(rng, 10, Field(t, "addr_city"));
+  Alpha(rng, 2, Field(t, "addr_state"));
+  Alpha(rng, 5, Field(t, "addr_zip"));
+  Field(t, "addr_co_id") = rng.Uniform(1, cfg.num_countries());
+}
+
+void AuthorRow(Rng& rng, int64_t id, exec::Tuple* t) {
+  Field(t, "a_id") = id;
+  Alpha(rng, 8, Field(t, "a_fname"));
+  Alpha(rng, 10, Field(t, "a_lname"));
+  Alpha(rng, 1, Field(t, "a_mname"));
+  Field(t, "a_dob") = rng.Uniform(1900, 1999);
+  Alpha(rng, 60, Field(t, "a_bio"));
+}
+
+void CustomerRow(const ScaleConfig& cfg, Rng& rng, int64_t id,
+                 exec::Tuple* t) {
+  Field(t, "c_id") = id;
+  Numbered("USER", static_cast<uint64_t>(id), Field(t, "c_uname"));
+  Alpha(rng, 8, Field(t, "c_passwd"));
+  Alpha(rng, 8, Field(t, "c_fname"));
+  Alpha(rng, 10, Field(t, "c_lname"));
+  Field(t, "c_addr_id") = rng.Uniform(1, cfg.num_addresses());
+  Alpha(rng, 10, Field(t, "c_phone"));
+  Alpha(rng, 12, Field(t, "c_email"));
+  Field(t, "c_since") = rng.Uniform(20000101, 20170101);
+  Field(t, "c_last_login") = rng.Uniform(20170101, 20170930);
+  Field(t, "c_login") = rng.Uniform(0, 1000000);
+  Field(t, "c_expiration") = rng.Uniform(20180101, 20200101);
+  Field(t, "c_discount") = rng.UniformReal(0.0, 0.5);
+  Field(t, "c_balance") = rng.UniformReal(-100.0, 100.0);
+  Field(t, "c_ytd_pmt") = rng.UniformReal(0.0, 10000.0);
+  Field(t, "c_birthdate") = rng.Uniform(19200101, 19991231);
+  Alpha(rng, 80, Field(t, "c_data"));
+}
+
+void ItemRow(const ScaleConfig& cfg, Rng& rng, int64_t id, exec::Tuple* t) {
+  const std::span<const std::string_view> subjects = Subjects();
+  Field(t, "i_id") = id;
+  Numbered("TITLE", rng.Next() % 100000, Field(t, "i_title"));
+  Field(t, "i_a_id") = rng.Uniform(1, cfg.num_authors());
+  Field(t, "i_pub_date") = rng.Uniform(19500101, 20170101);
+  Alpha(rng, 14, Field(t, "i_publisher"));
+  Field(t, "i_subject").ResetString() =
+      subjects[static_cast<size_t>(rng.Next() % subjects.size())];
+  Alpha(rng, 100, Field(t, "i_desc"));
+  for (const char* related : {"i_related1", "i_related2", "i_related3",
+                              "i_related4", "i_related5"}) {
+    Field(t, related) = rng.Uniform(1, cfg.num_items());
+  }
+  Alpha(rng, 20, Field(t, "i_thumbnail"));
+  Alpha(rng, 20, Field(t, "i_image"));
+  Field(t, "i_srp") = rng.UniformReal(1.0, 300.0);
+  Field(t, "i_cost") = rng.UniformReal(1.0, 300.0);
+  Field(t, "i_avail") = rng.Uniform(20170101, 20171231);
+  Field(t, "i_stock") = rng.Uniform(10, 30);
+  Alpha(rng, 13, Field(t, "i_isbn"));
+  Field(t, "i_page") = rng.Uniform(20, 9999);
+  Alpha(rng, 5, Field(t, "i_backing"));
+  Alpha(rng, 12, Field(t, "i_dimensions"));
+}
+
+/// An order of customer (o_id - 1) mod customers + 1 (Customer:Orders =
+/// 1:10).
+void OrdersRow(const ScaleConfig& cfg, Rng& rng, int64_t o_id,
+               exec::Tuple* t) {
+  Field(t, "o_id") = o_id;
+  Field(t, "o_c_id") = (o_id - 1) % cfg.num_customers + 1;
+  Field(t, "o_date") = rng.Uniform(20150101, 20170930);
+  Field(t, "o_sub_total") = rng.UniformReal(10.0, 1000.0);
+  Field(t, "o_tax") = rng.UniformReal(0.0, 80.0);
+  Field(t, "o_total") = rng.UniformReal(10.0, 1100.0);
+  Alpha(rng, 6, Field(t, "o_ship_type"));
+  Field(t, "o_ship_date") = rng.Uniform(20150101, 20171001);
+  Field(t, "o_bill_addr_id") = rng.Uniform(1, cfg.num_addresses());
+  Field(t, "o_ship_addr_id") = rng.Uniform(1, cfg.num_addresses());
+  Alpha(rng, 8, Field(t, "o_status"));
+}
+
+/// A line of order `o_id`. The generators number lines differently, so
+/// each passes its own `ol_id`.
+void OrderLineRow(const ScaleConfig& cfg, Rng& rng, int64_t ol_id,
+                  int64_t o_id, exec::Tuple* t) {
+  Field(t, "ol_id") = ol_id;
+  Field(t, "ol_o_id") = o_id;
+  Field(t, "ol_i_id") = rng.Uniform(1, cfg.num_items());
+  Field(t, "ol_qty") = rng.Uniform(1, 10);
+  Field(t, "ol_discount") = rng.UniformReal(0.0, 0.3);
+  Alpha(rng, 20, Field(t, "ol_comments"));
+}
+
+void CcXactsRow(const ScaleConfig& cfg, Rng& rng, int64_t o_id,
+                exec::Tuple* t) {
+  Field(t, "cx_o_id") = o_id;
+  Field(t, "cx_type").ResetString() = rng.Next() % 2 ? "VISA" : "AMEX";
+  Alpha(rng, 16, Field(t, "cx_num"));
+  Alpha(rng, 14, Field(t, "cx_name"));
+  Field(t, "cx_expiry") = rng.Uniform(20180101, 20220101);
+  Alpha(rng, 15, Field(t, "cx_auth_id"));
+  Field(t, "cx_xact_amt") = rng.UniformReal(10.0, 1100.0);
+  Field(t, "cx_xact_date") = rng.Uniform(20150101, 20171001);
+  Field(t, "cx_co_id") = rng.Uniform(1, cfg.num_countries());
+}
+
+void CartRow(Rng& rng, int64_t sc, exec::Tuple* t) {
+  Field(t, "sc_id") = sc;
+  Field(t, "sc_time") = rng.Uniform(0, 1 << 30);
+}
+
+void CartLineRow(const ScaleConfig& cfg, Rng& rng, int64_t sc,
+                 exec::Tuple* t) {
+  Field(t, "scl_sc_id") = sc;
+  Field(t, "scl_i_id") = rng.Uniform(1, cfg.num_items());
+  Field(t, "scl_qty") = rng.Uniform(1, 5);
+}
+
+void OrdersTmpRow(int64_t o_id, exec::Tuple* t) { Field(t, "ot_o_id") = o_id; }
+
+/// A relation's name, made once, and its tuple per generating thread.
+struct Relation {
+  Relation(std::string name, int threads)
+      : name(std::move(name)), tuples(static_cast<size_t>(threads)) {}
+  exec::Tuple* tuple(int thread) {
+    return &tuples[static_cast<size_t>(thread)];
+  }
+  std::string name;
+  std::vector<exec::Tuple> tuples;
+};
+
+}  // namespace
+
 Status GenerateDatabase(const ScaleConfig& cfg, const TupleSink& sink) {
   Rng rng(cfg.seed);
-  // Countries.
+  Relation country("Country", 1), address("Address", 1), author("Author", 1),
+      customer("Customer", 1), item("Item", 1), orders("Orders", 1),
+      line("Order_line", 1), cc("CC_Xacts", 1), cart("Shopping_cart", 1),
+      cart_line("Shopping_cart_line", 1), orders_tmp("Orders_tmp", 1);
+  auto emit = [&](Relation& r) { return sink(r.name, *r.tuple(0)); };
   for (int64_t id = 1; id <= cfg.num_countries(); ++id) {
-    SYNERGY_RETURN_IF_ERROR(sink(
-        "Country", {{"co_id", Value(id)},
-                    {"co_name", Value("COUNTRY" + std::to_string(id))},
-                    {"co_exchange", Value(rng.UniformReal(0.1, 10.0))},
-                    {"co_currency", Value(rng.AlphaString(3))}}));
+    CountryRow(rng, id, country.tuple(0));
+    SYNERGY_RETURN_IF_ERROR(emit(country));
   }
-  // Addresses.
   for (int64_t id = 1; id <= cfg.num_addresses(); ++id) {
-    SYNERGY_RETURN_IF_ERROR(sink(
-        "Address",
-        {{"addr_id", Value(id)},
-         {"addr_street1", Value(rng.AlphaString(16))},
-         {"addr_street2", Value(rng.AlphaString(16))},
-         {"addr_city", Value(rng.AlphaString(10))},
-         {"addr_state", Value(rng.AlphaString(2))},
-         {"addr_zip", Value(rng.AlphaString(5))},
-         {"addr_co_id", Value(rng.Uniform(1, cfg.num_countries()))}}));
+    AddressRow(cfg, rng, id, address.tuple(0));
+    SYNERGY_RETURN_IF_ERROR(emit(address));
   }
-  // Authors.
   for (int64_t id = 1; id <= cfg.num_authors(); ++id) {
-    SYNERGY_RETURN_IF_ERROR(sink(
-        "Author", {{"a_id", Value(id)},
-                   {"a_fname", Value(rng.AlphaString(8))},
-                   {"a_lname", Value(rng.AlphaString(10))},
-                   {"a_mname", Value(rng.AlphaString(1))},
-                   {"a_dob", Value(rng.Uniform(1900, 1999))},
-                   {"a_bio", Value(rng.AlphaString(60))}}));
+    AuthorRow(rng, id, author.tuple(0));
+    SYNERGY_RETURN_IF_ERROR(emit(author));
   }
-  // Customers.
   for (int64_t id = 1; id <= cfg.num_customers; ++id) {
-    SYNERGY_RETURN_IF_ERROR(sink(
-        "Customer",
-        {{"c_id", Value(id)},
-         {"c_uname", Value(Uname(id))},
-         {"c_passwd", Value(rng.AlphaString(8))},
-         {"c_fname", Value(rng.AlphaString(8))},
-         {"c_lname", Value(rng.AlphaString(10))},
-         {"c_addr_id", Value(rng.Uniform(1, cfg.num_addresses()))},
-         {"c_phone", Value(rng.AlphaString(10))},
-         {"c_email", Value(rng.AlphaString(12))},
-         {"c_since", Value(rng.Uniform(20000101, 20170101))},
-         {"c_last_login", Value(rng.Uniform(20170101, 20170930))},
-         {"c_login", Value(rng.Uniform(0, 1000000))},
-         {"c_expiration", Value(rng.Uniform(20180101, 20200101))},
-         {"c_discount", Value(rng.UniformReal(0.0, 0.5))},
-         {"c_balance", Value(rng.UniformReal(-100.0, 100.0))},
-         {"c_ytd_pmt", Value(rng.UniformReal(0.0, 10000.0))},
-         {"c_birthdate", Value(rng.Uniform(19200101, 19991231))},
-         {"c_data", Value(rng.AlphaString(80))}}));
+    CustomerRow(cfg, rng, id, customer.tuple(0));
+    SYNERGY_RETURN_IF_ERROR(emit(customer));
   }
-  // Items.
-  const auto& subjects = Subjects();
   for (int64_t id = 1; id <= cfg.num_items(); ++id) {
-    auto related = [&] { return Value(rng.Uniform(1, cfg.num_items())); };
-    SYNERGY_RETURN_IF_ERROR(sink(
-        "Item",
-        {{"i_id", Value(id)},
-         {"i_title", Value("TITLE" + std::to_string(rng.Next() % 100000))},
-         {"i_a_id", Value(rng.Uniform(1, cfg.num_authors()))},
-         {"i_pub_date", Value(rng.Uniform(19500101, 20170101))},
-         {"i_publisher", Value(rng.AlphaString(14))},
-         {"i_subject",
-          Value(subjects[static_cast<size_t>(rng.Next() % subjects.size())])},
-         {"i_desc", Value(rng.AlphaString(100))},
-         {"i_related1", related()},
-         {"i_related2", related()},
-         {"i_related3", related()},
-         {"i_related4", related()},
-         {"i_related5", related()},
-         {"i_thumbnail", Value(rng.AlphaString(20))},
-         {"i_image", Value(rng.AlphaString(20))},
-         {"i_srp", Value(rng.UniformReal(1.0, 300.0))},
-         {"i_cost", Value(rng.UniformReal(1.0, 300.0))},
-         {"i_avail", Value(rng.Uniform(20170101, 20171231))},
-         {"i_stock", Value(rng.Uniform(10, 30))},
-         {"i_isbn", Value(rng.AlphaString(13))},
-         {"i_page", Value(rng.Uniform(20, 9999))},
-         {"i_backing", Value(rng.AlphaString(5))},
-         {"i_dimensions", Value(rng.AlphaString(12))}}));
+    ItemRow(cfg, rng, id, item.tuple(0));
+    SYNERGY_RETURN_IF_ERROR(emit(item));
   }
-  // Orders + lines + credit-card transactions (Customer:Orders = 1:10).
+  // Orders + lines + credit-card transactions; lines are numbered by one
+  // counter across orders.
   int64_t next_ol_id = 1;
   for (int64_t o_id = 1; o_id <= cfg.num_orders(); ++o_id) {
-    const int64_t c_id = (o_id - 1) % cfg.num_customers + 1;
-    SYNERGY_RETURN_IF_ERROR(sink(
-        "Orders",
-        {{"o_id", Value(o_id)},
-         {"o_c_id", Value(c_id)},
-         {"o_date", Value(rng.Uniform(20150101, 20170930))},
-         {"o_sub_total", Value(rng.UniformReal(10.0, 1000.0))},
-         {"o_tax", Value(rng.UniformReal(0.0, 80.0))},
-         {"o_total", Value(rng.UniformReal(10.0, 1100.0))},
-         {"o_ship_type", Value(rng.AlphaString(6))},
-         {"o_ship_date", Value(rng.Uniform(20150101, 20171001))},
-         {"o_bill_addr_id", Value(rng.Uniform(1, cfg.num_addresses()))},
-         {"o_ship_addr_id", Value(rng.Uniform(1, cfg.num_addresses()))},
-         {"o_status", Value(rng.AlphaString(8))}}));
+    OrdersRow(cfg, rng, o_id, orders.tuple(0));
+    SYNERGY_RETURN_IF_ERROR(emit(orders));
     const int64_t lines = rng.Uniform(1, 5);
     for (int64_t l = 0; l < lines; ++l) {
-      SYNERGY_RETURN_IF_ERROR(sink(
-          "Order_line",
-          {{"ol_id", Value(next_ol_id++)},
-           {"ol_o_id", Value(o_id)},
-           {"ol_i_id", Value(rng.Uniform(1, cfg.num_items()))},
-           {"ol_qty", Value(rng.Uniform(1, 10))},
-           {"ol_discount", Value(rng.UniformReal(0.0, 0.3))},
-           {"ol_comments", Value(rng.AlphaString(20))}}));
+      OrderLineRow(cfg, rng, next_ol_id++, o_id, line.tuple(0));
+      SYNERGY_RETURN_IF_ERROR(emit(line));
     }
-    SYNERGY_RETURN_IF_ERROR(sink(
-        "CC_Xacts",
-        {{"cx_o_id", Value(o_id)},
-         {"cx_type", Value(rng.Next() % 2 ? "VISA" : "AMEX")},
-         {"cx_num", Value(rng.AlphaString(16))},
-         {"cx_name", Value(rng.AlphaString(14))},
-         {"cx_expiry", Value(rng.Uniform(20180101, 20220101))},
-         {"cx_auth_id", Value(rng.AlphaString(15))},
-         {"cx_xact_amt", Value(rng.UniformReal(10.0, 1100.0))},
-         {"cx_xact_date", Value(rng.Uniform(20150101, 20171001))},
-         {"cx_co_id", Value(rng.Uniform(1, cfg.num_countries()))}}));
+    CcXactsRow(cfg, rng, o_id, cc.tuple(0));
+    SYNERGY_RETURN_IF_ERROR(emit(cc));
   }
-  // Shopping carts.
   for (int64_t sc = 1; sc <= cfg.num_carts(); ++sc) {
-    SYNERGY_RETURN_IF_ERROR(
-        sink("Shopping_cart", {{"sc_id", Value(sc)},
-                               {"sc_time", Value(rng.Uniform(0, 1 << 30))}}));
+    CartRow(rng, sc, cart.tuple(0));
+    SYNERGY_RETURN_IF_ERROR(emit(cart));
     const int64_t lines = rng.Uniform(1, 3);
     for (int64_t l = 0; l < lines; ++l) {
-      SYNERGY_RETURN_IF_ERROR(sink(
-          "Shopping_cart_line",
-          {{"scl_sc_id", Value(sc)},
-           {"scl_i_id", Value(rng.Uniform(1, cfg.num_items()))},
-           {"scl_qty", Value(rng.Uniform(1, 5))}}));
+      CartLineRow(cfg, rng, sc, cart_line.tuple(0));
+      SYNERGY_RETURN_IF_ERROR(emit(cart_line));
     }
   }
   // Orders_tmp: the most recent orders (highest ids).
   for (int64_t k = 0; k < cfg.num_orders_tmp(); ++k) {
-    SYNERGY_RETURN_IF_ERROR(
-        sink("Orders_tmp", {{"ot_o_id", Value(cfg.num_orders() - k)}}));
+    OrdersTmpRow(cfg.num_orders() - k, orders_tmp.tuple(0));
+    SYNERGY_RETURN_IF_ERROR(emit(orders_tmp));
   }
   return Status::Ok();
 }
@@ -220,7 +299,16 @@ Status GenerateDatabase(const ScaleConfig& cfg, const TupleSink& sink) {
 Status GenerateDatabaseParallel(const ScaleConfig& cfg,
                                 const ParallelTupleSink& sink) {
   const int threads = std::max(1, cfg.load_threads);
-  const auto& subjects = Subjects();
+  Relation country("Country", threads), address("Address", threads),
+      author("Author", threads), customer("Customer", threads),
+      item("Item", threads), orders("Orders", threads),
+      line("Order_line", threads), cc("CC_Xacts", threads),
+      cart("Shopping_cart", threads),
+      cart_line("Shopping_cart_line", threads),
+      orders_tmp("Orders_tmp", threads);
+  auto emit = [&](Relation& r, int tid) {
+    return sink(tid, r.name, *r.tuple(tid));
+  };
 
   // Phase tags feed BlockSeed, so each relation gets its own seed stream.
   enum : uint64_t {
@@ -230,160 +318,75 @@ Status GenerateDatabaseParallel(const ScaleConfig& cfg,
   SYNERGY_RETURN_IF_ERROR(ParallelPhase(
       threads, cfg.seed, kCountry, cfg.num_countries(),
       [&](Rng& rng, int tid, int64_t id) {
-        return sink(tid, "Country",
-                    {{"co_id", Value(id)},
-                     {"co_name", Value("COUNTRY" + std::to_string(id))},
-                     {"co_exchange", Value(rng.UniformReal(0.1, 10.0))},
-                     {"co_currency", Value(rng.AlphaString(3))}});
+        CountryRow(rng, id, country.tuple(tid));
+        return emit(country, tid);
       }));
   SYNERGY_RETURN_IF_ERROR(ParallelPhase(
       threads, cfg.seed, kAddress, cfg.num_addresses(),
       [&](Rng& rng, int tid, int64_t id) {
-        return sink(tid, "Address",
-                    {{"addr_id", Value(id)},
-                     {"addr_street1", Value(rng.AlphaString(16))},
-                     {"addr_street2", Value(rng.AlphaString(16))},
-                     {"addr_city", Value(rng.AlphaString(10))},
-                     {"addr_state", Value(rng.AlphaString(2))},
-                     {"addr_zip", Value(rng.AlphaString(5))},
-                     {"addr_co_id", Value(rng.Uniform(1, cfg.num_countries()))}});
+        AddressRow(cfg, rng, id, address.tuple(tid));
+        return emit(address, tid);
       }));
   SYNERGY_RETURN_IF_ERROR(ParallelPhase(
       threads, cfg.seed, kAuthor, cfg.num_authors(),
       [&](Rng& rng, int tid, int64_t id) {
-        return sink(tid, "Author",
-                    {{"a_id", Value(id)},
-                     {"a_fname", Value(rng.AlphaString(8))},
-                     {"a_lname", Value(rng.AlphaString(10))},
-                     {"a_mname", Value(rng.AlphaString(1))},
-                     {"a_dob", Value(rng.Uniform(1900, 1999))},
-                     {"a_bio", Value(rng.AlphaString(60))}});
+        AuthorRow(rng, id, author.tuple(tid));
+        return emit(author, tid);
       }));
   SYNERGY_RETURN_IF_ERROR(ParallelPhase(
       threads, cfg.seed, kCustomer, cfg.num_customers,
       [&](Rng& rng, int tid, int64_t id) {
-        return sink(tid, "Customer",
-                    {{"c_id", Value(id)},
-                     {"c_uname", Value(Uname(id))},
-                     {"c_passwd", Value(rng.AlphaString(8))},
-                     {"c_fname", Value(rng.AlphaString(8))},
-                     {"c_lname", Value(rng.AlphaString(10))},
-                     {"c_addr_id", Value(rng.Uniform(1, cfg.num_addresses()))},
-                     {"c_phone", Value(rng.AlphaString(10))},
-                     {"c_email", Value(rng.AlphaString(12))},
-                     {"c_since", Value(rng.Uniform(20000101, 20170101))},
-                     {"c_last_login", Value(rng.Uniform(20170101, 20170930))},
-                     {"c_login", Value(rng.Uniform(0, 1000000))},
-                     {"c_expiration", Value(rng.Uniform(20180101, 20200101))},
-                     {"c_discount", Value(rng.UniformReal(0.0, 0.5))},
-                     {"c_balance", Value(rng.UniformReal(-100.0, 100.0))},
-                     {"c_ytd_pmt", Value(rng.UniformReal(0.0, 10000.0))},
-                     {"c_birthdate", Value(rng.Uniform(19200101, 19991231))},
-                     {"c_data", Value(rng.AlphaString(80))}});
+        CustomerRow(cfg, rng, id, customer.tuple(tid));
+        return emit(customer, tid);
       }));
   SYNERGY_RETURN_IF_ERROR(ParallelPhase(
       threads, cfg.seed, kItem, cfg.num_items(),
       [&](Rng& rng, int tid, int64_t id) {
-        auto related = [&] { return Value(rng.Uniform(1, cfg.num_items())); };
-        return sink(
-            tid, "Item",
-            {{"i_id", Value(id)},
-             {"i_title", Value("TITLE" + std::to_string(rng.Next() % 100000))},
-             {"i_a_id", Value(rng.Uniform(1, cfg.num_authors()))},
-             {"i_pub_date", Value(rng.Uniform(19500101, 20170101))},
-             {"i_publisher", Value(rng.AlphaString(14))},
-             {"i_subject",
-              Value(subjects[static_cast<size_t>(rng.Next() %
-                                                 subjects.size())])},
-             {"i_desc", Value(rng.AlphaString(100))},
-             {"i_related1", related()},
-             {"i_related2", related()},
-             {"i_related3", related()},
-             {"i_related4", related()},
-             {"i_related5", related()},
-             {"i_thumbnail", Value(rng.AlphaString(20))},
-             {"i_image", Value(rng.AlphaString(20))},
-             {"i_srp", Value(rng.UniformReal(1.0, 300.0))},
-             {"i_cost", Value(rng.UniformReal(1.0, 300.0))},
-             {"i_avail", Value(rng.Uniform(20170101, 20171231))},
-             {"i_stock", Value(rng.Uniform(10, 30))},
-             {"i_isbn", Value(rng.AlphaString(13))},
-             {"i_page", Value(rng.Uniform(20, 9999))},
-             {"i_backing", Value(rng.AlphaString(5))},
-             {"i_dimensions", Value(rng.AlphaString(12))}});
+        ItemRow(cfg, rng, id, item.tuple(tid));
+        return emit(item, tid);
       }));
   // Orders carry their lines and credit-card row; ol_id is derived from
   // (o_id, line) so no cross-thread counter is needed.
   SYNERGY_RETURN_IF_ERROR(ParallelPhase(
       threads, cfg.seed, kOrders, cfg.num_orders(),
       [&](Rng& rng, int tid, int64_t o_id) {
-        const int64_t c_id = (o_id - 1) % cfg.num_customers + 1;
-        SYNERGY_RETURN_IF_ERROR(sink(
-            tid, "Orders",
-            {{"o_id", Value(o_id)},
-             {"o_c_id", Value(c_id)},
-             {"o_date", Value(rng.Uniform(20150101, 20170930))},
-             {"o_sub_total", Value(rng.UniformReal(10.0, 1000.0))},
-             {"o_tax", Value(rng.UniformReal(0.0, 80.0))},
-             {"o_total", Value(rng.UniformReal(10.0, 1100.0))},
-             {"o_ship_type", Value(rng.AlphaString(6))},
-             {"o_ship_date", Value(rng.Uniform(20150101, 20171001))},
-             {"o_bill_addr_id", Value(rng.Uniform(1, cfg.num_addresses()))},
-             {"o_ship_addr_id", Value(rng.Uniform(1, cfg.num_addresses()))},
-             {"o_status", Value(rng.AlphaString(8))}}));
+        OrdersRow(cfg, rng, o_id, orders.tuple(tid));
+        SYNERGY_RETURN_IF_ERROR(emit(orders, tid));
         const int64_t lines = rng.Uniform(1, 5);
         for (int64_t l = 0; l < lines; ++l) {
-          SYNERGY_RETURN_IF_ERROR(sink(
-              tid, "Order_line",
-              {{"ol_id", Value((o_id - 1) * 5 + l + 1)},
-               {"ol_o_id", Value(o_id)},
-               {"ol_i_id", Value(rng.Uniform(1, cfg.num_items()))},
-               {"ol_qty", Value(rng.Uniform(1, 10))},
-               {"ol_discount", Value(rng.UniformReal(0.0, 0.3))},
-               {"ol_comments", Value(rng.AlphaString(20))}}));
+          OrderLineRow(cfg, rng, (o_id - 1) * 5 + l + 1, o_id,
+                       line.tuple(tid));
+          SYNERGY_RETURN_IF_ERROR(emit(line, tid));
         }
-        return sink(
-            tid, "CC_Xacts",
-            {{"cx_o_id", Value(o_id)},
-             {"cx_type", Value(rng.Next() % 2 ? "VISA" : "AMEX")},
-             {"cx_num", Value(rng.AlphaString(16))},
-             {"cx_name", Value(rng.AlphaString(14))},
-             {"cx_expiry", Value(rng.Uniform(20180101, 20220101))},
-             {"cx_auth_id", Value(rng.AlphaString(15))},
-             {"cx_xact_amt", Value(rng.UniformReal(10.0, 1100.0))},
-             {"cx_xact_date", Value(rng.Uniform(20150101, 20171001))},
-             {"cx_co_id", Value(rng.Uniform(1, cfg.num_countries()))}});
+        CcXactsRow(cfg, rng, o_id, cc.tuple(tid));
+        return emit(cc, tid);
       }));
   SYNERGY_RETURN_IF_ERROR(ParallelPhase(
       threads, cfg.seed, kCarts, cfg.num_carts(),
       [&](Rng& rng, int tid, int64_t sc) {
-        SYNERGY_RETURN_IF_ERROR(
-            sink(tid, "Shopping_cart",
-                 {{"sc_id", Value(sc)},
-                  {"sc_time", Value(rng.Uniform(0, 1 << 30))}}));
+        CartRow(rng, sc, cart.tuple(tid));
+        SYNERGY_RETURN_IF_ERROR(emit(cart, tid));
         const int64_t lines = rng.Uniform(1, 3);
         for (int64_t l = 0; l < lines; ++l) {
-          SYNERGY_RETURN_IF_ERROR(
-              sink(tid, "Shopping_cart_line",
-                   {{"scl_sc_id", Value(sc)},
-                    {"scl_i_id", Value(rng.Uniform(1, cfg.num_items()))},
-                    {"scl_qty", Value(rng.Uniform(1, 5))}}));
+          CartLineRow(cfg, rng, sc, cart_line.tuple(tid));
+          SYNERGY_RETURN_IF_ERROR(emit(cart_line, tid));
         }
         return Status::Ok();
       }));
   return ParallelPhase(
       threads, cfg.seed, kTmp, cfg.num_orders_tmp(),
       [&](Rng&, int tid, int64_t k) {
-        return sink(tid, "Orders_tmp",
-                    {{"ot_o_id", Value(cfg.num_orders() - (k - 1))}});
+        OrdersTmpRow(cfg.num_orders() - (k - 1), orders_tmp.tuple(tid));
+        return emit(orders_tmp, tid);
       });
 }
 
 StatusOr<std::vector<Value>> ParamProvider::ParamsFor(
     const std::string& id) {
-  const auto& subjects = Subjects();
+  const std::span<const std::string_view> subjects = Subjects();
   auto subject = [&] {
-    return Value(subjects[static_cast<size_t>(rng_.Next() % subjects.size())]);
+    return Value(std::string(
+        subjects[static_cast<size_t>(rng_.Next() % subjects.size())]));
   };
   auto cust = [&] { return Value(rng_.Uniform(1, config_.num_customers)); };
   auto item = [&] { return Value(rng_.Uniform(1, config_.num_items())); };

@@ -8,7 +8,9 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -67,7 +69,7 @@ Status GenerateDatabaseParallel(const ScaleConfig& config,
                                 const ParallelTupleSink& sink);
 
 /// Subjects used for i_subject (TPC-W's 24 subjects).
-const std::vector<std::string>& Subjects();
+std::span<const std::string_view> Subjects();
 
 /// Deterministic, valid parameters for a workload statement. `fresh_id`
 /// monotonically grows so repeated inserts never collide.
