@@ -16,7 +16,8 @@
 // {1,2,4,8} capped by it), SYNERGY_TPCW_CUSTOMERS, SYNERGY_BENCH_REPS (ops
 // per thread), SYNERGY_BENCH_RESULTS_DIR / SYNERGY_BENCH_LABEL /
 // SYNERGY_GIT_REV for the JSON trajectory appended to
-// bench-results/BENCH_concurrent_tpcw.json.
+// BENCH_concurrent_tpcw.json in SYNERGY_BENCH_RESULTS_DIR (nothing is
+// appended when it is unset).
 #include <cstdio>
 #include <memory>
 #include <string>

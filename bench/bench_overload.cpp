@@ -33,8 +33,8 @@
 // (poisson|uniform), SYNERGY_OVERLOAD_SHED (on|off|both: which protection
 // configs to run), SYNERGY_OVERLOAD_DURATION (virtual seconds of arrivals
 // per point), SYNERGY_BENCH_RESULTS_DIR / SYNERGY_BENCH_LABEL /
-// SYNERGY_GIT_REV for the JSON trajectory appended to
-// bench-results/BENCH_overload.json.
+// SYNERGY_GIT_REV for the JSON trajectory appended to BENCH_overload.json
+// in SYNERGY_BENCH_RESULTS_DIR (nothing is appended when it is unset).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>

@@ -14,9 +14,10 @@
 # Cluster Put/Get rungs, the txn submit rung and the Synergy Order_line load
 # rung), giving the repo a perf trajectory across PRs.
 # bench_concurrent_tpcw and bench_overload likewise append to
-# BENCH_concurrent_tpcw.json and BENCH_overload.json themselves (the overload
-# sweep also enforces its goodput/p99 acceptance gate past saturation — a
-# regression fails the run).
+# BENCH_concurrent_tpcw.json and BENCH_overload.json themselves, in the
+# directory SYNERGY_BENCH_RESULTS_DIR names, which this script sets to
+# bench-results/ (the overload sweep also enforces its goodput/p99
+# acceptance gate past saturation — a regression fails the run).
 set -euo pipefail
 
 build_dir="${1:-build}"
@@ -28,6 +29,8 @@ if [[ ! -d "$build_dir" ]]; then
 fi
 
 mkdir -p "$out_dir"
+# The benches that append trajectory rows do so only where this names.
+export SYNERGY_BENCH_RESULTS_DIR="$out_dir"
 # Stale JSON from a previous invocation must not be re-appended to the
 # trajectory under this run's git rev/label.
 rm -f "$out_dir/bench_micro_components.json"

@@ -69,15 +69,8 @@ Status DecodeRowSlots(const std::vector<sql::Column>& columns,
                       std::vector<Value>* out) {
   out->resize(columns.size());
   const bool identity = slot_map.empty();
-  if (!identity) {
-    // Only the map's slots are decoded below; the rest are NULL.
-    for (size_t slot = 0; slot < out->size(); ++slot) {
-      if (std::find(slot_map.begin(), slot_map.end(), static_cast<int>(slot)) ==
-          slot_map.end()) {
-        (*out)[slot] = Value();
-      }
-    }
-  }
+  // An index row fills only its covered slots; the rest are NULL.
+  if (!identity) std::fill(out->begin(), out->end(), Value());
   Value discarded;
   const size_t stored = identity ? columns.size() : slot_map.size();
   for (size_t i = 0; i < stored; ++i) {

@@ -71,9 +71,10 @@ void EncodeRowSlots(const std::vector<Value>& row, std::string* out);
 /// means identity (base rows in schema order), and an index row's map is
 /// its WriteLayout::Index::covered_slots. A slot the map does not name
 /// holds NULL; a negative slot, a covered column the relation lacks, is
-/// decoded and discarded. Decodes in place: a string lands in the storage
-/// its slot already holds, so a row decoded into again and again allocates
-/// only while its strings outgrow the ones before.
+/// decoded and discarded. A row in identity order decodes in place: a
+/// string lands in the storage its slot already holds, so a row decoded
+/// into again and again allocates only while its strings outgrow the ones
+/// before.
 Status DecodeRowSlots(const std::vector<sql::Column>& columns,
                       std::span<const int> slot_map, std::string_view bytes,
                       std::vector<Value>* out);

@@ -160,7 +160,8 @@ class Session {
   bool retry_suppressed_ = false;
   double op_deadline_us_ = 0.0;
   obs::OpCounts counts_;
-  std::vector<std::shared_ptr<void>> scratch_;  // by NextScratchSlot
+  // By NextScratchSlot; shared_ptr<void> for its type-erased deleter.
+  std::vector<std::shared_ptr<void>> scratch_;
 };
 
 /// Streaming scanner with per-batch RPC cost accounting. Obtain via

@@ -5,7 +5,6 @@
 #include <ctime>
 #include <fstream>
 #include <sstream>
-#include <sys/stat.h>
 
 namespace synergy::systems {
 
@@ -52,19 +51,6 @@ concurrent::WorkloadReport MeasureConcurrent(
 
 namespace {
 
-std::string ResultsDir() {
-  const char* env = std::getenv("SYNERGY_BENCH_RESULTS_DIR");
-  if (env != nullptr) return env;
-  struct stat st{};
-  if (stat("bench-results", &st) == 0 && S_ISDIR(st.st_mode)) {
-    return "bench-results";
-  }
-  if (stat("../bench-results", &st) == 0 && S_ISDIR(st.st_mode)) {
-    return "../bench-results";
-  }
-  return "bench-results";  // fails to open; AppendTrajectoryRun warns
-}
-
 std::string RenderRun(const TrajectoryRun& run) {
   char stamp[32] = "unknown";
   const std::time_t now = std::time(nullptr);
@@ -105,7 +91,17 @@ std::string RenderRun(const TrajectoryRun& run) {
 void AppendTrajectoryRun(const std::string& file,
                          const std::string& description,
                          const TrajectoryRun& run) {
-  const std::string path = ResultsDir() + "/" + file;
+  // Only a named directory takes a datapoint, so a bench run from the
+  // repository or its build tree leaves the committed trajectories as
+  // they are.
+  const char* dir = std::getenv("SYNERGY_BENCH_RESULTS_DIR");
+  if (dir == nullptr) {
+    std::printf("SYNERGY_BENCH_RESULTS_DIR is unset: no datapoint appended "
+                "to %s\n",
+                file.c_str());
+    return;
+  }
+  const std::string path = std::string(dir) + "/" + file;
   std::string existing;
   {
     std::ifstream in(path);

@@ -49,9 +49,9 @@ struct TrajectoryRun {
 };
 
 /// Appends `run`, stamped with the UTC time, SYNERGY_GIT_REV and
-/// SYNERGY_BENCH_LABEL, to the `runs` array of `file` in the results
-/// directory (SYNERGY_BENCH_RESULTS_DIR, else bench-results/ or
-/// ../bench-results/). A missing file is created with `description`.
+/// SYNERGY_BENCH_LABEL, to the `runs` array of `file` in the directory
+/// SYNERGY_BENCH_RESULTS_DIR names; with the variable unset it appends
+/// nothing and says so. A missing file is created with `description`.
 /// Prints where the datapoint went, or a warning if it could not be written.
 void AppendTrajectoryRun(const std::string& file,
                          const std::string& description,

@@ -12,8 +12,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include "hbase/cluster.h"
 #include "synergy/synergy_system.h"
