@@ -167,13 +167,7 @@ VoltDb::VoltDb(std::vector<PartitionScheme> schemes)
       cluster_(std::make_unique<hbase::Cluster>(VoltCostModel())) {}
 
 Status VoltDb::Init(const sql::Catalog& base_catalog) {
-  for (const sql::RelationDef* rel : base_catalog.Relations()) {
-    if (base_catalog.IsView(rel->name)) continue;
-    SYNERGY_RETURN_IF_ERROR(catalog_.AddRelation(*rel));
-    for (const sql::IndexDef* ix : base_catalog.IndexesFor(rel->name)) {
-      SYNERGY_RETURN_IF_ERROR(catalog_.AddIndex(*ix));
-    }
-  }
+  SYNERGY_RETURN_IF_ERROR(catalog_.AddBaseSchema(base_catalog));
   adapter_ = std::make_unique<exec::TableAdapter>(cluster_.get(), &catalog_);
   executor_ = std::make_unique<exec::Executor>(adapter_.get());
   for (const sql::RelationDef* rel : catalog_.Relations()) {

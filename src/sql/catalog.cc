@@ -179,6 +179,17 @@ Status Catalog::AddView(ViewDef view, RelationDef storage) {
   return Status::Ok();
 }
 
+Status Catalog::AddBaseSchema(const Catalog& base) {
+  for (const auto& [name, rel] : base.relations_) {
+    if (base.IsView(name)) continue;
+    SYNERGY_RETURN_IF_ERROR(AddRelation(rel));
+    for (const IndexDef* ix : base.IndexesFor(name)) {
+      SYNERGY_RETURN_IF_ERROR(AddIndex(*ix));
+    }
+  }
+  return Status::Ok();
+}
+
 const RelationDef* Catalog::FindRelation(const std::string& name) const {
   auto it = relations_.find(name);
   return it == relations_.end() ? nullptr : &it->second;

@@ -140,6 +140,8 @@ class Catalog {
   /// each member's WriteLayout::ViewMember; every member relation must be
   /// registered first.
   Status AddView(ViewDef view, RelationDef storage);
+  /// Adds every relation of `base` that is not a view, with its indexes.
+  Status AddBaseSchema(const Catalog& base);
 
   const RelationDef* FindRelation(const std::string& name) const;
   const IndexDef* FindIndex(const std::string& name) const;

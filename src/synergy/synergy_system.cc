@@ -24,15 +24,7 @@ StatusOr<SynergyDesign> DesignSynergySchema(
     const sql::Catalog& base_catalog, const sql::Workload& workload,
     const std::vector<std::string>& roots) {
   SynergyDesign design;
-  // Copy base relations and indexes.
-  for (const sql::RelationDef* rel : base_catalog.Relations()) {
-    SYNERGY_RETURN_IF_ERROR(design.catalog.AddRelation(*rel));
-  }
-  for (const sql::RelationDef* rel : base_catalog.Relations()) {
-    for (const sql::IndexDef* ix : base_catalog.IndexesFor(rel->name)) {
-      SYNERGY_RETURN_IF_ERROR(design.catalog.AddIndex(*ix));
-    }
-  }
+  SYNERGY_RETURN_IF_ERROR(design.catalog.AddBaseSchema(base_catalog));
   design.workload = workload;
 
   // §V: candidate views from the schema's rooted trees.

@@ -32,12 +32,7 @@ Status MvccSystem::Setup(const tpcw::ScaleConfig& scale) {
 
   switch (mode_) {
     case ViewMode::kNone: {
-      for (const sql::RelationDef* rel : base.Relations()) {
-        SYNERGY_RETURN_IF_ERROR(catalog_.AddRelation(*rel));
-        for (const sql::IndexDef* ix : base.IndexesFor(rel->name)) {
-          SYNERGY_RETURN_IF_ERROR(catalog_.AddIndex(*ix));
-        }
-      }
+      SYNERGY_RETURN_IF_ERROR(catalog_.AddBaseSchema(base));
       workload_ = base_workload;
       break;
     }
@@ -52,12 +47,7 @@ Status MvccSystem::Setup(const tpcw::ScaleConfig& scale) {
       break;
     }
     case ViewMode::kUnaware: {
-      for (const sql::RelationDef* rel : base.Relations()) {
-        SYNERGY_RETURN_IF_ERROR(catalog_.AddRelation(*rel));
-        for (const sql::IndexDef* ix : base.IndexesFor(rel->name)) {
-          SYNERGY_RETURN_IF_ERROR(catalog_.AddIndex(*ix));
-        }
-      }
+      SYNERGY_RETURN_IF_ERROR(catalog_.AddBaseSchema(base));
       workload_ = base_workload;
       const auto counts = PlannedRowCounts(scale);
       auto rows = [&counts](const std::string& rel) -> size_t {
@@ -102,24 +92,11 @@ Status MvccSystem::Setup(const tpcw::ScaleConfig& scale) {
   for (const sql::RelationDef* rel : catalog_.Relations()) {
     SYNERGY_RETURN_IF_ERROR(adapter_->CreateStorage(rel->name));
   }
-  if (scale.load_threads > 1) {
-    std::vector<std::unique_ptr<hbase::Session>> sessions;
-    for (int i = 0; i < scale.load_threads; ++i) {
-      sessions.push_back(std::make_unique<hbase::Session>(cluster_.get()));
-    }
-    SYNERGY_RETURN_IF_ERROR(tpcw::GenerateDatabaseParallel(
-        scale, [&](int tid, const std::string& relation,
-                   const exec::Tuple& tuple) {
-          hbase::Session& s = *sessions[static_cast<size_t>(tid)];
-          return maintainer_->InsertWithViews(s, relation, tuple);
-        }));
-  } else {
-    hbase::Session load(cluster_.get());
-    SYNERGY_RETURN_IF_ERROR(tpcw::GenerateDatabase(
-        scale, [&](const std::string& relation, const exec::Tuple& tuple) {
-          return maintainer_->InsertWithViews(load, relation, tuple);
-        }));
-  }
+  hbase::Session load(cluster_.get());
+  SYNERGY_RETURN_IF_ERROR(tpcw::GenerateDatabase(
+      scale, [&](const std::string& relation, const exec::Tuple& tuple) {
+        return maintainer_->InsertWithViews(load, relation, tuple);
+      }));
   cluster_->MajorCompactAll();
   return Status::Ok();
 }

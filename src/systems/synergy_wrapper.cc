@@ -10,24 +10,11 @@ Status SynergyWrapper::Setup(const tpcw::ScaleConfig& scale) {
   SYNERGY_RETURN_IF_ERROR(
       system_->Build(tpcw::BuildCatalog(), tpcw::BuildWorkload()));
   SYNERGY_RETURN_IF_ERROR(system_->CreateStorage());
-  if (scale.load_threads > 1) {
-    std::vector<std::unique_ptr<hbase::Session>> sessions;
-    for (int i = 0; i < scale.load_threads; ++i) {
-      sessions.push_back(std::make_unique<hbase::Session>(cluster_.get()));
-    }
-    SYNERGY_RETURN_IF_ERROR(tpcw::GenerateDatabaseParallel(
-        scale, [&](int tid, const std::string& relation,
-                   const exec::Tuple& tuple) {
-          return system_->Load(*sessions[static_cast<size_t>(tid)], relation,
-                               tuple);
-        }));
-  } else {
-    hbase::Session load(cluster_.get());
-    SYNERGY_RETURN_IF_ERROR(tpcw::GenerateDatabase(
-        scale, [&](const std::string& relation, const exec::Tuple& tuple) {
-          return system_->Load(load, relation, tuple);
-        }));
-  }
+  hbase::Session load(cluster_.get());
+  SYNERGY_RETURN_IF_ERROR(tpcw::GenerateDatabase(
+      scale, [&](const std::string& relation, const exec::Tuple& tuple) {
+        return system_->Load(load, relation, tuple);
+      }));
   cluster_->MajorCompactAll();
   return Status::Ok();
 }

@@ -1,63 +1,9 @@
 #include "tpcw/generator.h"
 
-#include <algorithm>
-#include <thread>
-
 namespace synergy::tpcw {
 namespace {
 
 std::string Uname(int64_t c_id) { return "USER" + std::to_string(c_id); }
-
-// ---- parallel loader ----
-
-// Ids per block: one RNG seed per block makes the generated data a pure
-// function of (seed, block size), independent of how many threads consume
-// the blocks.
-constexpr int64_t kLoadBlock = 1024;
-
-uint64_t BlockSeed(uint64_t seed, uint64_t phase, int64_t block) {
-  // splitmix64's output mixing decorrelates nearby seeds, so a cheap
-  // combination is enough.
-  return seed ^ (phase << 40) ^ static_cast<uint64_t>(block);
-}
-
-/// Emits one id of a phase using that block's RNG.
-using EmitFn = std::function<Status(Rng& rng, int thread_id, int64_t id)>;
-
-/// Runs one FK-topological phase: ids 1..count split into kLoadBlock-sized
-/// blocks, block b handled by thread b % threads. Joins all workers before
-/// returning (the inter-phase barrier).
-Status ParallelPhase(int threads, uint64_t seed, uint64_t phase, int64_t count,
-                     const EmitFn& emit) {
-  if (count <= 0) return Status::Ok();
-  const int64_t num_blocks = (count + kLoadBlock - 1) / kLoadBlock;
-  const int n = static_cast<int>(
-      std::max<int64_t>(1, std::min<int64_t>(threads, num_blocks)));
-  std::vector<Status> results(static_cast<size_t>(n), Status::Ok());
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(n));
-  for (int tid = 0; tid < n; ++tid) {
-    workers.emplace_back([&, tid] {
-      for (int64_t b = tid; b < num_blocks; b += n) {
-        Rng rng(BlockSeed(seed, phase, b));
-        const int64_t lo = b * kLoadBlock + 1;
-        const int64_t hi = std::min(count, (b + 1) * kLoadBlock);
-        for (int64_t id = lo; id <= hi; ++id) {
-          Status s = emit(rng, tid, id);
-          if (!s.ok()) {
-            results[static_cast<size_t>(tid)] = std::move(s);
-            return;
-          }
-        }
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  for (Status& s : results) {
-    if (!s.ok()) return s;
-  }
-  return Status::Ok();
-}
 
 }  // namespace
 
@@ -82,8 +28,7 @@ namespace {
 // keeps nothing of the row before and the draws from `rng` come in the
 // order the fields are listed. String fields are written into the storage
 // the tuple already holds, so a refill allocates nothing once the tuple
-// has held one row. Both generators call these, so they emit the same
-// fields from the same draws.
+// has held one row.
 
 Value& Field(exec::Tuple* t, const char* name) { return (*t)[name]; }
 
@@ -188,8 +133,7 @@ void OrdersRow(const ScaleConfig& cfg, Rng& rng, int64_t o_id,
   Alpha(rng, 8, &Field(t, "o_status"));
 }
 
-/// A line of order `o_id`. The generators number lines differently, so
-/// each passes its own `ol_id`.
+/// Line `ol_id` of order `o_id`; the caller numbers lines across orders.
 void OrderLineRow(const ScaleConfig& cfg, Rng& rng, int64_t ol_id,
                   int64_t o_id, exec::Tuple* t) {
   Field(t, "ol_id") = ol_id;
@@ -227,160 +171,75 @@ void CartLineRow(const ScaleConfig& cfg, Rng& rng, int64_t sc,
 
 void OrdersTmpRow(int64_t o_id, exec::Tuple* t) { Field(t, "ot_o_id") = o_id; }
 
-/// A relation's name, made once, and its tuple per generating thread.
+/// A relation's name, made once, and the tuple its rows are built in.
 struct Relation {
-  Relation(std::string name, int threads)
-      : name(std::move(name)), tuples(static_cast<size_t>(threads)) {}
-  exec::Tuple* tuple(int thread) {
-    return &tuples[static_cast<size_t>(thread)];
-  }
   std::string name;
-  std::vector<exec::Tuple> tuples;
+  exec::Tuple tuple = {};
 };
 
 }  // namespace
 
 Status GenerateDatabase(const ScaleConfig& cfg, const TupleSink& sink) {
+  if (cfg.load_threads != 1) {
+    return Status::InvalidArgument(
+        "load_threads is " + std::to_string(cfg.load_threads) +
+        ": the TPC-W loader runs on one thread");
+  }
   Rng rng(cfg.seed);
-  Relation country("Country", 1), address("Address", 1), author("Author", 1),
-      customer("Customer", 1), item("Item", 1), orders("Orders", 1),
-      line("Order_line", 1), cc("CC_Xacts", 1), cart("Shopping_cart", 1),
-      cart_line("Shopping_cart_line", 1), orders_tmp("Orders_tmp", 1);
-  auto emit = [&](Relation& r) { return sink(r.name, *r.tuple(0)); };
+  Relation country{"Country"}, address{"Address"}, author{"Author"},
+      customer{"Customer"}, item{"Item"}, orders{"Orders"},
+      line{"Order_line"}, cc{"CC_Xacts"}, cart{"Shopping_cart"},
+      cart_line{"Shopping_cart_line"}, orders_tmp{"Orders_tmp"};
+  auto emit = [&](const Relation& r) { return sink(r.name, r.tuple); };
   for (int64_t id = 1; id <= cfg.num_countries(); ++id) {
-    CountryRow(rng, id, country.tuple(0));
+    CountryRow(rng, id, &country.tuple);
     SYNERGY_RETURN_IF_ERROR(emit(country));
   }
   for (int64_t id = 1; id <= cfg.num_addresses(); ++id) {
-    AddressRow(cfg, rng, id, address.tuple(0));
+    AddressRow(cfg, rng, id, &address.tuple);
     SYNERGY_RETURN_IF_ERROR(emit(address));
   }
   for (int64_t id = 1; id <= cfg.num_authors(); ++id) {
-    AuthorRow(rng, id, author.tuple(0));
+    AuthorRow(rng, id, &author.tuple);
     SYNERGY_RETURN_IF_ERROR(emit(author));
   }
   for (int64_t id = 1; id <= cfg.num_customers; ++id) {
-    CustomerRow(cfg, rng, id, customer.tuple(0));
+    CustomerRow(cfg, rng, id, &customer.tuple);
     SYNERGY_RETURN_IF_ERROR(emit(customer));
   }
   for (int64_t id = 1; id <= cfg.num_items(); ++id) {
-    ItemRow(cfg, rng, id, item.tuple(0));
+    ItemRow(cfg, rng, id, &item.tuple);
     SYNERGY_RETURN_IF_ERROR(emit(item));
   }
   // Orders + lines + credit-card transactions; lines are numbered by one
   // counter across orders.
   int64_t next_ol_id = 1;
   for (int64_t o_id = 1; o_id <= cfg.num_orders(); ++o_id) {
-    OrdersRow(cfg, rng, o_id, orders.tuple(0));
+    OrdersRow(cfg, rng, o_id, &orders.tuple);
     SYNERGY_RETURN_IF_ERROR(emit(orders));
     const int64_t lines = rng.Uniform(1, 5);
     for (int64_t l = 0; l < lines; ++l) {
-      OrderLineRow(cfg, rng, next_ol_id++, o_id, line.tuple(0));
+      OrderLineRow(cfg, rng, next_ol_id++, o_id, &line.tuple);
       SYNERGY_RETURN_IF_ERROR(emit(line));
     }
-    CcXactsRow(cfg, rng, o_id, cc.tuple(0));
+    CcXactsRow(cfg, rng, o_id, &cc.tuple);
     SYNERGY_RETURN_IF_ERROR(emit(cc));
   }
   for (int64_t sc = 1; sc <= cfg.num_carts(); ++sc) {
-    CartRow(rng, sc, cart.tuple(0));
+    CartRow(rng, sc, &cart.tuple);
     SYNERGY_RETURN_IF_ERROR(emit(cart));
     const int64_t lines = rng.Uniform(1, 3);
     for (int64_t l = 0; l < lines; ++l) {
-      CartLineRow(cfg, rng, sc, cart_line.tuple(0));
+      CartLineRow(cfg, rng, sc, &cart_line.tuple);
       SYNERGY_RETURN_IF_ERROR(emit(cart_line));
     }
   }
   // Orders_tmp: the most recent orders (highest ids).
   for (int64_t k = 0; k < cfg.num_orders_tmp(); ++k) {
-    OrdersTmpRow(cfg.num_orders() - k, orders_tmp.tuple(0));
+    OrdersTmpRow(cfg.num_orders() - k, &orders_tmp.tuple);
     SYNERGY_RETURN_IF_ERROR(emit(orders_tmp));
   }
   return Status::Ok();
-}
-
-Status GenerateDatabaseParallel(const ScaleConfig& cfg,
-                                const ParallelTupleSink& sink) {
-  const int threads = std::max(1, cfg.load_threads);
-  Relation country("Country", threads), address("Address", threads),
-      author("Author", threads), customer("Customer", threads),
-      item("Item", threads), orders("Orders", threads),
-      line("Order_line", threads), cc("CC_Xacts", threads),
-      cart("Shopping_cart", threads),
-      cart_line("Shopping_cart_line", threads),
-      orders_tmp("Orders_tmp", threads);
-  auto emit = [&](Relation& r, int tid) {
-    return sink(tid, r.name, *r.tuple(tid));
-  };
-
-  // Phase tags feed BlockSeed, so each relation gets its own seed stream.
-  enum : uint64_t {
-    kCountry = 1, kAddress, kAuthor, kCustomer, kItem, kOrders, kCarts, kTmp
-  };
-
-  SYNERGY_RETURN_IF_ERROR(ParallelPhase(
-      threads, cfg.seed, kCountry, cfg.num_countries(),
-      [&](Rng& rng, int tid, int64_t id) {
-        CountryRow(rng, id, country.tuple(tid));
-        return emit(country, tid);
-      }));
-  SYNERGY_RETURN_IF_ERROR(ParallelPhase(
-      threads, cfg.seed, kAddress, cfg.num_addresses(),
-      [&](Rng& rng, int tid, int64_t id) {
-        AddressRow(cfg, rng, id, address.tuple(tid));
-        return emit(address, tid);
-      }));
-  SYNERGY_RETURN_IF_ERROR(ParallelPhase(
-      threads, cfg.seed, kAuthor, cfg.num_authors(),
-      [&](Rng& rng, int tid, int64_t id) {
-        AuthorRow(rng, id, author.tuple(tid));
-        return emit(author, tid);
-      }));
-  SYNERGY_RETURN_IF_ERROR(ParallelPhase(
-      threads, cfg.seed, kCustomer, cfg.num_customers,
-      [&](Rng& rng, int tid, int64_t id) {
-        CustomerRow(cfg, rng, id, customer.tuple(tid));
-        return emit(customer, tid);
-      }));
-  SYNERGY_RETURN_IF_ERROR(ParallelPhase(
-      threads, cfg.seed, kItem, cfg.num_items(),
-      [&](Rng& rng, int tid, int64_t id) {
-        ItemRow(cfg, rng, id, item.tuple(tid));
-        return emit(item, tid);
-      }));
-  // Orders carry their lines and credit-card row; ol_id is derived from
-  // (o_id, line) so no cross-thread counter is needed.
-  SYNERGY_RETURN_IF_ERROR(ParallelPhase(
-      threads, cfg.seed, kOrders, cfg.num_orders(),
-      [&](Rng& rng, int tid, int64_t o_id) {
-        OrdersRow(cfg, rng, o_id, orders.tuple(tid));
-        SYNERGY_RETURN_IF_ERROR(emit(orders, tid));
-        const int64_t lines = rng.Uniform(1, 5);
-        for (int64_t l = 0; l < lines; ++l) {
-          OrderLineRow(cfg, rng, (o_id - 1) * 5 + l + 1, o_id,
-                       line.tuple(tid));
-          SYNERGY_RETURN_IF_ERROR(emit(line, tid));
-        }
-        CcXactsRow(cfg, rng, o_id, cc.tuple(tid));
-        return emit(cc, tid);
-      }));
-  SYNERGY_RETURN_IF_ERROR(ParallelPhase(
-      threads, cfg.seed, kCarts, cfg.num_carts(),
-      [&](Rng& rng, int tid, int64_t sc) {
-        CartRow(rng, sc, cart.tuple(tid));
-        SYNERGY_RETURN_IF_ERROR(emit(cart, tid));
-        const int64_t lines = rng.Uniform(1, 3);
-        for (int64_t l = 0; l < lines; ++l) {
-          CartLineRow(cfg, rng, sc, cart_line.tuple(tid));
-          SYNERGY_RETURN_IF_ERROR(emit(cart_line, tid));
-        }
-        return Status::Ok();
-      }));
-  return ParallelPhase(
-      threads, cfg.seed, kTmp, cfg.num_orders_tmp(),
-      [&](Rng&, int tid, int64_t k) {
-        OrdersTmpRow(cfg.num_orders() - (k - 1), orders_tmp.tuple(tid));
-        return emit(orders_tmp, tid);
-      });
 }
 
 StatusOr<std::vector<Value>> ParamProvider::ParamsFor(

@@ -7,6 +7,7 @@
 // store compact; EXPERIMENTS.md documents this substitution.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <span>
 #include <string>
@@ -22,8 +23,10 @@ namespace synergy::tpcw {
 struct ScaleConfig {
   int64_t num_customers = 1000;
   uint64_t seed = 20170904;  // CLUSTER'17
-  /// >1: systems load through GenerateDatabaseParallel with this many
-  /// worker threads (needed to make the 1M-customer load tractable).
+  /// Loading is serial: GenerateDatabase rejects any value but 1. The
+  /// field stays only because the end-to-end benchmark
+  /// (perfbench/bench_e2e.cpp) assigns it, and goes with that benchmark's
+  /// next change (ROADMAP.md item 15).
   int load_threads = 1;
 
   int64_t num_items() const { return num_customers * 10; }
@@ -43,30 +46,11 @@ struct ScaleConfig {
 using TupleSink =
     std::function<Status(const std::string& relation, const exec::Tuple&)>;
 
-/// Streams the whole database through `sink`. Deterministic in `config`.
+/// Streams the whole database through `sink`, on the calling thread, from
+/// one RNG seeded with `config.seed`. Deterministic in `config`. Returns
+/// kInvalidArgument, before emitting a row, when `config.load_threads` is
+/// not 1.
 Status GenerateDatabase(const ScaleConfig& config, const TupleSink& sink);
-
-/// Thread-aware sink for the parallel loader: `thread_id` identifies the
-/// calling worker (0..load_threads-1) so the receiving side can route to a
-/// per-thread session. Must be safe to call from different threads with
-/// different thread ids.
-using ParallelTupleSink = std::function<Status(
-    int thread_id, const std::string& relation, const exec::Tuple&)>;
-
-/// Parallel loader: generates each relation in fixed-size id blocks, each
-/// block with its own RNG seeded from (config.seed, relation, block), and
-/// fans blocks out over config.load_threads workers. The generated data is
-/// deterministic in `config.seed` and *independent of the thread count* —
-/// only the interleaving changes. Phases follow FK-topological order with a
-/// barrier between them (a tuple's ancestors are fully loaded before it is
-/// emitted), so FK-walking view maintenance sees complete chains.
-///
-/// The data stream intentionally differs from sequential GenerateDatabase
-/// in two ways: field values come from per-block RNGs rather than one
-/// rolling RNG, and Order_line ids are derived as (o_id-1)*5 + line + 1
-/// (sparse, within max_order_line_id()) instead of a global counter.
-Status GenerateDatabaseParallel(const ScaleConfig& config,
-                                const ParallelTupleSink& sink);
 
 /// Subjects used for i_subject (TPC-W's 24 subjects).
 std::span<const std::string_view> Subjects();

@@ -1,5 +1,7 @@
 #include "txn/wal.h"
 
+#include <iterator>
+
 #include "testing/fault_injector.h"
 
 namespace synergy::txn {
@@ -16,16 +18,16 @@ StatusOr<int64_t> Wal::Append(hbase::Session& s, const std::string& payload,
   appends_->Inc();
   std::lock_guard lock(mutex_);
   const int64_t id = next_id_++;
-  entries_.push_back(
-      WalEntry{id, payload, std::move(lock_spec), /*committed=*/false});
+  entries_.push_back(WalEntry{id, payload, std::move(lock_spec)});
   return id;
 }
 
 void Wal::MarkCommitted(int64_t txn_id) {
   std::lock_guard lock(mutex_);
+  // Newest first: a slave commits the write it appended last.
   for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
     if (it->txn_id == txn_id) {
-      it->committed = true;
+      entries_.erase(std::next(it).base());
       return;
     }
   }
@@ -33,21 +35,12 @@ void Wal::MarkCommitted(int64_t txn_id) {
 
 std::vector<WalEntry> Wal::UncommittedEntries() const {
   std::lock_guard lock(mutex_);
-  std::vector<WalEntry> out;
-  for (const WalEntry& e : entries_) {
-    if (!e.committed) out.push_back(e);
-  }
-  return out;
+  return entries_;
 }
 
 size_t Wal::size() const {
   std::lock_guard lock(mutex_);
-  return entries_.size();
-}
-
-std::vector<WalEntry> Wal::AllEntries() const {
-  std::lock_guard lock(mutex_);
-  return entries_;
+  return static_cast<size_t>(next_id_ - 1);
 }
 
 }  // namespace synergy::txn

@@ -1,9 +1,10 @@
 // Write-ahead log for the Synergy transaction layer (§VIII).
 //
 // Each slave appends the statement payload with its transaction id before
-// executing, and marks the entry committed afterwards. On slave failure the
-// master replays the uncommitted suffix on a fresh slave. The log is
-// in-memory (the simulated HDFS) with a per-append sync cost; thread-safe.
+// executing, and marks the entry committed afterwards, which drops it: the
+// log holds only what a recovery replays. On slave failure the master
+// replays the uncommitted entries on a fresh slave. The log is in-memory
+// (the simulated HDFS) with a per-append sync cost; thread-safe.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +26,6 @@ struct WalEntry {
   // can release orphaned locks without re-deriving them from the payload
   // (which is impossible for deletes: the root row may already be gone).
   std::optional<LockSpec> lock;
-  bool committed = false;
 };
 
 class Wal {
@@ -46,21 +46,22 @@ class Wal {
   StatusOr<int64_t> Append(hbase::Session& s, const std::string& payload,
                            std::optional<LockSpec> lock = std::nullopt);
 
-  /// Marks a transaction committed. Unknown ids are ignored (idempotent).
+  /// Marks a transaction committed: its entry leaves the log, as nothing
+  /// replays it. Unknown ids are ignored (idempotent).
   void MarkCommitted(int64_t txn_id);
 
   /// Uncommitted entries in append order (what a failover must replay).
   std::vector<WalEntry> UncommittedEntries() const;
 
+  /// Entries appended over the log's life, committed ones included.
   size_t size() const;
-  std::vector<WalEntry> AllEntries() const;
 
  private:
   hbase::Cluster* cluster_;
   obs::Counter* appends_;
   obs::Counter* append_failures_;
   mutable std::mutex mutex_;
-  std::vector<WalEntry> entries_;
+  std::vector<WalEntry> entries_;  // the uncommitted ones
   int64_t next_id_ = 1;
 };
 

@@ -115,6 +115,24 @@ TEST(CatalogTest, ViewsAreRelationsWithMetadata) {
   ASSERT_NE(cat.FindRelation("Customer-Orders"), nullptr);
   EXPECT_EQ(cat.Views().size(), 1u);
   EXPECT_EQ(cat.Relations().size(), 3u);
+
+  // A base-schema copy takes the relations and their indexes, not the
+  // views or theirs.
+  ASSERT_TRUE(cat.AddIndex({.name = "ix_o_c_id", .relation = "Orders",
+                            .indexed_columns = {"o_c_id"}})
+                  .ok());
+  ASSERT_TRUE(cat.AddIndex({.name = "ix_view_uname",
+                            .relation = "Customer-Orders",
+                            .indexed_columns = {"c_uname"}})
+                  .ok());
+  Catalog base;
+  ASSERT_TRUE(base.AddBaseSchema(cat).ok());
+  EXPECT_EQ(base.Relations().size(), 2u);
+  EXPECT_TRUE(base.Views().empty());
+  EXPECT_EQ(base.FindRelation("Customer-Orders"), nullptr);
+  EXPECT_NE(base.FindIndex("ix_o_c_id"), nullptr);
+  EXPECT_EQ(base.FindIndex("ix_view_uname"), nullptr);
+  EXPECT_EQ(base.FindWriteLayout("Orders")->indexes.size(), 1u);
 }
 
 TEST(CatalogTest, WriteLayoutIsResolvedAtRegistration) {

@@ -155,6 +155,22 @@ TEST(TpcwGeneratorTest, DeterministicAcrossRuns) {
   EXPECT_EQ(first, second);
 }
 
+// Loading is serial: a caller that asks for load threads learns so before
+// any row is emitted.
+TEST(TpcwGeneratorTest, MoreThanOneLoadThreadIsRejected) {
+  ScaleConfig cfg;
+  cfg.num_customers = 20;
+  cfg.load_threads = 2;
+  size_t rows = 0;
+  const Status s =
+      GenerateDatabase(cfg, [&](const std::string&, const exec::Tuple&) {
+        ++rows;
+        return Status::Ok();
+      });
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(rows, 0u);
+}
+
 TEST(TpcwGeneratorTest, TuplesMatchSchema) {
   sql::Catalog cat = BuildCatalog();
   ScaleConfig cfg;

@@ -141,18 +141,30 @@ TEST_F(TxnLayerTest, AllSlavesDownIsUnavailable) {
 }
 
 TEST_F(TxnLayerTest, WalRecordsCommitState) {
+  auto to_replay = [this] {
+    std::vector<std::string> payloads;
+    for (int i = 0; i < layer_->num_slaves(); ++i) {
+      for (const WalEntry& e : layer_->slave(i)->wal()->UncommittedEntries()) {
+        payloads.push_back(e.payload);
+      }
+    }
+    return payloads;
+  };
   hbase::Session s(&cluster_);
   ASSERT_TRUE(
       layer_->SubmitWrite(s, "ok-write", std::nullopt, PutBody("k", "v")).ok());
-  size_t committed = 0, total = 0;
-  for (int i = 0; i < layer_->num_slaves(); ++i) {
-    for (const WalEntry& e : layer_->slave(i)->wal()->AllEntries()) {
-      ++total;
-      if (e.committed) ++committed;
-    }
-  }
-  EXPECT_EQ(total, 1u);
-  EXPECT_EQ(committed, 1u);
+  EXPECT_TRUE(to_replay().empty());
+
+  CrashNextWrites(1);
+  EXPECT_EQ(layer_->SubmitWrite(s, "crashed-write", LockSpec{"Root", "rk"},
+                                PutBody("kc", "vc"))
+                .status()
+                .code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(to_replay(), std::vector<std::string>{"crashed-write"});
+  // Committed or not, every append counts.
+  EXPECT_EQ(layer_->slave(0)->wal()->size() + layer_->slave(1)->wal()->size(),
+            2u);
 }
 
 TEST_F(TxnLayerTest, WriteBodyRunsOnCallingThread) {
